@@ -31,8 +31,9 @@ from .criteria import FAMILIES, CriterionId, evaluate
 from .errors import ConfigError, OrderLimitError, ParameterError, TwinbeamError
 from .moments import (build_k_matrix, photon_number_distribution, pnd_table)
 from .quantifiers import classify
-from .scan import (AXIS_NAMES, AxisSpec, ScanSpec, TargetSpec, _Pipeline,
-                   run_scan, write_boundaries_json, write_csv)
+from .scan import (AXIS_NAMES, AxisSpec, ScanSpec, TargetSpec, _bisect,
+                   _Pipeline, _sign_changes, run_scan, write_boundaries_json,
+                   write_csv)
 from .states import (BeamSplitterParams, TwinBeamParams, attenuate,
                      beam_splitter, covariance_n, symplectic_eigenvalues,
                      twin_beam)
@@ -180,6 +181,10 @@ def _boundary_target(args) -> TargetSpec:
 
 
 def _cmd_boundary(args) -> int:
+    if args.eta2 is not None:
+        raise ConfigError(
+            "boundary scans apply one detection efficiency to both modes; "
+            "--eta2 is not supported")
     target = _boundary_target(args)
     lo_default, hi_default = _BOUNDARY_DEFAULT_RANGES[args.axis]
     lo = lo_default if args.min is None else args.min
@@ -202,32 +207,20 @@ def _cmd_boundary(args) -> int:
     spec = ScanSpec(axes=(axis,), targets=(target,), fixed=fixed,
                     noise_mode=args.noise_mode, threads=1)
     pipeline = _Pipeline(spec)
-    values = axis.values()
-    indicator = pipeline.evaluate({args.axis: values})[0][2]
 
-    log_spacing = axis.scale == "log"
+    def indicator(x):
+        return pipeline.evaluate({args.axis: x})[0][2]
+
+    values = axis.values()
+    grid = indicator(values)
+    (edges,) = _sign_changes(grid, 0)
     crossings = []
-    finite = np.isfinite(indicator)
-    sign = indicator <= 0.0
-    for k in range(len(values) - 1):
-        if not (finite[k] and finite[k + 1]) or sign[k] == sign[k + 1]:
-            continue
-        a, b = float(values[k]), float(values[k + 1])
-        sign_a = bool(sign[k])
-        for _ in range(200):
-            mid = (a * b) ** 0.5 if log_spacing else 0.5 * (a + b)
-            f_mid = float(pipeline.evaluate(
-                {args.axis: np.array([mid])})[0][2][0])
-            if (f_mid <= 0.0) == sign_a:
-                a = mid
-            else:
-                b = mid
-            if b - a <= args.tol * max(abs(a), abs(b), 1e-12):
-                break
-        x = (a * b) ** 0.5 if log_spacing else 0.5 * (a + b)
-        value = float(pipeline.evaluate(
-            {args.axis: np.array([x])})[0][0][0])
-        crossings.append({"x": x, "value": value})
+    if edges.size:
+        x = _bisect(indicator, values[edges], values[edges + 1],
+                    grid[edges] <= 0.0, axis.scale == "log", args.tol)
+        found = pipeline.evaluate({args.axis: x})[0][0]
+        crossings = [{"x": float(a), "value": float(v)}
+                     for a, v in zip(x, found)]
     _print_json({
         "target": target.label(),
         "axis": args.axis,

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderLimitError, ParameterError
-from .moments import (DEFAULT_MAX_ORDER, _marginal_q_series, _SIGNS, _fact,
-                      modified_pnd_table, moment_table)
+from .moments import (DEFAULT_MAX_ORDER, _marginal_grid, _moment_grid,
+                      _prob_grid, _q_coeff_array, _scaled_grid)
 from .states import TwoModeGaussianState
 
 __all__ = [
@@ -141,118 +141,110 @@ class CriterionResult:
     max_order_used: int
 
 
-def _finish(cid: CriterionId, value: float, scale: float,
-            order: int) -> CriterionResult:
-    tol = RELATIVE_TOL * scale
-    return CriterionResult(id=cid, value=float(value),
-                           nonclassical=bool(value < -tol),
-                           tol=float(tol), max_order_used=int(order))
+# -- the shared engine ------------------------------------------------------
+#
+# Every criterion is read off one table built from the Q coefficients.  The
+# three functions below take coefficient arrays with any trailing batch axes,
+# so a single state (a batch of one) and a scan grid share them.
+
+def _need(cid: CriterionId):
+    """Table kind, table orders and derivative order of a criterion.
+
+    Kinds are "W" (intensity moments), "p" (factorial-scaled probabilities)
+    and their single-mode marginals "W1", "W2", "p1", "p2".
+    """
+    variant = cid.family[2]
+    if cid.family[0] == "E":
+        return variant, (cid.k1 + 2, cid.k2 + 2), cid.k1 + cid.k2 + 2
+    if cid.family[0] == "M":
+        return variant, (2, 2), 2
+    depth = max(cid.k1 + 1, cid.k2)
+    return f"{variant}{cid.mode}", (depth, 0), depth
 
 
-def _gate(order: int, max_order: int | None):
+def _tables(coeffs: np.ndarray, needs) -> dict:
+    """Tables by kind for a list of needs, each kind built once at the
+    largest orders asked for."""
+    orders = {}
+    for kind, (o1, o2), _ in needs:
+        c1, c2 = orders.get(kind, (0, 0))
+        orders[kind] = (max(c1, o1), max(c2, o2))
+    tables = {}
+    for kind, (o1, o2) in orders.items():
+        q = coeffs if len(kind) == 1 else _marginal_grid(coeffs, int(kind[1]))
+        if kind[0] == "W":
+            table = _moment_grid(q, o1, o2)
+        else:
+            table = _scaled_grid(_prob_grid(q, o1, o2))
+        tables[kind] = table if len(kind) == 1 else table[:, 0]
+    return tables
+
+
+def _value(cid: CriterionId, table: np.ndarray):
+    """Criterion value and the size of its largest term."""
+    if cid.family[0] == "E":
+        a = table[cid.k1 + 2, cid.k2]
+        b = table[cid.k1, cid.k2 + 2]
+        c = 2.0 * table[cid.k1 + 1, cid.k2 + 1]
+        return a + b - c, np.maximum(np.maximum(np.abs(a), np.abs(b)),
+                                     np.abs(c))
+    if cid.family[0] == "M":
+        a, b, c = table[2, 0], table[0, 2], table[1, 1]
+        return a * b - c * c, np.maximum(np.abs(a * b), c * c)
+    a = table[cid.k1 + 1] * table[cid.k2 - 1]
+    b = table[cid.k1] * table[cid.k2]
+    return a - b, np.maximum(np.abs(a), np.abs(b))
+
+
+def _evaluate(state: TwoModeGaussianState, cid: CriterionId,
+              max_order: int | None) -> CriterionResult:
+    need = _need(cid)
+    kind, _, order = need
     limit = DEFAULT_MAX_ORDER if max_order is None else int(max_order)
     if order > limit:
         raise OrderLimitError(
             f"criterion needs derivative order {order}, above the configured "
             f"maximum {limit}")
-    return limit
-
-
-def _e_value(table: np.ndarray, k1: int, k2: int):
-    a = table[k1 + 2, k2]
-    b = table[k1, k2 + 2]
-    c = table[k1 + 1, k2 + 1]
-    value = a + b - 2.0 * c
-    scale = max(abs(a), abs(b), 2.0 * abs(c))
-    return value, scale
+    table = _tables(_q_coeff_array(*state.params()), [need])[kind]
+    value, scale = _value(cid, table)
+    tol = RELATIVE_TOL * scale
+    return CriterionResult(id=cid, value=float(value),
+                           nonclassical=bool(value < -tol),
+                           tol=float(tol), max_order_used=order)
 
 
 def eval_E_W(state: TwoModeGaussianState, k1: int, k2: int,
              *, max_order: int | None = None) -> CriterionResult:
     """Inter-mode moment criterion on <W1**i W2**j> at indices (k1, k2)."""
-    cid = CriterionId("E_W", k1, k2)
-    _gate(cid.k1 + cid.k2 + 2, max_order)
-    table = moment_table(state, cid.k1 + 2, cid.k2 + 2,
-                         max_order=cid.k1 + cid.k2 + 4)
-    value, scale = _e_value(table, cid.k1, cid.k2)
-    return _finish(cid, value, scale, cid.k1 + cid.k2 + 2)
+    return _evaluate(state, CriterionId("E_W", k1, k2), max_order)
 
 
 def eval_E_p(state: TwoModeGaussianState, k1: int, k2: int,
              *, max_order: int | None = None) -> CriterionResult:
     """Inter-mode criterion on factorial-scaled photon-number counts."""
-    cid = CriterionId("E_p", k1, k2)
-    _gate(cid.k1 + cid.k2 + 2, max_order)
-    table = modified_pnd_table(state, cid.k1 + 2, cid.k2 + 2)
-    value, scale = _e_value(table, cid.k1, cid.k2)
-    return _finish(cid, value, scale, cid.k1 + cid.k2 + 2)
+    return _evaluate(state, CriterionId("E_p", k1, k2), max_order)
 
 
 def eval_M_W(state: TwoModeGaussianState,
              *, max_order: int | None = None) -> CriterionResult:
-    cid = CriterionId("M_W")
-    _gate(2, max_order)
-    table = moment_table(state, 2, 2, max_order=4)
-    a, b, c = table[2, 0], table[0, 2], table[1, 1]
-    value = a * b - c * c
-    scale = max(abs(a * b), c * c)
-    return _finish(cid, value, scale, 2)
+    return _evaluate(state, CriterionId("M_W"), max_order)
 
 
 def eval_M_p(state: TwoModeGaussianState,
              *, max_order: int | None = None) -> CriterionResult:
-    cid = CriterionId("M_p")
-    _gate(2, max_order)
-    table = modified_pnd_table(state, 2, 2)
-    a, b, c = table[2, 0], table[0, 2], table[1, 1]
-    value = a * b - c * c
-    scale = max(abs(a * b), c * c)
-    return _finish(cid, value, scale, 2)
-
-
-def _marginal_moments(state: TwoModeGaussianState, mode: int,
-                      order: int) -> np.ndarray:
-    series = _marginal_q_series(state, mode, about_one=False, order=order)
-    signs = _SIGNS[np.arange(order + 1) % 2]
-    facts = np.array([_fact(n) for n in range(order + 1)])
-    return signs * facts * series.coeffs[:, 0]
-
-
-def _marginal_modified(state: TwoModeGaussianState, mode: int,
-                       order: int) -> np.ndarray:
-    series = _marginal_q_series(state, mode, about_one=True, order=order)
-    signs = _SIGNS[np.arange(order + 1) % 2]
-    facts = np.array([_fact(n) for n in range(order + 1)])
-    p = signs * series.coeffs[:, 0]
-    return facts * (p / p[0])
-
-
-def _r_value(m: np.ndarray, k: int, l: int):
-    a = m[k + 1] * m[l - 1]
-    b = m[k] * m[l]
-    return a - b, max(abs(a), abs(b))
+    return _evaluate(state, CriterionId("M_p"), max_order)
 
 
 def eval_R_W(state: TwoModeGaussianState, mode: int, k: int, l: int,
              *, max_order: int | None = None) -> CriterionResult:
     """Single-mode moment-ratio criterion on mode 1 or 2 at indices (k, l)."""
-    cid = CriterionId("R_W", k, l, mode)
-    depth = max(cid.k1 + 1, cid.k2)
-    _gate(depth, max_order)
-    m = _marginal_moments(state, cid.mode, depth)
-    value, scale = _r_value(m, cid.k1, cid.k2)
-    return _finish(cid, value, scale, depth)
+    return _evaluate(state, CriterionId("R_W", k, l, mode), max_order)
 
 
 def eval_R_p(state: TwoModeGaussianState, mode: int, k: int, l: int,
              *, max_order: int | None = None) -> CriterionResult:
     """Single-mode ratio criterion on factorial-scaled marginal counts."""
-    cid = CriterionId("R_p", k, l, mode)
-    depth = max(cid.k1 + 1, cid.k2)
-    _gate(depth, max_order)
-    m = _marginal_modified(state, cid.mode, depth)
-    value, scale = _r_value(m, cid.k1, cid.k2)
-    return _finish(cid, value, scale, depth)
+    return _evaluate(state, CriterionId("R_p", k, l, mode), max_order)
 
 
 def evaluate(state: TwoModeGaussianState, cid: CriterionId,

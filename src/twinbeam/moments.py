@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,26 +45,22 @@ __all__ = [
 
 DEFAULT_MAX_ORDER = 12
 
-_SIGNS = np.array([1.0, -1.0])
+
+@lru_cache(maxsize=128)
+def _factorials(n: int) -> np.ndarray:
+    """0!, 1!, ..., (n - 1)! as floats, inf once they overflow; read-only."""
+    f = np.full(n, math.inf)
+    for i in range(min(n, 171)):
+        f[i] = float(math.factorial(i))
+    f.flags.writeable = False
+    return f
 
 
-def _fact(n: int) -> float:
-    try:
-        return float(math.factorial(n))
-    except OverflowError:
-        return math.inf
-
-
-def _sign_grid(o1: int, o2: int) -> np.ndarray:
-    s1 = _SIGNS[np.arange(o1 + 1) % 2]
-    s2 = _SIGNS[np.arange(o2 + 1) % 2]
-    return np.outer(s1, s2)
-
-
-def _fact_grid(o1: int, o2: int) -> np.ndarray:
-    f1 = np.array([_fact(i) for i in range(o1 + 1)])
-    f2 = np.array([_fact(j) for j in range(o2 + 1)])
-    return np.outer(f1, f2)
+def _fact_grid(s: np.ndarray) -> np.ndarray:
+    """n1! n2! for every entry of a (o1 + 1, o2 + 1, *batch) grid, shaped to
+    broadcast against it."""
+    grid = np.outer(_factorials(s.shape[0]), _factorials(s.shape[1]))
+    return grid.reshape(s.shape[:2] + (1,) * (s.ndim - 2))
 
 
 # -- the Q polynomial ------------------------------------------------------
@@ -166,29 +163,52 @@ def q_polynomial(state: TwoModeGaussianState) -> BivariateSeries:
     return BivariateSeries(_q_coeff_array(*state.params()), point=(0.0, 0.0))
 
 
-def _marginal_q_series(state: TwoModeGaussianState, mode: int, about_one: bool,
-                       order: int) -> BivariateSeries:
-    """Single-mode reduction of Q, as a series in that mode's variable.
+# -- grids from Q coefficients ---------------------------------------------
+#
+# The helpers below take the (3, 3, *batch) coefficient array of Q, so one
+# state and a whole parameter grid go through the same code.
 
-    Setting the other mode's variable to zero removes it exactly, leaving a
-    quadratic 1 + a*l + b*l**2.  The second series axis is kept with order
-    zero so the shared expansion code applies unchanged.
-    """
-    km = build_k_matrix(state)
-    if mode == 1:
-        a, b = km.k12, km.k22
-    elif mode == 2:
-        a, b = km.k13, km.k33
-    else:
-        raise ParameterError(f"mode must be 1 or 2, got {mode!r}")
+def _signed_expansion(q: np.ndarray, o1: int, o2: int,
+                      about_one: bool) -> np.ndarray:
+    """Coefficients of Q**(-1/2) about the origin or about (1, 1), times
+    (-1)**(i + j)."""
+    series = BivariateSeries(q)
     if about_one:
-        coeffs = np.array([[1.0 + a + b], [a + 2.0 * b], [b]])
-        point = (1.0, 0.0)
-    else:
-        coeffs = np.array([[1.0], [a], [b]])
-        point = (0.0, 0.0)
-    series = BivariateSeries(coeffs, point=point)
-    return series.rsqrt(order1=order, order2=0)
+        series = series.rebased(1.0, 1.0)
+    s = series.rsqrt(order1=o1, order2=o2).coeffs
+    s[1::2] *= -1.0
+    s[:, 1::2] *= -1.0
+    return s
+
+
+def _moment_grid(q: np.ndarray, o1: int, o2: int) -> np.ndarray:
+    """Normally ordered intensity moments <W1**i W2**j>, i <= o1, j <= o2."""
+    s = _signed_expansion(q, o1, o2, about_one=False)
+    return _fact_grid(s) * s
+
+
+def _prob_grid(q: np.ndarray, o1: int, o2: int) -> np.ndarray:
+    """Photon-number probabilities p(n1, n2), n1 <= o1, n2 <= o2, unclamped."""
+    return _signed_expansion(q, o1, o2, about_one=True)
+
+
+def _scaled_grid(p: np.ndarray) -> np.ndarray:
+    """Factorial-scaled probabilities n1! n2! p(n1, n2) / p(0, 0)."""
+    return _fact_grid(p) * (p / p[0, 0])
+
+
+def _marginal_grid(q: np.ndarray, mode: int) -> np.ndarray:
+    """Single-mode reduction of Q as a (3, 1, *batch) coefficient grid.
+
+    Setting the other mode's variable to zero removes it exactly, leaving the
+    quadratic 1 + a*l + b*l**2 in the first variable; the second axis is kept
+    with order zero so the two-mode helpers apply unchanged.
+    """
+    if mode == 1:
+        return q[:, :1]
+    if mode == 2:
+        return q[:1].swapaxes(0, 1)
+    raise ParameterError(f"mode must be 1 or 2, got {mode!r}")
 
 
 def _check_order(total: int, max_order: int):
@@ -218,8 +238,7 @@ def moment_table(state: TwoModeGaussianState, order1: int, order2: int,
     o1 = _check_index("order1", order1)
     o2 = _check_index("order2", order2)
     _check_order(o1 + o2, DEFAULT_MAX_ORDER if max_order is None else max_order)
-    series = q_polynomial(state).rsqrt(order1=o1, order2=o2)
-    return _sign_grid(o1, o2) * _fact_grid(o1, o2) * series.coeffs
+    return _moment_grid(q_polynomial(state).coeffs, o1, o2)
 
 
 def intensity_moment(state: TwoModeGaussianState, k1: int, k2: int,
@@ -228,9 +247,7 @@ def intensity_moment(state: TwoModeGaussianState, k1: int, k2: int,
     k1 = _check_index("k1", k1)
     k2 = _check_index("k2", k2)
     _check_order(k1 + k2, DEFAULT_MAX_ORDER if max_order is None else max_order)
-    series = q_polynomial(state).rsqrt(order1=k1, order2=k2)
-    return float((-1.0) ** (k1 + k2) * _fact(k1) * _fact(k2)
-                 * series.coeffs[k1, k2])
+    return float(_moment_grid(q_polynomial(state).coeffs, k1, k2)[k1, k2])
 
 
 def marginal_intensity_moment(state: TwoModeGaussianState, mode: int, k: int,
@@ -238,34 +255,23 @@ def marginal_intensity_moment(state: TwoModeGaussianState, mode: int, k: int,
     """Single-mode moment <Wj**k>, computed from the exact marginal."""
     k = _check_index("k", k)
     _check_order(k, DEFAULT_MAX_ORDER if max_order is None else max_order)
-    series = _marginal_q_series(state, mode, about_one=False, order=k)
-    return float((-1.0) ** k * _fact(k) * series.coeffs[k, 0])
+    q = _marginal_grid(q_polynomial(state).coeffs, mode)
+    return float(_moment_grid(q, k, 0)[k, 0])
 
 
 # -- photon-number distribution --------------------------------------------
-
-def _pnd_series(state: TwoModeGaussianState, o1: int, o2: int) -> BivariateSeries:
-    q = q_polynomial(state).rebased(1.0, 1.0)
-    if q.coeffs[(0, 0)] <= 0.0:
-        raise EvaluationError(
-            "generating polynomial is not positive at the photon-number "
-            "expansion point; state parameters are outside the physical range")
-    return q.rsqrt(order1=o1, order2=o2)
-
 
 def pnd_table(state: TwoModeGaussianState, n_max1: int, n_max2: int) -> np.ndarray:
     """Joint photon-number probabilities p(n1, n2) for n1 <= n_max1,
     n2 <= n_max2.  Rounding-level negatives deep in the tail are clamped."""
     o1 = _check_index("n_max1", n_max1)
     o2 = _check_index("n_max2", n_max2)
-    series = _pnd_series(state, o1, o2)
-    p = _sign_grid(o1, o2) * series.coeffs
-    bad = p < -1e-12
-    if np.any(bad):
+    p = _prob_grid(q_polynomial(state).coeffs, o1, o2)
+    if np.any(p < -1e-12):
         raise EvaluationError(
             "photon-number expansion produced a significantly negative "
             "probability; the requested size exceeds the stable range")
-    return np.where(p < 0.0, 0.0, p)
+    return np.maximum(p, 0.0, out=p)
 
 
 def pnd_element(state: TwoModeGaussianState, n1: int, n2: int,
@@ -274,8 +280,7 @@ def pnd_element(state: TwoModeGaussianState, n1: int, n2: int,
     n1 = _check_index("n1", n1)
     n2 = _check_index("n2", n2)
     _check_order(n1 + n2, DEFAULT_MAX_ORDER if max_order is None else max_order)
-    series = _pnd_series(state, n1, n2)
-    value = float((-1.0) ** (n1 + n2) * series.coeffs[n1, n2])
+    value = float(_prob_grid(q_polynomial(state).coeffs, n1, n2)[n1, n2])
     return max(value, 0.0) if value > -1e-12 else value
 
 
@@ -284,9 +289,7 @@ def modified_pnd_table(state: TwoModeGaussianState, n_max1: int,
     """Table of factorial-scaled probabilities n1! n2! p(n1, n2) / p(0, 0)."""
     o1 = _check_index("n_max1", n_max1)
     o2 = _check_index("n_max2", n_max2)
-    series = _pnd_series(state, o1, o2)
-    p = _sign_grid(o1, o2) * series.coeffs
-    return _fact_grid(o1, o2) * (p / p[0, 0])
+    return _scaled_grid(_prob_grid(q_polynomial(state).coeffs, o1, o2))
 
 
 def modified_pnd_element(state: TwoModeGaussianState, n1: int, n2: int,
@@ -295,9 +298,14 @@ def modified_pnd_element(state: TwoModeGaussianState, n1: int, n2: int,
     n1 = _check_index("n1", n1)
     n2 = _check_index("n2", n2)
     _check_order(n1 + n2, DEFAULT_MAX_ORDER if max_order is None else max_order)
-    series = _pnd_series(state, n1, n2)
-    p = float((-1.0) ** (n1 + n2) * series.coeffs[n1, n2])
-    return _fact(n1) * _fact(n2) * p / float(series.coeffs[0, 0])
+    p = _prob_grid(q_polynomial(state).coeffs, n1, n2)
+    return float(_scaled_grid(p)[n1, n2])
+
+
+def _marginal_prob_grid(state: TwoModeGaussianState, mode: int,
+                        n_max: int) -> np.ndarray:
+    q = _marginal_grid(q_polynomial(state).coeffs, mode)
+    return _prob_grid(q, n_max, 0)
 
 
 def marginal_pnd_table(state: TwoModeGaussianState, mode: int,
@@ -305,8 +313,7 @@ def marginal_pnd_table(state: TwoModeGaussianState, mode: int,
     """Marginal probabilities p_mode(n) for n <= n_max, from the exact
     single-mode reduction (no joint table is formed)."""
     n_max = _check_index("n_max", n_max)
-    series = _marginal_q_series(state, mode, about_one=True, order=n_max)
-    p = _SIGNS[np.arange(n_max + 1) % 2] * series.coeffs[:, 0]
+    p = _marginal_prob_grid(state, mode, n_max)[:, 0]
     return np.where((p < 0.0) & (p > -1e-12), 0.0, p)
 
 
@@ -321,10 +328,7 @@ def marginal_pnd(state: TwoModeGaussianState, mode: int, n: int,
 def marginal_modified_pnd_table(state: TwoModeGaussianState, mode: int,
                                 n_max: int) -> np.ndarray:
     n_max = _check_index("n_max", n_max)
-    series = _marginal_q_series(state, mode, about_one=True, order=n_max)
-    p = _SIGNS[np.arange(n_max + 1) % 2] * series.coeffs[:, 0]
-    facts = np.array([_fact(n) for n in range(n_max + 1)])
-    return facts * (p / p[0])
+    return _scaled_grid(_marginal_prob_grid(state, mode, n_max))[:, 0]
 
 
 def marginal_modified_pnd(state: TwoModeGaussianState, mode: int, n: int,

@@ -29,7 +29,6 @@ from .moments import PhotonNumberDistribution
 
 __all__ = [
     "BsCoefficientTable",
-    "get_bs_table",
     "bs_transform_pnd",
     "bernoulli_downsample",
     "FactorialMomentEstimate",
@@ -119,11 +118,6 @@ class BsCoefficientTable:
         if n1_out + n2_out != s:
             return 0.0
         return float(self.shell(s)[n1_out, n1_in])
-
-
-@lru_cache(maxsize=8)
-def get_bs_table(t: float, cutoff: int = DEFAULT_CUTOFF) -> BsCoefficientTable:
-    return BsCoefficientTable(t, cutoff)
 
 
 def bs_transform_pnd(pnd: PhotonNumberDistribution,

@@ -63,17 +63,18 @@ def local_quantifier(state: TwoModeGaussianState, mode: int) -> float:
 
 
 def _negativity_arrays(b1, b2, c1, c2, d12, dbar12):
-    """Negativity from raw parameters; array friendly, extended precision."""
+    """Negativity and the smaller partially transposed symplectic eigenvalue
+    from raw parameters; array friendly, extended precision."""
     nu_m, _ = _symplectic_pair(b1, b2, c1, c2, d12, dbar12,
                                partial_transpose=True)
-    nu_m = np.maximum(nu_m, np.longdouble(1e-300))
-    n = (1.0 - 2.0 * nu_m) / (4.0 * nu_m)
-    return np.maximum(n, np.longdouble(0.0))
+    safe = np.maximum(nu_m, np.longdouble(1e-300))
+    n = (1.0 - 2.0 * safe) / (4.0 * safe)
+    return np.maximum(n, np.longdouble(0.0)), nu_m
 
 
 def negativity(state: TwoModeGaussianState) -> float:
     """Entanglement negativity of the state; zero for separable states."""
-    return float(_negativity_arrays(*state.params()))
+    return float(_negativity_arrays(*state.params())[0])
 
 
 def classify(state: TwoModeGaussianState,

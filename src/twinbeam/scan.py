@@ -32,12 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import RELATIVE_TOL, CriterionId
+from .criteria import RELATIVE_TOL, CriterionId, _need, _tables, _value
 from .errors import ConfigError
-from .moments import _fact, _q_coeff_array
-from .quantifiers import ZERO_TOL
-from .series import BivariateSeries
-from .states import _bs_transform_arrays, _symplectic_pair
+from .moments import _q_coeff_array
+from .quantifiers import ZERO_TOL, _local_values, _negativity_arrays
+from .states import _bs_transform_arrays
 
 __all__ = [
     "AXIS_NAMES",
@@ -241,35 +240,8 @@ class _Pipeline:
         self.has_bs = "t" in present
         self.has_eta = "eta" in present
         self.targets = spec.targets
-        self._analyze()
-
-    def _analyze(self):
-        self.w_orders = None
-        self.p_orders = None
-        self.marg_w = {}
-        self.marg_p = {}
-        self.need_negativity = False
-        for tgt in self.targets:
-            if tgt.kind == "negativity":
-                self.need_negativity = True
-                continue
-            if tgt.kind == "local":
-                continue
-            cid = tgt.criterion
-            if cid.family in ("E_W", "M_W"):
-                o1, o2 = (cid.k1 + 2, cid.k2 + 2) if cid.family == "E_W" else (2, 2)
-                cur = self.w_orders or (0, 0)
-                self.w_orders = (max(cur[0], o1), max(cur[1], o2))
-            elif cid.family in ("E_p", "M_p"):
-                o1, o2 = (cid.k1 + 2, cid.k2 + 2) if cid.family == "E_p" else (2, 2)
-                cur = self.p_orders or (0, 0)
-                self.p_orders = (max(cur[0], o1), max(cur[1], o2))
-            elif cid.family == "R_W":
-                depth = max(cid.k1 + 1, cid.k2)
-                self.marg_w[cid.mode] = max(self.marg_w.get(cid.mode, 0), depth)
-            elif cid.family == "R_p":
-                depth = max(cid.k1 + 1, cid.k2)
-                self.marg_p[cid.mode] = max(self.marg_p.get(cid.mode, 0), depth)
+        self.needs = [_need(t.criterion) for t in spec.targets
+                      if t.kind == "criterion"]
 
     def state_params(self, coords: dict):
         """Coordinate arrays (broadcastable) to the six state parameters."""
@@ -303,112 +275,28 @@ class _Pipeline:
     def evaluate(self, coords: dict):
         """Per-target (value, verdict, indicator) float64/int8 arrays."""
         params = self.state_params(coords)
-        b1, b2, c1, c2, d12, dbar12 = params
-        coeffs = _q_coeff_array(*params)
-
-        table_w = table_p = None
-        if self.w_orders is not None:
-            o1, o2 = self.w_orders
-            s = BivariateSeries(coeffs).rsqrt(order1=o1, order2=o2).coeffs
-            table_w = self._scaled(s, o1, o2, modified=False)
-        if self.p_orders is not None:
-            o1, o2 = self.p_orders
-            with np.errstate(all="ignore"):
-                s = (BivariateSeries(coeffs).rebased(1.0, 1.0)
-                     .rsqrt(order1=o1, order2=o2).coeffs)
-                table_p = self._scaled(s, o1, o2, modified=True)
-        marg_w = {m: self._marginal(coeffs, m, d, about_one=False)
-                  for m, d in self.marg_w.items()}
-        marg_p = {m: self._marginal(coeffs, m, d, about_one=True)
-                  for m, d in self.marg_p.items()}
-
+        with np.errstate(all="ignore"):
+            tables = _tables(_q_coeff_array(*params), self.needs)
         out = []
         for tgt in self.targets:
             if tgt.kind == "negativity":
-                nu, _ = _symplectic_pair(b1, b2, c1, c2, d12, dbar12,
-                                         partial_transpose=True)
-                nu = np.asarray(nu, dtype=np.longdouble)
-                safe = np.maximum(nu, np.longdouble(1e-300))
-                value = np.asarray(
-                    np.maximum((1.0 - 2.0 * safe) / (4.0 * safe), 0.0),
-                    dtype=float)
-                verdict = (value > ZERO_TOL).astype(np.int8)
+                value, nu = _negativity_arrays(*params)
+                value = np.asarray(value, dtype=float)
+                verdict = value > ZERO_TOL
                 indicator = np.asarray(nu, dtype=float) - 0.5
             elif tgt.kind == "local":
-                c = c1 if tgt.mode == 1 else c2
-                b = b1 if tgt.mode == 1 else b2
-                value = np.abs(c) ** 2 - np.asarray(b, dtype=float) ** 2
-                verdict = (value > ZERO_TOL).astype(np.int8)
+                value = _local_values(*params[:4])[tgt.mode - 1]
+                verdict = value > ZERO_TOL
                 indicator = -value
             else:
-                value, scale = self._criterion_value(
-                    tgt.criterion, table_w, table_p, marg_w, marg_p)
-                verdict = (value < -RELATIVE_TOL * scale).astype(np.int8)
+                cid = tgt.criterion
+                value, scale = _value(cid, tables[_need(cid)[0]])
+                verdict = value < -RELATIVE_TOL * scale
                 indicator = value
-            out.append((np.asarray(value, dtype=float), verdict,
+            out.append((np.asarray(value, dtype=float),
+                        verdict.astype(np.int8),
                         np.asarray(indicator, dtype=float)))
         return out
-
-    @staticmethod
-    def _scaled(s: np.ndarray, o1: int, o2: int, modified: bool) -> np.ndarray:
-        signs = np.outer((-1.0) ** np.arange(o1 + 1),
-                         (-1.0) ** np.arange(o2 + 1))
-        facts = np.outer([_fact(i) for i in range(o1 + 1)],
-                         [_fact(j) for j in range(o2 + 1)])
-        grid = (signs * facts).reshape((o1 + 1, o2 + 1)
-                                       + (1,) * (s.ndim - 2))
-        table = grid * s
-        if modified:
-            with np.errstate(all="ignore"):
-                table = table / s[0, 0]
-        return table
-
-    @staticmethod
-    def _marginal(coeffs: np.ndarray, mode: int, depth: int,
-                  about_one: bool) -> np.ndarray:
-        if mode == 1:
-            a, b = coeffs[1, 0], coeffs[2, 0]
-        else:
-            a, b = coeffs[0, 1], coeffs[0, 2]
-        one = np.ones_like(np.asarray(a, dtype=float))
-        if about_one:
-            rows = [one + a + b, a + 2.0 * b, b]
-            point = (1.0, 0.0)
-        else:
-            rows = [one, a, b]
-            point = (0.0, 0.0)
-        q = np.stack([np.asarray(r, dtype=float)[None, ...] for r in rows])
-        with np.errstate(all="ignore"):
-            s = BivariateSeries(q, point=point).rsqrt(order1=depth,
-                                                      order2=0).coeffs[:, 0]
-        signs = ((-1.0) ** np.arange(depth + 1)).reshape(
-            (depth + 1,) + (1,) * (s.ndim - 1))
-        facts = np.array([_fact(n) for n in range(depth + 1)]).reshape(
-            (depth + 1,) + (1,) * (s.ndim - 1))
-        moments = signs * s
-        if about_one:
-            with np.errstate(all="ignore"):
-                moments = moments / moments[0]
-        return facts * moments
-
-    @staticmethod
-    def _criterion_value(cid: CriterionId, table_w, table_p, marg_w, marg_p):
-        if cid.family in ("E_W", "E_p"):
-            table = table_w if cid.family == "E_W" else table_p
-            a = table[cid.k1 + 2, cid.k2]
-            b = table[cid.k1, cid.k2 + 2]
-            c = table[cid.k1 + 1, cid.k2 + 1]
-            return a + b - 2.0 * c, np.maximum(
-                np.maximum(np.abs(a), np.abs(b)), 2.0 * np.abs(c))
-        if cid.family in ("M_W", "M_p"):
-            table = table_w if cid.family == "M_W" else table_p
-            a, b, c = table[2, 0], table[0, 2], table[1, 1]
-            return a * b - c * c, np.maximum(np.abs(a * b), c * c)
-        marg = marg_w if cid.family == "R_W" else marg_p
-        m = marg[cid.mode]
-        a = m[cid.k1 + 1] * m[cid.k2 - 1]
-        b = m[cid.k1] * m[cid.k2]
-        return a - b, np.maximum(np.abs(a), np.abs(b))
 
 
 # -- results ----------------------------------------------------------------
@@ -552,19 +440,10 @@ def _trace_boundaries(pipeline: _Pipeline, target: TargetSpec, axes,
     xs, ys = axis_values
     if len(xs) < 2 or len(ys) < 2:
         return []
-    finite = np.isfinite(grid)
-    sign = grid <= 0.0  # ties count as non-classical
-
     crossing_h = {}
     crossing_v = {}
     for (store, axis) in ((crossing_h, 0), (crossing_v, 1)):
-        if axis == 0:
-            ok = finite[:-1, :] & finite[1:, :]
-            change = sign[:-1, :] != sign[1:, :]
-        else:
-            ok = finite[:, :-1] & finite[:, 1:]
-            change = sign[:, :-1] != sign[:, 1:]
-        for i, j in zip(*np.nonzero(ok & change)):
+        for i, j in zip(*_sign_changes(grid, axis)):
             store[(int(i), int(j))] = None
 
     _refine_edges(pipeline, target, axes, axis_values, grid,
@@ -598,6 +477,42 @@ def _trace_boundaries(pipeline: _Pipeline, target: TargetSpec, axes,
     return _chain_segments(segments, points)
 
 
+def _sign_changes(grid: np.ndarray, axis: int) -> tuple:
+    """Indices of the grid edges along ``axis`` whose two finite end values
+    lie on opposite sides of zero (ties count as non-classical)."""
+    n = grid.shape[axis]
+    a = np.take(grid, np.arange(n - 1), axis=axis)
+    b = np.take(grid, np.arange(1, n), axis=axis)
+    return np.nonzero(np.isfinite(a) & np.isfinite(b)
+                      & ((a <= 0.0) != (b <= 0.0)))
+
+
+def _bisect(indicator, lo, hi, lo_sign, log_spacing: bool,
+            rel_tol: float) -> np.ndarray:
+    """Batched bisection of sign changes, one lane per bracket [lo, hi].
+
+    ``indicator`` maps an array of midpoints to indicator values; lo_sign
+    says whether the indicator is <= 0 at lo.  A non-finite value at a
+    midpoint counts as lo's side.  Stops once every bracket is within
+    rel_tol of its larger end, or after BISECTION_MAX_ITER steps, and
+    returns the bracket midpoints.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    for _ in range(BISECTION_MAX_ITER):
+        mid = np.sqrt(lo * hi) if log_spacing else 0.5 * (lo + hi)
+        f_mid = indicator(mid)
+        mid_sign = np.where(np.isfinite(f_mid), f_mid <= 0.0, lo_sign)
+        take_lo = mid_sign == lo_sign
+        lo = np.where(take_lo, mid, lo)
+        hi = np.where(take_lo, hi, mid)
+        span = hi - lo
+        scale = np.maximum(np.abs(lo), np.abs(hi))
+        if np.all(span <= rel_tol * np.maximum(scale, 1e-30)):
+            break
+    return np.sqrt(lo * hi) if log_spacing else 0.5 * (lo + hi)
+
+
 def _refine_edges(pipeline, target, axes, axis_values, grid, store, axis):
     """Bisect the varying coordinate of every crossing edge, batched."""
     if not store:
@@ -607,38 +522,19 @@ def _refine_edges(pipeline, target, axes, axis_values, grid, store, axis):
     idx = np.array(keys, dtype=int)
     i, j = idx[:, 0], idx[:, 1]
     if axis == 0:
-        lo, hi = xs[i], xs[i + 1]
-        other = ys[j]
-        f_lo = grid[i, j]
+        lo, hi, other = xs[i], xs[i + 1], ys[j]
         vary, fixed_name = axes[0], axes[1].name
     else:
-        lo, hi = ys[j], ys[j + 1]
-        other = xs[i]
-        f_lo = grid[i, j]
+        lo, hi, other = ys[j], ys[j + 1], xs[i]
         vary, fixed_name = axes[1], axes[0].name
-    lo = lo.astype(float).copy()
-    hi = hi.astype(float).copy()
-    lo_sign = f_lo <= 0.0
-    log_spacing = vary.scale == "log"
 
     sub = _Pipeline(ScanSpec(axes=pipeline.spec.axes, targets=(target,),
                              fixed=pipeline.spec.fixed,
                              noise_mode=pipeline.spec.noise_mode,
                              threads=1))
-
-    for _ in range(BISECTION_MAX_ITER):
-        mid = np.sqrt(lo * hi) if log_spacing else 0.5 * (lo + hi)
-        coords = {vary.name: mid, fixed_name: other}
-        f_mid = sub.evaluate(coords)[0][2]
-        mid_sign = np.where(np.isfinite(f_mid), f_mid <= 0.0, lo_sign)
-        take_lo = mid_sign == lo_sign
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-        span = hi - lo
-        scale = np.maximum(np.abs(lo), np.abs(hi))
-        if np.all(span <= BISECTION_REL_TOL * np.maximum(scale, 1e-30)):
-            break
-    final = np.sqrt(lo * hi) if log_spacing else 0.5 * (lo + hi)
+    final = _bisect(
+        lambda mid: sub.evaluate({vary.name: mid, fixed_name: other})[0][2],
+        lo, hi, grid[i, j] <= 0.0, vary.scale == "log", BISECTION_REL_TOL)
     for n, key in enumerate(keys):
         if axis == 0:
             store[key] = (float(final[n]), float(other[n]))

@@ -138,16 +138,18 @@ class BivariateSeries:
         """
         dx = x0 - self.point[0]
         dy = y0 - self.point[1]
-        c = self.coeffs
+        # unbatched tables are summed as Python floats: same rounding,
+        # without a NumPy scalar per term
+        c = self.coeffs if self.batch_shape else self.coeffs.tolist()
         o1, o2 = self.order1, self.order2
-        out = np.zeros_like(c)
+        out = np.zeros_like(self.coeffs)
         for a in range(o1 + 1):
             for b in range(o2 + 1):
                 acc = 0.0
                 for i in range(a, o1 + 1):
                     wi = comb(i, a) * dx ** (i - a)
                     for j in range(b, o2 + 1):
-                        acc = acc + wi * comb(j, b) * dy ** (j - b) * c[i, j]
+                        acc = acc + wi * comb(j, b) * dy ** (j - b) * c[i][j]
                 out[a, b] = acc
         return BivariateSeries(out, (x0, y0))
 

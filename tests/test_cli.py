@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from twinbeam import criteria, scan, states
 from twinbeam.cli import main
@@ -102,6 +103,19 @@ def test_boundary_transmissivity_endpoint(capsys):
     assert payload["crossings"][0]["x"] == pytest.approx(want, abs=1e-6)
 
 
+def test_boundary_reports_every_crossing(capsys):
+    """R_p:2:2 at pair mean bp = 2 changes sign at t* and 1 - t*, where the
+    analytic boundary gives boundary_R22p(t*) = 2."""
+    rc, out, _ = run_cli(capsys, "boundary", "--family", "R_p",
+                      "--k1", "2", "--k2", "2", "--axis", "t",
+                      "--min", "0", "--max", "1", "--bp", "2")
+    assert rc == 0
+    t_star = brentq(lambda t: criteria.boundary_R22p(t) - 2.0, 0.1, 0.45)
+    assert t_star == pytest.approx(0.2991862, abs=1e-6)
+    xs = [c["x"] for c in json.loads(out)["crossings"]]
+    assert xs == pytest.approx([t_star, 1.0 - t_star], abs=1e-6)
+
+
 def test_scan_stdout_matches_the_library(capsys):
     rc, out, _ = run_cli(capsys, "scan",
                       "--axis", "bp:0.1:2:5", "--axis", "bs:0:1:5",
@@ -188,6 +202,8 @@ def test_selftest_passes(capsys):
     (["nosuch"], "ConfigError"),
     (["scan", "--axis", "bp:0:1:3", "--target", "Q_z:0:0"], "ConfigError"),
     (["scan", "--config", "/nonexistent/scan.ini"], "ConfigError"),
+    (["boundary", "--family", "negativity", "--axis", "bs", "--bp", "1",
+      "--eta", "0.5", "--eta2", "0.9"], "ConfigError"),
 ])
 def test_failures_report_json_and_exit_nonzero(capsys, argv, error):
     rc, _, err = run_cli(capsys, *argv)

@@ -2,9 +2,11 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twinbeam import criteria, quantifiers, scan, states
 from twinbeam.errors import ConfigError
@@ -130,6 +132,44 @@ def test_unbalanced_mode_zeroes_the_idler_noise():
     ))
     direct = quantifiers.negativity(states.twin_beam(1.0, bs=0.3, bi=0.0))
     assert res.values["negativity"][0] == pytest.approx(direct, rel=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(bp=st.floats(0.01, 5.0), bs=st.floats(0.0, 1.0),
+       bi=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0),
+       phi=st.floats(-math.pi, math.pi), eta=st.floats(0.3, 1.0))
+def test_scan_agrees_with_the_scalar_evaluators(bp, bs, bi, t, phi, eta):
+    """A one-cell scan and the scalar path give the same values and, away
+    from the decision threshold, the same verdicts on every target."""
+    catalog = criteria.default_catalog()
+    targets = [TargetSpec("criterion", criterion=cid) for cid in catalog]
+    targets += [TargetSpec.parse(text)
+                for text in ("negativity", "i_ncl:1", "i_ncl:2")]
+    res = scan.run_scan(ScanSpec(
+        axes=[AxisSpec("bp", bp, bp, 1)], targets=targets,
+        fixed={"bs": bs, "bi": bi, "t": t, "phi": phi, "eta": eta},
+        threads=1))
+    state = states.attenuate(
+        states.beam_splitter(states.twin_beam(bp, bs=bs, bi=bi), t, phi=phi),
+        eta)
+
+    for cid in catalog:
+        want = criteria.evaluate(state, cid)
+        label = cid.label()
+        margin = 1e-12 * want.tol / criteria.RELATIVE_TOL
+        assert abs(res.values[label][0] - want.value) <= margin, label
+        if abs(want.value + want.tol) > margin:
+            assert res.verdicts[label][0] == want.nonclassical, label
+
+    report = quantifiers.classify(state)
+    for label, want, verdict in (
+            ("negativity", report.negativity, report.entangled),
+            ("i_ncl:1", report.i_ncl_1, report.locally_nonclassical[0]),
+            ("i_ncl:2", report.i_ncl_2, report.locally_nonclassical[1])):
+        margin = 1e-12 * max(1.0, abs(want))
+        assert abs(res.values[label][0] - want) <= margin, label
+        if abs(want - quantifiers.ZERO_TOL) > margin:
+            assert res.verdicts[label][0] == verdict, label
 
 
 def test_target_labels_round_trip():
