@@ -278,12 +278,15 @@ class _Pipeline:
         """Per-target (value, verdict, indicator) float64/int8 arrays."""
         # reduce the extended-precision parameters to the negativity before
         # the criterion tables exist, so that the two never share memory
-        if any(tgt.kind == "negativity" for tgt in self.targets):
+        kinds = {tgt.kind for tgt in self.targets}
+        if "negativity" in kinds:
             negativity = _negativity_arrays(
                 *self.state_params(coords, np.longdouble))
-        params = self.state_params(coords)
-        with np.errstate(all="ignore"):
-            tables = _tables(_q_coeff_array(*params), self.needs)
+        if self.needs or "local" in kinds:
+            params = self.state_params(coords)
+        if self.needs:
+            with np.errstate(all="ignore"):
+                tables = _tables(_q_coeff_array(*params), self.needs)
         out = []
         for tgt in self.targets:
             if tgt.kind == "negativity":
@@ -458,20 +461,23 @@ def _trace_boundaries(pipeline: _Pipeline, target: TargetSpec, axes,
     _refine_edges(pipeline, target, axes, axis_values, grid,
                   crossing_v, axis=1)
 
+    # case codes and saddle centres for all cells at once; only the few
+    # finite mixed cells are visited, in C order like the segment list
+    c0, c1 = grid[:-1, :-1], grid[1:, :-1]
+    c2, c3 = grid[1:, 1:], grid[:-1, 1:]
+    finite = np.isfinite(grid)
+    ok = finite[:-1, :-1] & finite[1:, :-1] & finite[1:, 1:] & finite[:-1, 1:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        case = ((c0 <= 0.0) * 1 + (c1 <= 0.0) * 2
+                + (c2 <= 0.0) * 4 + (c3 <= 0.0) * 8)
+        # same summation order as np.mean over the four corners
+        center = (((c0 + c1) + c2) + c3) / 4 <= 0.0
     segments = []
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            corners = (grid[i, j], grid[i + 1, j],
-                       grid[i + 1, j + 1], grid[i, j + 1])
-            if not all(np.isfinite(v) for v in corners):
-                continue
-            case = ((corners[0] <= 0.0) * 1 + (corners[1] <= 0.0) * 2
-                    + (corners[2] <= 0.0) * 4 + (corners[3] <= 0.0) * 8)
-            center = float(np.mean(corners)) <= 0.0
-            for side_a, side_b in _cell_segments(case, center):
-                key_a = _edge_key(side_a, i, j)
-                key_b = _edge_key(side_b, i, j)
-                segments.append((key_a, key_b))
+    for i, j in zip(*np.nonzero(ok & (case != 0) & (case != 15))):
+        i, j = int(i), int(j)
+        for side_a, side_b in _cell_segments(int(case[i, j]),
+                                             bool(center[i, j])):
+            segments.append((_edge_key(side_a, i, j), _edge_key(side_b, i, j)))
 
     points = {}
     for key in set(k for seg in segments for k in seg):
@@ -599,12 +605,6 @@ def _chain_segments(segments, points) -> list:
 
 # -- writers ----------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    if np.isnan(value):
-        return "nan"
-    return format(float(value), ".12g")
-
-
 def write_csv(result: ScanResult, stream):
     """Grid values and verdicts as CSV, one row per cell in C order."""
     labels = [t.label() for t in result.spec.targets]
@@ -613,17 +613,19 @@ def write_csv(result: ScanResult, stream):
         header.append(lab)
         header.append(f"{lab}:nonclassical")
     stream.write(",".join(header) + "\n")
-    shape = result.shape
     coords = np.meshgrid(*result.axis_values, indexing="ij")
-    flat_coords = [c.reshape(-1) for c in coords]
-    flat_values = {lab: result.values[lab].reshape(-1) for lab in labels}
-    flat_verdicts = {lab: result.verdicts[lab].reshape(-1) for lab in labels}
-    for row in range(int(np.prod(shape))):
-        cells = [_fmt(c[row]) for c in flat_coords]
-        for lab in labels:
-            cells.append(_fmt(flat_values[lab][row]))
-            cells.append(str(int(flat_verdicts[lab][row])))
-        stream.write(",".join(cells) + "\n")
+    columns = [c.reshape(-1) for c in coords]
+    for lab in labels:
+        columns.append(result.values[lab].reshape(-1))
+        columns.append(result.verdicts[lab].reshape(-1))
+    # '%.12g' writes nan, inf and -0.0 as format(x, ".12g") does
+    row = ",".join(["%.12g"] * len(coords)
+                   + ["%.12g", "%d"] * len(labels)) + "\n"
+    # blocks of rows bound the Python objects alive at once; one write
+    # per block also leaves less of the heap behind than one per row
+    for start in range(0, columns[0].size, 4096):
+        block = zip(*(col[start:start + 4096].tolist() for col in columns))
+        stream.write("".join(row % cells for cells in block))
 
 
 def write_boundaries_json(result: ScanResult, stream):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+import time
 
 import numpy as np
 
@@ -161,18 +162,21 @@ def _checks():
 
 
 def run(stream=None) -> int:
-    """Run every check; print one line per check; return the failure count."""
+    """Run every check; print one line per check with its wall time;
+    return the failure count."""
     failures = 0
     for name, check in _checks():
+        start = time.perf_counter()
         try:
             problem = check()
         except Exception as exc:
             problem = f"raised {type(exc).__name__}: {exc}"
+        timed = f"{name} ({time.perf_counter() - start:.3f} s)"
         if problem is None:
-            line = f"ok      {name}"
+            line = f"ok      {timed}"
         else:
             failures += 1
-            line = f"FAIL    {name}: {problem}"
+            line = f"FAIL    {timed}: {problem}"
         if stream is not None:
             stream.write(line + "\n")
     if stream is not None:

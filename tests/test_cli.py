@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -190,6 +191,10 @@ def test_selftest_passes(capsys):
     assert len(lines) == 11
     assert all(line.startswith("ok ") for line in lines[:-1])
     assert lines[-1] == "10 of 10 checks passed"
+    for line in lines[:-1]:
+        match = re.fullmatch(r"ok +(.+) \((\d+\.\d{3}) s\)", line)
+        assert match, line
+        assert match.group(1) and float(match.group(2)) >= 0.0
 
 
 @pytest.mark.parametrize("argv,error", [

@@ -222,3 +222,187 @@ def test_invalid_configurations_are_rejected(build):
         spec = build()
         if isinstance(spec, ScanSpec):
             scan.run_scan(spec)
+
+
+# -- marching squares and CSV against per-cell references -------------------
+
+def _midpoint_refine(pipeline, target, axes, axis_values, grid, store, axis):
+    """Stand-in for bisection: every crossing edge ends at its midpoint."""
+    xs, ys = axis_values
+    for i, j in store:
+        if axis == 0:
+            store[(i, j)] = (0.5 * (xs[i] + xs[i + 1]), float(ys[j]))
+        else:
+            store[(i, j)] = (float(xs[i]), 0.5 * (ys[j] + ys[j + 1]))
+
+
+def _per_cell_trace(axis_values, grid):
+    """Marching squares one cell at a time, as the tracer once did."""
+    xs, ys = axis_values
+    crossings = ({}, {})
+    for axis, store in enumerate(crossings):
+        for i, j in zip(*scan._sign_changes(grid, axis)):
+            store[(int(i), int(j))] = None
+        _midpoint_refine(None, None, None, axis_values, grid, store, axis)
+    segments = []
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            corners = (grid[i, j], grid[i + 1, j],
+                       grid[i + 1, j + 1], grid[i, j + 1])
+            if not all(np.isfinite(v) for v in corners):
+                continue
+            case = ((corners[0] <= 0.0) * 1 + (corners[1] <= 0.0) * 2
+                    + (corners[2] <= 0.0) * 4 + (corners[3] <= 0.0) * 8)
+            center = float(np.mean(corners)) <= 0.0
+            for side_a, side_b in scan._cell_segments(case, center):
+                segments.append((scan._edge_key(side_a, i, j),
+                                 scan._edge_key(side_b, i, j)))
+    points = {}
+    for key in set(k for seg in segments for k in seg):
+        kind, i, j = key
+        pt = crossings[0 if kind == "h" else 1].get((i, j))
+        if pt is not None:
+            points[key] = pt
+    segments = [s for s in segments if s[0] in points and s[1] in points]
+    return scan._chain_segments(segments, points)
+
+
+def _cell(c0, c1, c2, c3):
+    """A one-cell grid with corners (i, j), (i+1, j), (i+1, j+1), (i, j+1)."""
+    return np.array([[c0, c3], [c1, c2]], dtype=float)
+
+
+def _random_grid(seed, shape=(13, 11)):
+    """Small integers, so saddles and exact zeros are common, plus NaNs."""
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(-2, 3, size=shape).astype(float)
+    grid[rng.random(shape) < 0.05] = np.nan
+    return grid
+
+
+_TRACE_GRIDS = {
+    # saddle case 5 (corners 0 and 2 non-classical) with each centre sign
+    "case5_centre_nonclassical": _cell(-2.0, 1.0, -2.0, 1.0),
+    "case5_centre_classical": _cell(-1.0, 2.0, -1.0, 2.0),
+    "case10_centre_nonclassical": _cell(1.0, -2.0, 1.0, -2.0),
+    "case10_centre_classical": _cell(2.0, -1.0, 2.0, -1.0),
+    # centre exactly zero: a tie, so non-classical
+    "case5_centre_tie": _cell(-1.0, 1.0, -1.0, 1.0),
+    # the centre sign depends on the order in which the corners are summed
+    "case5_rounded_centre": _cell(-1e16 - 2, 1.0, -1.0, 1e16 + 2),
+    "case10_rounded_centre": _cell(1e16 + 2, -1.0, 1.0, -1e16),
+    # a tiny positive sum whose quarter rounds to zero
+    "case5_underflowing_centre": _cell(0.0, 5e-324, 0.0, 5e-324),
+    "nan_corner": np.array([[-1.0, 1.0, 1.0, -1.0],
+                            [1.0, np.nan, -1.0, 1.0],
+                            [-1.0, 1.0, 1.0, 1.0]]),
+    "exact_zeros": np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, -0.0],
+                             [0.0, 1.0, 2.0, 1.0]]),
+    "random_0": _random_grid(0),
+    "random_1": _random_grid(1),
+    "random_2": _random_grid(2, (7, 19)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRACE_GRIDS))
+def test_marching_squares_matches_the_per_cell_reference(monkeypatch, name):
+    grid = _TRACE_GRIDS[name]
+    rows, cols = grid.shape
+    axis_values = (np.geomspace(0.1, 3.0, rows), np.linspace(0.5, 1.0, cols))
+    monkeypatch.setattr(scan, "_refine_edges", _midpoint_refine)
+    got = scan._trace_boundaries(None, None, None, axis_values, grid)
+    want = _per_cell_trace(axis_values, grid)
+    assert want  # every grid here has a contour
+    assert len(got) == len(want)
+    for line_got, line_want in zip(got, want):
+        assert np.array_equal(line_got, line_want)
+
+
+def test_saddle_centres_pick_the_pairing(monkeypatch):
+    """A non-classical centre joins the two non-classical corners, so the
+    contour cuts off the classical ones, and the other way round."""
+    monkeypatch.setattr(scan, "_refine_edges", _midpoint_refine)
+    axis_values = (np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+
+    def cuts(name):
+        lines = scan._trace_boundaries(None, None, None, axis_values,
+                                       _TRACE_GRIDS[name])
+        return sorted(sorted(map(tuple, line.tolist())) for line in lines)
+
+    around_corners_10_and_01 = [[(0.0, 0.5), (0.5, 1.0)],
+                                [(0.5, 0.0), (1.0, 0.5)]]
+    around_corners_00_and_11 = [[(0.0, 0.5), (0.5, 0.0)],
+                                [(0.5, 1.0), (1.0, 0.5)]]
+    assert cuts("case5_centre_nonclassical") == around_corners_10_and_01
+    assert cuts("case5_centre_classical") == around_corners_00_and_11
+    assert cuts("case10_centre_nonclassical") == around_corners_00_and_11
+    assert cuts("case10_centre_classical") == around_corners_10_and_01
+
+
+def _fmt(value):
+    if np.isnan(value):
+        return "nan"
+    return format(float(value), ".12g")
+
+
+def _per_row_csv(result):
+    """The CSV writer formatting one cell at a time."""
+    labels = [t.label() for t in result.spec.targets]
+    header = [a.name for a in result.spec.axes]
+    for lab in labels:
+        header += [lab, f"{lab}:nonclassical"]
+    lines = [",".join(header)]
+    coords = [c.reshape(-1) for c in
+              np.meshgrid(*result.axis_values, indexing="ij")]
+    for row in range(int(np.prod(result.shape))):
+        cells = [_fmt(c[row]) for c in coords]
+        for lab in labels:
+            cells.append(_fmt(result.values[lab].reshape(-1)[row]))
+            cells.append(str(int(result.verdicts[lab].reshape(-1)[row])))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_matches_the_per_row_reference():
+    special = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 1e300, 0.1 + 0.2,
+               0.0, -2.5, 123456789.123456789, -np.nan, 5e-324]
+    spec = ScanSpec(axes=[AxisSpec("bp", 0.0, 1.0, 4),
+                          AxisSpec("t", 0.0, 1.0, 3)],
+                    targets=[TargetSpec.parse("E_p:0:0"),
+                             TargetSpec.parse("negativity")])
+    values = np.array(special).reshape(4, 3)
+    verdicts = np.resize(np.array([-1, 0, 1], dtype=np.int8), 12)
+    result = scan.ScanResult(
+        spec=spec,
+        axis_values=(np.array([-0.0, 0.1 + 0.2, 1e-300, 1e300]),
+                     np.array([1.0 / 3.0, 0.5, 1.0])),
+        values={"E_p:0:0": values, "negativity": values[::-1, ::-1].copy()},
+        verdicts={"E_p:0:0": verdicts.reshape(4, 3),
+                  "negativity": verdicts[::-1].reshape(4, 3)},
+        boundaries={}, errors=[])
+    out = io.StringIO()
+    scan.write_csv(result, out)
+    assert out.getvalue() == _per_row_csv(result)
+    assert "nan,-1" in out.getvalue() and "-inf" in out.getvalue()
+
+
+@pytest.mark.parametrize("texts", [("negativity",),
+                                   ("negativity", "i_ncl:2")])
+def test_negativity_needs_no_criterion_tables(monkeypatch, texts):
+    """Pipelines without criterion targets never build the Q coefficients."""
+    spec = ScanSpec(axes=[AxisSpec("bp", 0.1, 3.0, 5),
+                          AxisSpec("bs", 0.0, 1.0, 4)],
+                    targets=[TargetSpec.parse(t) for t in texts],
+                    noise_mode="balanced", threads=1)
+    coords = {"bp": np.linspace(0.1, 3.0, 20), "bs": np.linspace(0, 1, 20)}
+    want = scan._Pipeline(spec).evaluate(coords)
+
+    def refuse(*args):
+        raise AssertionError("Q coefficients built for no criterion")
+
+    monkeypatch.setattr(scan, "_q_coeff_array", refuse)
+    got = scan._Pipeline(spec).evaluate(coords)
+    assert len(got) == len(want)
+    for arrays_got, arrays_want in zip(got, want):
+        for a, b in zip(arrays_got, arrays_want):
+            assert np.array_equal(a, b)
