@@ -105,13 +105,10 @@ def _k_entries(b1, b2, c1, c2, d12, dbar12):
     return k12, k13, k14, k22, k24, k33, k34, k44
 
 
-def _q_coeff_array(b1, b2, c1, c2, d12, dbar12) -> np.ndarray:
-    k12, k13, k14, k22, k24, k33, k34, k44 = _k_entries(
-        b1, b2, c1, c2, d12, dbar12)
-    batch = np.broadcast(np.asarray(b1, dtype=float),
-                         np.asarray(b2, dtype=float),
-                         np.asarray(d12)).shape
-    coeffs = np.zeros((3, 3) + batch, dtype=float)
+def _q_grid(k12, k13, k14, k22, k24, k33, k34, k44) -> np.ndarray:
+    """(3, 3, *batch) array with entry [i, j] multiplying l1**i * l2**j;
+    k44 depends on all six state parameters, so it carries the batch."""
+    coeffs = np.zeros((3, 3) + np.shape(k44), dtype=float)
     coeffs[0, 0] = 1.0
     coeffs[0, 1] = k13
     coeffs[0, 2] = k33
@@ -122,6 +119,10 @@ def _q_coeff_array(b1, b2, c1, c2, d12, dbar12) -> np.ndarray:
     coeffs[2, 1] = k24
     coeffs[2, 2] = k44
     return coeffs
+
+
+def _q_coeff_array(b1, b2, c1, c2, d12, dbar12) -> np.ndarray:
+    return _q_grid(*_k_entries(b1, b2, c1, c2, d12, dbar12))
 
 
 @dataclass(frozen=True)
@@ -139,11 +140,8 @@ class KMatrix:
 
     def coefficient_grid(self) -> np.ndarray:
         """(3, 3) array with entry [i, j] multiplying l1**i * l2**j."""
-        return np.array([
-            [1.0, self.k13, self.k33],
-            [self.k12, self.k14, self.k34],
-            [self.k22, self.k24, self.k44],
-        ])
+        return _q_grid(self.k12, self.k13, self.k14, self.k22, self.k24,
+                       self.k33, self.k34, self.k44)
 
     def q_value(self, l1: float, l2: float) -> float:
         grid = self.coefficient_grid()

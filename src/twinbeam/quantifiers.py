@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .states import TwoModeGaussianState, _precise_params, _symplectic_pair
+from .states import (TwoModeGaussianState, _covariance_invariants,
+                     _precise_params, _symplectic_pair)
 
 __all__ = [
     "ZERO_TOL",
@@ -65,8 +66,9 @@ def local_quantifier(state: TwoModeGaussianState, mode: int) -> float:
 def _negativity_arrays(b1, b2, c1, c2, d12, dbar12):
     """Negativity and the smaller partially transposed symplectic eigenvalue
     from raw parameters; array friendly, extended precision."""
-    nu_m, _ = _symplectic_pair(b1, b2, c1, c2, d12, dbar12,
-                               partial_transpose=True)
+    nu_m, _ = _symplectic_pair(
+        *_covariance_invariants(b1, b2, c1, c2, d12, dbar12),
+        partial_transpose=True)
     safe = np.maximum(nu_m, np.longdouble(1e-300))
     n = (1.0 - 2.0 * safe) / (4.0 * safe)
     return np.maximum(n, np.longdouble(0.0)), nu_m

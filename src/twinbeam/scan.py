@@ -36,7 +36,7 @@ from .criteria import RELATIVE_TOL, CriterionId, _need, _tables, _value
 from .errors import ConfigError
 from .moments import _q_coeff_array
 from .quantifiers import ZERO_TOL, _local_values, _negativity_arrays
-from .states import _bs_transform_arrays
+from .states import _attenuate_arrays, _bs_transform_arrays, _twin_beam_arrays
 
 __all__ = [
     "AXIS_NAMES",
@@ -68,7 +68,7 @@ BISECTION_REL_TOL = 1e-9
 
 def _check_range(name: str, value: float):
     lo, hi = _RANGES[name]
-    if not np.isfinite(value) and name != "phi":
+    if not np.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value}")
     if not lo <= value <= hi:
         raise ConfigError(f"{name} must lie in [{lo}, {hi}], got {value}")
@@ -245,7 +245,7 @@ class _Pipeline:
 
     def state_params(self, coords: dict, dtype=float):
         """Coordinate arrays (broadcastable) to the six state parameters,
-        computed in the real ``dtype`` and its complex counterpart."""
+        computed by the maps of the states module in the real ``dtype``."""
         full = {"bs": 0.0, "bi": 0.0, "phi": 0.0}
         full.update(self.spec.fixed)
         full.update(coords)
@@ -253,26 +253,13 @@ class _Pipeline:
             full["bi"] = full["bs"]
         elif self.spec.noise_mode == "unbalanced":
             full["bi"] = 0.0
-        cdtype = np.result_type(dtype, 1j)
-        bp = np.asarray(full["bp"], dtype=dtype)
-        bs = np.asarray(full["bs"], dtype=dtype)
-        bi = np.asarray(full["bi"], dtype=dtype)
-        b1 = bp + bs
-        b2 = bp + bi
-        zeros = np.zeros(np.broadcast_shapes(b1.shape, b2.shape), dtype=dtype)
-        c1 = zeros.astype(cdtype)
-        c2 = zeros.astype(cdtype)
-        d12 = 1j * np.sqrt(bp * (bp + 1.0)) + zeros.astype(cdtype)
-        dbar12 = zeros.astype(cdtype)
+        params = _twin_beam_arrays(*(np.asarray(full[name], dtype=dtype)
+                                     for name in ("bp", "bs", "bi")))
         if self.has_bs:
-            b1, b2, c1, c2, d12, dbar12 = _bs_transform_arrays(
-                b1, b2, c1, c2, d12, dbar12, full["t"], full["phi"], cdtype)
+            params = _bs_transform_arrays(*params, full["t"], full["phi"])
         if self.has_eta:
-            eta = np.asarray(full["eta"], dtype=dtype)
-            b1, b2 = eta * b1, eta * b2
-            c1, c2 = eta * c1, eta * c2
-            d12, dbar12 = eta * d12, eta * dbar12
-        return b1, b2, c1, c2, d12, dbar12
+            params = _attenuate_arrays(*params, full["eta"], full["eta"])
+        return params
 
     def evaluate(self, coords: dict):
         """Per-target (value, verdict, indicator) float64/int8 arrays."""
@@ -376,12 +363,8 @@ def run_scan(spec: ScanSpec) -> ScanResult:
             verdicts[lab][sl] = np.where(np.isfinite(val), ver, -1)
             indicators[lab][sl] = ind
 
-    if threads > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(slices))))
-    else:
-        for idx in range(len(slices)):
-            work(idx)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(work, range(len(slices))))
 
     errors = []
     for bucket in chunk_errors:

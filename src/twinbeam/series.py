@@ -224,6 +224,9 @@ class BivariateSeries:
             if not taps:
                 s[i] = base
             elif scalar:
+                # both branches stay: a numpy-only single path (the
+                # recurrence swept along anti-diagonals) matched to 2.2e-16
+                # but ran 3x slower on 4097^2 tables and 2x on (4, 4) ones
                 den = np.concatenate(([1.0], taps))
                 s[i] = lfilter([1.0], den, base, axis=0)
             else:

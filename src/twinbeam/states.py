@@ -147,15 +147,14 @@ def _covariance_invariants(b1, b2, c1, c2, d12, dbar12):
     return det_a, det_b, det_c, det_sigma
 
 
-def _symplectic_pair(b1, b2, c1, c2, d12, dbar12, partial_transpose=False):
-    """Smaller and larger symplectic eigenvalue, extended precision.
+def _symplectic_pair(det_a, det_b, det_c, det_sigma, partial_transpose=False):
+    """Smaller and larger symplectic eigenvalue from the four invariants of
+    _covariance_invariants, extended precision.
 
     The smaller one is computed through the product form
     nu_minus**2 = det(sigma) / nu_plus**2 so that no subtractive
     cancellation of the large invariants occurs.
     """
-    det_a, det_b, det_c, det_sigma = _covariance_invariants(
-        b1, b2, c1, c2, d12, dbar12)
     if partial_transpose:
         det_c = -det_c
     delta = det_a + det_b + 2.0 * det_c
@@ -189,8 +188,9 @@ def _physicality_margin(det_a, det_b, tol):
 def is_physical_params(b1, b2, c1, c2, d12, dbar12,
                        tol: float = PHYSICALITY_TOL):
     """Uncertainty-relation check on raw parameters; array friendly."""
-    det_a, det_b, _, _ = _covariance_invariants(b1, b2, c1, c2, d12, dbar12)
-    nu_m, _ = _symplectic_pair(b1, b2, c1, c2, d12, dbar12)
+    invariants = _covariance_invariants(b1, b2, c1, c2, d12, dbar12)
+    det_a, det_b = invariants[:2]
+    nu_m, _ = _symplectic_pair(*invariants)
     margin = _physicality_margin(det_a, det_b, tol)
     ok = ((np.asarray(b1) >= -tol) & (np.asarray(b2) >= -tol)
           & (det_a > 0.0) & (det_b > 0.0)
@@ -237,8 +237,7 @@ class TwoModeGaussianState:
             object.__setattr__(self, name, value)
         if not is_physical_params(b1, b2, self.c1, self.c2,
                                   self.d12, self.dbar12):
-            nu_m, _ = _symplectic_pair(b1, b2, self.c1, self.c2,
-                                       self.d12, self.dbar12)
+            nu_m, _ = _symplectic_pair(*_covariance_invariants(*self.params()))
             raise PhysicalityError(
                 "parameters violate the uncertainty relation "
                 f"(smaller symplectic eigenvalue {float(nu_m):.6g} < 1/2)")
@@ -270,27 +269,25 @@ def _precise_params(state: TwoModeGaussianState) -> tuple:
 def symplectic_eigenvalues(state: TwoModeGaussianState,
                            partial_transpose: bool = False):
     """(smaller, larger) symplectic eigenvalue of the quadrature covariance."""
-    nu_m, nu_p = _symplectic_pair(*_precise_params(state),
-                                  partial_transpose=partial_transpose)
+    nu_m, nu_p = _symplectic_pair(
+        *_covariance_invariants(*_precise_params(state)),
+        partial_transpose=partial_transpose)
     return float(nu_m), float(nu_p)
 
 
 # -- normal-ordered covariance matrix ------------------------------------
 
-def _an_matrix(b1, b2, c1, c2, d12, dbar12, dtype=complex):
+def _an_matrix(b1, b2, c1, c2, d12, dbar12):
     """4x4 normal-ordered covariance in the (a1, a1+, a2, a2+) pairing.
 
-    Batch friendly: scalar inputs give a (4, 4) matrix of the complex
-    ``dtype``, array inputs a (..., 4, 4) stack.
+    Batch friendly: scalar inputs give a (4, 4) matrix, array inputs a
+    (..., 4, 4) stack, in the complex type of the inputs' precision.
     """
-    b1 = np.asarray(b1, dtype=dtype)
-    shape = b1.shape
+    params = (b1, b2, c1, c2, d12, dbar12)
+    dtype = np.result_type(*params, 1j)
+    shape = np.broadcast_shapes(*(np.shape(x) for x in params))
     out = np.zeros(shape + (4, 4), dtype=dtype)
-    b2 = np.asarray(b2, dtype=dtype)
-    c1 = np.asarray(c1, dtype=dtype)
-    c2 = np.asarray(c2, dtype=dtype)
-    d = np.asarray(d12, dtype=dtype)
-    e = np.asarray(dbar12, dtype=dtype)
+    b1, b2, c1, c2, d, e = (np.asarray(x, dtype=dtype) for x in params)
     out[..., 0, 0] = -b1
     out[..., 0, 1] = c1
     out[..., 0, 2] = np.conj(e)
@@ -385,6 +382,19 @@ def quadrature_covariance(state: TwoModeGaussianState) -> np.ndarray:
 
 
 # -- physical maps --------------------------------------------------------
+#
+# Each map is defined once, on raw parameter arrays, and works in the
+# precision of its inputs: the float64 fields and the extended copy of a
+# state, and every lane of a scan grid, go through the same formulas.
+
+def _twin_beam_arrays(bp, bs, bi):
+    """Noisy twin beam on raw arrays: photon pairs plus thermal noise."""
+    b1 = bp + bs
+    b2 = bp + bi
+    zero = np.zeros(np.broadcast_shapes(np.shape(b1), np.shape(b2)),
+                    dtype=np.result_type(b1, b2, 1j))
+    return b1, b2, zero, zero, 1j * np.sqrt(bp * (bp + 1.0)) + zero, zero
+
 
 def twin_beam(params, bs: float = 0.0, bi: float = 0.0) -> TwoModeGaussianState:
     """Noisy twin beam: photon pairs plus independent thermal noise.
@@ -396,28 +406,36 @@ def twin_beam(params, bs: float = 0.0, bi: float = 0.0) -> TwoModeGaussianState:
         p = params
     else:
         p = TwinBeamParams(float(params), float(bs), float(bi))
-    d12 = 1j * np.sqrt(p.bp * (p.bp + 1.0))
-    state = TwoModeGaussianState(b1=p.bp + p.bs, b2=p.bp + p.bi,
-                                 c1=0.0, c2=0.0, d12=complex(d12), dbar12=0.0)
-    bp, bs, bi = np.longdouble(p.bp), np.longdouble(p.bs), np.longdouble(p.bi)
-    return _carry(state, bp + bs, bp + bi, 0.0, 0.0,
-                  1j * np.sqrt(bp * (bp + 1.0)), 0.0)
+    state = TwoModeGaussianState(*_twin_beam_arrays(p.bp, p.bs, p.bi))
+    ld = np.longdouble
+    return _carry(state, *_twin_beam_arrays(ld(p.bp), ld(p.bs), ld(p.bi)))
 
 
-def bs_unitary(t, phi=0.0, dtype=complex) -> np.ndarray:
+def _apply(state: TwoModeGaussianState, fmap, *args) -> TwoModeGaussianState:
+    """State after ``fmap`` on its fields and, when it carries one, on its
+    extended-precision copy."""
+    out = TwoModeGaussianState(*fmap(*state.params(), *args))
+    if state._extended is None:
+        return out
+    return _carry(out, *fmap(*state._extended, *args))
+
+
+def bs_unitary(t, phi=0.0) -> np.ndarray:
     """Mode-transformation matrix of a beam splitter in the field pairing
-    (a1, a1+, a2, a2+); batch friendly in t and phi.  ``dtype`` is the
-    complex type of the result and sets the working precision."""
-    real = np.finfo(dtype).dtype
+    (a1, a1+, a2, a2+); batch friendly in t and phi, and computed in their
+    precision (complex128 for Python floats)."""
+    real = np.result_type(t, phi, 1.0)
     t = np.asarray(t, dtype=real)
     phi = np.asarray(phi, dtype=real)
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(phi))):
+        raise ParameterError("transmissivity and phase must be finite")
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ParameterError("transmissivity must lie in [0, 1]")
     rt = np.sqrt(t)
     rr = np.sqrt(1.0 - t)
     ph = np.exp(1j * phi)
     shape = np.broadcast_shapes(t.shape, phi.shape)
-    u = np.zeros(shape + (4, 4), dtype=dtype)
+    u = np.zeros(shape + (4, 4), dtype=np.result_type(real, 1j))
     u[..., 0, 0] = rt
     u[..., 0, 2] = -rr * ph
     u[..., 1, 1] = rt
@@ -429,15 +447,13 @@ def bs_unitary(t, phi=0.0, dtype=complex) -> np.ndarray:
     return u
 
 
-def _bs_transform_arrays(b1, b2, c1, c2, d12, dbar12, t, phi=0.0,
-                         dtype=complex):
-    """Beam-splitter congruence on raw parameter arrays, computed in the
-    complex ``dtype``."""
-    a = _an_matrix(b1, b2, c1, c2, d12, dbar12, dtype)
-    u = bs_unitary(t, phi, dtype)
-    out = np.einsum("...ji,...jk,...kl->...il", np.conj(u), a, u,
-                    optimize=True)
-    return _params_from_an(out)
+def _bs_transform_arrays(b1, b2, c1, c2, d12, dbar12, t, phi=0.0):
+    """Beam-splitter congruence on raw parameter arrays; t and phi are
+    taken at the parameters' precision."""
+    a = _an_matrix(b1, b2, c1, c2, d12, dbar12)
+    real = np.finfo(a.dtype).dtype
+    u = bs_unitary(np.asarray(t, dtype=real), np.asarray(phi, dtype=real))
+    return _params_from_an(np.conj(np.swapaxes(u, -1, -2)) @ a @ u)
 
 
 def beam_splitter(state: TwoModeGaussianState, bs,
@@ -451,38 +467,28 @@ def beam_splitter(state: TwoModeGaussianState, bs,
         p = bs
     else:
         p = BeamSplitterParams(float(bs), float(phi))
-    b1, b2, c1, c2, d12, dbar12 = _bs_transform_arrays(
-        *state.params(), p.t, p.phi)
-    out = TwoModeGaussianState(float(b1), float(b2), complex(c1),
-                               complex(c2), complex(d12), complex(dbar12))
-    if state._extended is None:
-        return out
-    return _carry(out, *_bs_transform_arrays(
-        *state._extended, p.t, p.phi, np.clongdouble))
+    return _apply(state, _bs_transform_arrays, p.t, p.phi)
+
+
+def _attenuate_arrays(b1, b2, c1, c2, d12, dbar12, eta1, eta2):
+    """Detection loss on raw arrays: normally-ordered moments scale as eta
+    per photon.  eta1 and eta2 are taken at the parameters' precision."""
+    real = np.finfo(np.result_type(b1, b2, c1, c2, d12, dbar12, 1j)).dtype
+    eta1 = np.asarray(eta1, dtype=real)
+    eta2 = np.asarray(eta2, dtype=real)
+    cross = np.sqrt(eta1 * eta2)
+    return (eta1 * b1, eta2 * b2, eta1 * c1, eta2 * c2,
+            cross * d12, cross * dbar12)
 
 
 def attenuate(state: TwoModeGaussianState, eta1: float,
               eta2: float | None = None) -> TwoModeGaussianState:
-    """Detection loss: independent attenuation of the two modes.
-
-    Normally-ordered moments scale as eta per photon, so the map is a plain
-    rescaling of the parameters.
-    """
+    """Detection loss: independent attenuation of the two modes, a plain
+    rescaling of the parameters."""
     e1 = float(eta1)
     e2 = e1 if eta2 is None else float(eta2)
     for name, value in (("eta1", e1), ("eta2", e2)):
         _require_finite(name, value)
         if not 0.0 <= value <= 1.0:
             raise ParameterError(f"{name} must lie in [0, 1], got {value}")
-    cross = np.sqrt(e1 * e2)
-    out = TwoModeGaussianState(
-        b1=e1 * state.b1, b2=e2 * state.b2,
-        c1=e1 * state.c1, c2=e2 * state.c2,
-        d12=cross * state.d12, dbar12=cross * state.dbar12)
-    if state._extended is None:
-        return out
-    l1, l2 = np.longdouble(e1), np.longdouble(e2)
-    cross = np.sqrt(l1 * l2)
-    b1, b2, c1, c2, d12, dbar12 = state._extended
-    return _carry(out, l1 * b1, l2 * b2, l1 * c1, l2 * c2,
-                  cross * d12, cross * dbar12)
+    return _apply(state, _attenuate_arrays, e1, e2)

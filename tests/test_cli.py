@@ -209,6 +209,8 @@ def test_selftest_passes(capsys):
     (["scan", "--config", "/nonexistent/scan.ini"], "ConfigError"),
     (["boundary", "--family", "negativity", "--axis", "bs", "--bp", "1",
       "--eta", "0.5", "--eta2", "0.9"], "ConfigError"),
+    (["boundary", "--family", "E_p", "--axis", "bp", "--t", "0.5",
+      "--phi", "inf"], "ConfigError"),
 ])
 def test_failures_report_json_and_exit_nonzero(capsys, argv, error):
     rc, _, err = run_cli(capsys, *argv)

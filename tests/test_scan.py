@@ -184,6 +184,71 @@ def test_scan_agrees_with_the_scalar_evaluators(bp, bs, bi, t, phi, eta):
             assert res.verdicts[label][0] == verdict, label
 
 
+@pytest.mark.parametrize("noise_mode", scan.NOISE_MODES)
+@pytest.mark.parametrize("with_t", [False, True])
+@pytest.mark.parametrize("with_eta", [False, True])
+def test_scalar_maps_equal_the_grid_maps(noise_mode, with_t, with_eta):
+    """Every grid lane holds exactly the fields of twin_beam, beam_splitter
+    and attenuate on that lane's numbers, and in extended precision exactly
+    the state's extended copy."""
+    rng = np.random.default_rng(29)
+    n = 60
+    coords = {"bp": 10.0 ** rng.uniform(-3.0, 3.0, n),
+              "bs": np.where(rng.uniform(size=n) < 0.2, 0.0,
+                             rng.uniform(0.0, 3.0, n))}
+    coords["bp"][0] = 0.0
+    if noise_mode == "independent":
+        coords["bi"] = rng.uniform(0.0, 3.0, n)
+    if with_t:
+        coords["t"] = rng.uniform(0.0, 1.0, n)
+        coords["t"][:2] = (0.0, 1.0)
+        coords["phi"] = rng.uniform(-7.0, 7.0, n)
+    if with_eta:
+        coords["eta"] = 10.0 ** rng.uniform(-150.0, 0.0, n)
+        coords["eta"][:2] = (0.0, 1.0)
+    # fixed values switch the maps on; the coordinates override them
+    pipeline = scan._Pipeline(ScanSpec(
+        axes=[AxisSpec("bp", 0.0, 1.0, 2)],
+        targets=[TargetSpec.parse("negativity")],
+        fixed={name: 0.5 for name in coords if name != "bp"},
+        noise_mode=noise_mode))
+    grid = pipeline.state_params(coords)
+    extended = pipeline.state_params(coords, np.longdouble)
+
+    for k in range(n):
+        lane = {name: float(values[k]) for name, values in coords.items()}
+        bi = {"independent": lane.get("bi"), "balanced": lane["bs"],
+              "unbalanced": 0.0}[noise_mode]
+        state = states.twin_beam(lane["bp"], bs=lane["bs"], bi=bi)
+        if with_t:
+            state = states.beam_splitter(state, lane["t"], phi=lane["phi"])
+        if with_eta:
+            state = states.attenuate(state, lane["eta"])
+        for name, got, want in zip(("b1", "b2", "c1", "c2", "d12", "dbar12"),
+                                   grid, state.params()):
+            assert got[k] == want, (k, name)
+        for name, got, want in zip(("b1", "b2", "c1", "c2", "d12", "dbar12"),
+                                   extended, state._extended):
+            assert got[k] == want, (k, name)
+
+
+def test_grid_with_a_fixed_first_mode_mean():
+    """With bp and bs fixed, b1 is one number for the whole grid while the
+    other parameters vary per lane; every cell is still evaluated."""
+    res = scan.run_scan(ScanSpec(
+        axes=[AxisSpec("bi", 0.0, 1.0, 3), AxisSpec("t", 0.2, 0.8, 3)],
+        targets=[TargetSpec.parse("E_p:0:0")], fixed={"bp": 1.0},
+        threads=1))
+    assert res.errors == []
+    cid = criteria.CriterionId.parse("E_p:0:0")
+    for i, bi in enumerate(res.axis_values[0]):
+        for j, t in enumerate(res.axis_values[1]):
+            state = states.beam_splitter(states.twin_beam(1.0, bi=bi), t)
+            want = criteria.evaluate(state, cid).value
+            assert res.values["E_p:0:0"][i, j] == pytest.approx(want,
+                                                                rel=1e-12)
+
+
 def test_target_labels_round_trip():
     for text in ("negativity", "E_p:0:0", "E_W:1:2", "M_p", "i_ncl:2"):
         assert TargetSpec.parse(text).label() == text
@@ -216,6 +281,9 @@ def test_target_labels_round_trip():
                      fixed={"qq": 1.0}),
     lambda: TargetSpec.parse("Q_z:0:0"),
     lambda: TargetSpec.parse("E_p:0"),
+    lambda: ScanSpec(axes=[AxisSpec("bp", 0.0, 1.0, 3)],
+                     targets=[TargetSpec.parse("negativity")],
+                     fixed={"t": 0.5, "phi": math.inf}),
 ])
 def test_invalid_configurations_are_rejected(build):
     with pytest.raises(ConfigError):

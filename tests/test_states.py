@@ -42,6 +42,11 @@ def test_beam_splitter_accepts_params_object():
         lambda: states.beam_splitter(states.twin_beam(1.0), -0.01),
         lambda: states.attenuate(states.twin_beam(1.0), 1.1),
         lambda: states.attenuate(states.twin_beam(1.0), 0.5, -0.5),
+        lambda: states.bs_unitary(math.nan),
+        lambda: states.bs_unitary(math.inf),
+        lambda: states.bs_unitary(0.5, math.nan),
+        lambda: states.bs_unitary(0.5, -math.inf),
+        lambda: states.bs_unitary(np.array([0.5, math.nan])),
     ],
 )
 def test_parameter_validation(build):
@@ -219,3 +224,48 @@ def test_bs_unitary_is_unitary():
     for _ in range(5):
         u = states.bs_unitary(rng.uniform(0, 1), rng.uniform(-np.pi, np.pi))
         np.testing.assert_allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=1e-14)
+
+
+def _einsum_congruence(b1, b2, c1, c2, d12, dbar12, t, phi):
+    """The beam-splitter congruence as an einsum, kept as the reference."""
+    a = states._an_matrix(b1, b2, c1, c2, d12, dbar12)
+    real = np.finfo(a.dtype).dtype
+    u = states.bs_unitary(np.asarray(t, dtype=real),
+                          np.asarray(phi, dtype=real))
+    out = np.einsum("...ji,...jk,...kl->...il", np.conj(u), a, u,
+                    optimize=True)
+    return states._params_from_an(out)
+
+
+def _same_bits(a, b):
+    """Equal values, dtypes and signs of zero (the inputs hold no NaN)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(np.imag(a)), np.signbit(np.imag(b))))
+
+
+@pytest.mark.parametrize("real", [np.float64, np.longdouble])
+@pytest.mark.parametrize("lanes", [None, 1, 400, 5000])
+def test_congruence_matches_the_einsum_reference(real, lanes):
+    """The matmul congruence gives the einsum's bits at either precision,
+    for one state and for stacks of them."""
+    rng = np.random.default_rng(23)
+    size = () if lanes is None else (lanes,)
+    cplx = np.result_type(real, 1j)
+
+    def draw_complex():
+        return (rng.normal(size=size) + 1j * rng.normal(size=size)).astype(cplx)
+
+    params = (np.asarray(rng.uniform(0.0, 5.0, size), dtype=real),
+              np.asarray(rng.uniform(0.0, 5.0, size), dtype=real),
+              draw_complex(), draw_complex(), draw_complex(), draw_complex())
+    t = rng.uniform(0.0, 1.0, size)
+    phi = rng.uniform(-7.0, 7.0, size)
+    got = states._bs_transform_arrays(*params, t, phi)
+    want = _einsum_congruence(*params, t, phi)
+    assert np.asarray(got[0]).dtype == real
+    assert np.asarray(got[2]).dtype == cplx
+    for name, g, w in zip(("b1", "b2", "c1", "c2", "d12", "dbar12"),
+                          got, want):
+        assert _same_bits(g, w), name
