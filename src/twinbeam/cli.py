@@ -31,9 +31,8 @@ from .criteria import FAMILIES, CriterionId, evaluate
 from .errors import ConfigError, OrderLimitError, ParameterError, TwinbeamError
 from .moments import (build_k_matrix, photon_number_distribution, pnd_table)
 from .quantifiers import classify
-from .scan import (AXIS_NAMES, AxisSpec, ScanSpec, TargetSpec, _bisect,
-                   _Pipeline, _sign_changes, run_scan, write_boundaries_json,
-                   write_csv)
+from .scan import (AXIS_NAMES, AxisSpec, ScanSpec, TargetSpec, _Pipeline,
+                   _refine_edges, run_scan, write_boundaries_json, write_csv)
 from .states import (BeamSplitterParams, TwinBeamParams, attenuate,
                      beam_splitter, covariance_n, symplectic_eigenvalues,
                      twin_beam)
@@ -95,6 +94,8 @@ def _add_state_args(parser, require_bp=True):
 
 
 def _state_from_args(args):
+    if not np.isfinite(args.phi):
+        raise ConfigError(f"--phi must be finite, got {args.phi}")
     state = twin_beam(TwinBeamParams(args.bp, args.bs, args.bi))
     if args.t is not None:
         state = beam_splitter(state, BeamSplitterParams(args.t, args.phi))
@@ -204,20 +205,14 @@ def _cmd_boundary(args) -> int:
     if args.axis != "bp" and "bp" not in fixed:
         raise ConfigError(f"--bp is required when scanning {args.axis}")
 
-    spec = ScanSpec(axes=(axis,), targets=(target,), fixed=fixed,
-                    noise_mode=args.noise_mode, threads=1)
-    pipeline = _Pipeline(spec)
-
-    def indicator(x):
-        return pipeline.evaluate({args.axis: x})[0][2]
-
+    pipeline = _Pipeline(ScanSpec(axes=(axis,), targets=(target,),
+                                  fixed=fixed, noise_mode=args.noise_mode))
     values = axis.values()
-    grid = indicator(values)
-    (edges,) = _sign_changes(grid, 0)
+    grid = pipeline.evaluate({args.axis: values})[0][2]
+    _, points = _refine_edges(pipeline, target, (values,), grid, 0, args.tol)
     crossings = []
-    if edges.size:
-        x = _bisect(indicator, values[edges], values[edges + 1],
-                    grid[edges] <= 0.0, axis.scale == "log", args.tol)
+    if len(points):
+        x = points[:, 0]
         found = pipeline.evaluate({args.axis: x})[0][0]
         crossings = [{"x": float(a), "value": float(v)}
                      for a, v in zip(x, found)]

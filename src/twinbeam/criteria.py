@@ -9,9 +9,12 @@ W uses normally ordered intensity moments, p uses factorial-scaled photon
 number probabilities, which stay finite for strong fields and are directly
 accessible from photocounting records.
 
-A criterion certifies non-classicality only when its value is negative
-beyond a relative tolerance tied to the size of its constituent terms, so
-rounding noise around zero never produces a verdict.
+A criterion certifies non-classicality only when its value is below -tol,
+where tol is 1e-12 times the largest of its constituent terms.  This
+tolerance is a heuristic, not a proven bound on the rounding error: where
+every term is itself rounding noise, as for the odd-order E_p criteria of a
+noiseless twin beam, whose exact value is 0, the noise can still exceed tol
+and produce a verdict.
 
 Closed forms for the noiseless twin beam and for its balanced and
 unbalanced beam-splitter outputs are provided for cross-checking, together
@@ -144,8 +147,8 @@ class CriterionResult:
 # -- the shared engine ------------------------------------------------------
 #
 # Every criterion is read off one table built from the Q coefficients.  The
-# three functions below take coefficient arrays with any trailing batch axes,
-# so a single state (a batch of one) and a scan grid share them.
+# functions below take coefficient arrays with any trailing batch axes, so a
+# single state (a batch of one) and a scan grid share them.
 
 def _need(cid: CriterionId):
     """Table kind, table orders and derivative order of a criterion.
@@ -160,24 +163,6 @@ def _need(cid: CriterionId):
         return variant, (2, 2), 2
     depth = max(cid.k1 + 1, cid.k2)
     return f"{variant}{cid.mode}", (depth, 0), depth
-
-
-def _tables(coeffs: np.ndarray, needs) -> dict:
-    """Tables by kind for a list of needs, each kind built once at the
-    largest orders asked for."""
-    orders = {}
-    for kind, (o1, o2), _ in needs:
-        c1, c2 = orders.get(kind, (0, 0))
-        orders[kind] = (max(c1, o1), max(c2, o2))
-    tables = {}
-    for kind, (o1, o2) in orders.items():
-        q = coeffs if len(kind) == 1 else _marginal_grid(coeffs, int(kind[1]))
-        if kind[0] == "W":
-            table = _moment_grid(q, o1, o2)
-        else:
-            table = _scaled_grid(_prob_grid(q, o1, o2))
-        tables[kind] = table if len(kind) == 1 else table[:, 0]
-    return tables
 
 
 def _value(cid: CriterionId, table: np.ndarray):
@@ -196,18 +181,44 @@ def _value(cid: CriterionId, table: np.ndarray):
     return a - b, np.maximum(np.abs(a), np.abs(b))
 
 
-def _evaluate(state: TwoModeGaussianState, cid: CriterionId,
-              max_order: int | None) -> CriterionResult:
-    need = _need(cid)
-    kind, _, order = need
+def _judge(ids, coeffs: np.ndarray) -> list:
+    """(value, tol) of each criterion on the Q coefficients ``coeffs``.
+
+    Each table kind is built once, at the largest orders the criteria ask
+    for.  A criterion certifies non-classicality where value < -tol.
+    """
+    needs = [_need(cid) for cid in ids]
+    orders = {}
+    for kind, (o1, o2), _ in needs:
+        c1, c2 = orders.get(kind, (0, 0))
+        orders[kind] = (max(c1, o1), max(c2, o2))
+    tables = {}
+    for kind, (o1, o2) in orders.items():
+        q = coeffs if len(kind) == 1 else _marginal_grid(coeffs, int(kind[1]))
+        if kind[0] == "W":
+            table = _moment_grid(q, o1, o2)
+        else:
+            table = _scaled_grid(_prob_grid(q, o1, o2))
+        tables[kind] = table if len(kind) == 1 else table[:, 0]
+    out = []
+    for cid, (kind, _, _) in zip(ids, needs):
+        value, scale = _value(cid, tables[kind])
+        out.append((value, RELATIVE_TOL * scale))
+    return out
+
+
+def evaluate(state: TwoModeGaussianState, cid: CriterionId,
+             *, max_order: int | None = None) -> CriterionResult:
+    """Evaluate any criterion by its identifier or its label text."""
+    if not isinstance(cid, CriterionId):
+        cid = CriterionId.parse(str(cid))
+    order = _need(cid)[2]
     limit = DEFAULT_MAX_ORDER if max_order is None else int(max_order)
     if order > limit:
         raise OrderLimitError(
             f"criterion needs derivative order {order}, above the configured "
             f"maximum {limit}")
-    table = _tables(_q_coeff_array(*state.params()), [need])[kind]
-    value, scale = _value(cid, table)
-    tol = RELATIVE_TOL * scale
+    ((value, tol),) = _judge([cid], _q_coeff_array(*state.params()))
     return CriterionResult(id=cid, value=float(value),
                            nonclassical=bool(value < -tol),
                            tol=float(tol), max_order_used=order)
@@ -216,53 +227,35 @@ def _evaluate(state: TwoModeGaussianState, cid: CriterionId,
 def eval_E_W(state: TwoModeGaussianState, k1: int, k2: int,
              *, max_order: int | None = None) -> CriterionResult:
     """Inter-mode moment criterion on <W1**i W2**j> at indices (k1, k2)."""
-    return _evaluate(state, CriterionId("E_W", k1, k2), max_order)
+    return evaluate(state, CriterionId("E_W", k1, k2), max_order=max_order)
 
 
 def eval_E_p(state: TwoModeGaussianState, k1: int, k2: int,
              *, max_order: int | None = None) -> CriterionResult:
     """Inter-mode criterion on factorial-scaled photon-number counts."""
-    return _evaluate(state, CriterionId("E_p", k1, k2), max_order)
+    return evaluate(state, CriterionId("E_p", k1, k2), max_order=max_order)
 
 
 def eval_M_W(state: TwoModeGaussianState,
              *, max_order: int | None = None) -> CriterionResult:
-    return _evaluate(state, CriterionId("M_W"), max_order)
+    return evaluate(state, CriterionId("M_W"), max_order=max_order)
 
 
 def eval_M_p(state: TwoModeGaussianState,
              *, max_order: int | None = None) -> CriterionResult:
-    return _evaluate(state, CriterionId("M_p"), max_order)
+    return evaluate(state, CriterionId("M_p"), max_order=max_order)
 
 
 def eval_R_W(state: TwoModeGaussianState, mode: int, k: int, l: int,
              *, max_order: int | None = None) -> CriterionResult:
     """Single-mode moment-ratio criterion on mode 1 or 2 at indices (k, l)."""
-    return _evaluate(state, CriterionId("R_W", k, l, mode), max_order)
+    return evaluate(state, CriterionId("R_W", k, l, mode), max_order=max_order)
 
 
 def eval_R_p(state: TwoModeGaussianState, mode: int, k: int, l: int,
              *, max_order: int | None = None) -> CriterionResult:
     """Single-mode ratio criterion on factorial-scaled marginal counts."""
-    return _evaluate(state, CriterionId("R_p", k, l, mode), max_order)
-
-
-def evaluate(state: TwoModeGaussianState, cid: CriterionId,
-             *, max_order: int | None = None) -> CriterionResult:
-    """Evaluate any criterion by its identifier."""
-    if not isinstance(cid, CriterionId):
-        cid = CriterionId.parse(str(cid))
-    if cid.family == "E_W":
-        return eval_E_W(state, cid.k1, cid.k2, max_order=max_order)
-    if cid.family == "E_p":
-        return eval_E_p(state, cid.k1, cid.k2, max_order=max_order)
-    if cid.family == "M_W":
-        return eval_M_W(state, max_order=max_order)
-    if cid.family == "M_p":
-        return eval_M_p(state, max_order=max_order)
-    if cid.family == "R_W":
-        return eval_R_W(state, cid.mode, cid.k1, cid.k2, max_order=max_order)
-    return eval_R_p(state, cid.mode, cid.k1, cid.k2, max_order=max_order)
+    return evaluate(state, CriterionId("R_p", k, l, mode), max_order=max_order)
 
 
 def default_catalog() -> tuple:

@@ -28,11 +28,11 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .criteria import RELATIVE_TOL, CriterionId, _need, _tables, _value
+from .criteria import CriterionId, _judge
 from .errors import ConfigError
 from .moments import _q_coeff_array
 from .quantifiers import ZERO_TOL, _local_values, _negativity_arrays
@@ -223,8 +223,9 @@ class ScanSpec:
             except ValueError:
                 raise ConfigError(
                     f"{THREADS_ENV} must be an integer, got {env!r}") from None
-            if value >= 1:
-                return value
+            if value < 1:
+                raise ConfigError(f"{THREADS_ENV} must be >= 1, got {value}")
+            return value
         return min(os.cpu_count() or 1, 8)
 
 
@@ -235,13 +236,12 @@ class _Pipeline:
 
     def __init__(self, spec: ScanSpec):
         self.spec = spec
-        self.axis_names = [a.name for a in spec.axes]
-        present = set(self.axis_names) | set(spec.fixed)
+        present = {a.name for a in spec.axes} | set(spec.fixed)
         self.has_bs = "t" in present
         self.has_eta = "eta" in present
         self.targets = spec.targets
-        self.needs = [_need(t.criterion) for t in spec.targets
-                      if t.kind == "criterion"]
+        self.criteria = [t.criterion for t in spec.targets
+                         if t.kind == "criterion"]
 
     def state_params(self, coords: dict, dtype=float):
         """Coordinate arrays (broadcastable) to the six state parameters,
@@ -269,11 +269,11 @@ class _Pipeline:
         if "negativity" in kinds:
             negativity = _negativity_arrays(
                 *self.state_params(coords, np.longdouble))
-        if self.needs or "local" in kinds:
+        if self.criteria or "local" in kinds:
             params = self.state_params(coords)
-        if self.needs:
+        if self.criteria:
             with np.errstate(all="ignore"):
-                tables = _tables(_q_coeff_array(*params), self.needs)
+                judged = iter(_judge(self.criteria, _q_coeff_array(*params)))
         out = []
         for tgt in self.targets:
             if tgt.kind == "negativity":
@@ -286,9 +286,8 @@ class _Pipeline:
                 verdict = value > ZERO_TOL
                 indicator = -value
             else:
-                cid = tgt.criterion
-                value, scale = _value(cid, tables[_need(cid)[0]])
-                verdict = value < -RELATIVE_TOL * scale
+                value, tol = next(judged)
+                verdict = value < -tol
                 indicator = value
             out.append((np.asarray(value, dtype=float),
                         verdict.astype(np.int8),
@@ -388,8 +387,8 @@ def run_scan(spec: ScanSpec) -> ScanResult:
     boundaries = {}
     if len(shape) == 2:
         for tgt, lab in zip(spec.targets, labels):
-            boundaries[lab] = _trace_boundaries(
-                pipeline, tgt, spec.axes, axis_values, indicators[lab])
+            boundaries[lab] = _trace_boundaries(pipeline, tgt, axis_values,
+                                                indicators[lab])
     return ScanResult(spec=spec, axis_values=axis_values, values=values,
                       verdicts=verdicts, boundaries=boundaries, errors=errors)
 
@@ -427,22 +426,19 @@ def _edge_key(side: str, i: int, j: int):
     return ("v", i + 1, j)
 
 
-def _trace_boundaries(pipeline: _Pipeline, target: TargetSpec, axes,
-                      axis_values, grid: np.ndarray) -> list:
+def _trace_boundaries(pipeline: _Pipeline, target: TargetSpec, axis_values,
+                      grid: np.ndarray) -> list:
     """Marching squares over the indicator sign with bisected edges."""
     xs, ys = axis_values
     if len(xs) < 2 or len(ys) < 2:
         return []
-    crossing_h = {}
-    crossing_v = {}
-    for (store, axis) in ((crossing_h, 0), (crossing_v, 1)):
-        for i, j in zip(*_sign_changes(grid, axis)):
-            store[(int(i), int(j))] = None
-
-    _refine_edges(pipeline, target, axes, axis_values, grid,
-                  crossing_h, axis=0)
-    _refine_edges(pipeline, target, axes, axis_values, grid,
-                  crossing_v, axis=1)
+    # refined crossing of every sign-changing edge, keyed as _edge_key does
+    points = {}
+    for axis, kind in ((0, "h"), (1, "v")):
+        (i, j), crossings = _refine_edges(pipeline, target, axis_values, grid,
+                                          axis, BISECTION_REL_TOL)
+        for a, b, point in zip(i.tolist(), j.tolist(), crossings.tolist()):
+            points[(kind, a, b)] = tuple(point)
 
     # case codes and saddle centres for all cells at once; only the few
     # finite mixed cells are visited, in C order like the segment list
@@ -461,15 +457,6 @@ def _trace_boundaries(pipeline: _Pipeline, target: TargetSpec, axes,
         for side_a, side_b in _cell_segments(int(case[i, j]),
                                              bool(center[i, j])):
             segments.append((_edge_key(side_a, i, j), _edge_key(side_b, i, j)))
-
-    points = {}
-    for key in set(k for seg in segments for k in seg):
-        kind, i, j = key
-        store = crossing_h if kind == "h" else crossing_v
-        pt = store.get((i, j))
-        if pt is not None:
-            points[key] = pt
-    segments = [s for s in segments if s[0] in points and s[1] in points]
     return _chain_segments(segments, points)
 
 
@@ -509,33 +496,26 @@ def _bisect(indicator, lo, hi, lo_sign, log_spacing: bool,
     return np.sqrt(lo * hi) if log_spacing else 0.5 * (lo + hi)
 
 
-def _refine_edges(pipeline, target, axes, axis_values, grid, store, axis):
-    """Bisect the varying coordinate of every crossing edge, batched."""
-    if not store:
-        return
-    xs, ys = axis_values
-    keys = sorted(store)
-    idx = np.array(keys, dtype=int)
-    i, j = idx[:, 0], idx[:, 1]
-    if axis == 0:
-        lo, hi, other = xs[i], xs[i + 1], ys[j]
-        vary, fixed_name = axes[0], axes[1].name
-    else:
-        lo, hi, other = ys[j], ys[j + 1], xs[i]
-        vary, fixed_name = axes[1], axes[0].name
+def _refine_edges(pipeline, target, axis_values, grid, axis, rel_tol):
+    """Bisect every sign change of a 1-D or 2-D indicator grid along
+    ``axis`` in one batch.
 
-    sub = _Pipeline(ScanSpec(axes=pipeline.spec.axes, targets=(target,),
-                             fixed=pipeline.spec.fixed,
-                             noise_mode=pipeline.spec.noise_mode,
-                             threads=1))
-    final = _bisect(
-        lambda mid: sub.evaluate({vary.name: mid, fixed_name: other})[0][2],
-        lo, hi, grid[i, j] <= 0.0, vary.scale == "log", BISECTION_REL_TOL)
-    for n, key in enumerate(keys):
-        if axis == 0:
-            store[key] = (float(final[n]), float(other[n]))
-        else:
-            store[key] = (float(other[n]), float(final[n]))
+    Returns the edge indices, each edge named by its lower end as
+    _sign_changes gives them, and an (edges, ndim) array of crossing points
+    in axis coordinates: the coordinate along ``axis`` bisected to
+    ``rel_tol``, the others those of the grid.
+    """
+    edges = _sign_changes(grid, axis)
+    points = [values[index] for values, index in zip(axis_values, edges)]
+    if edges[axis].size:
+        axes = pipeline.spec.axes
+        sub = _Pipeline(replace(pipeline.spec, targets=(target,)))
+        coords = {a.name: p for a, p in zip(axes, points)}
+        points[axis] = _bisect(
+            lambda mid: sub.evaluate({**coords, axes[axis].name: mid})[0][2],
+            points[axis], axis_values[axis][edges[axis] + 1],
+            grid[edges] <= 0.0, axes[axis].scale == "log", rel_tol)
+    return edges, np.stack(points, axis=-1)
 
 
 def _chain_segments(segments, points) -> list:

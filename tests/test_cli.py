@@ -117,6 +117,21 @@ def test_boundary_reports_every_crossing(capsys):
     assert xs == pytest.approx([t_star, 1.0 - t_star], abs=1e-6)
 
 
+@pytest.mark.parametrize("bp", ["0.3", "2", "40"])
+def test_boundary_on_a_log_axis(capsys, bp):
+    """Geometric bisection on a log-spaced noise axis lands on the balanced
+    separability threshold sqrt(bp (bp + 1)) - bp."""
+    rc, out, _ = run_cli(capsys, "boundary", "--family", "negativity",
+                      "--axis", "bs", "--noise-mode", "balanced",
+                      "--scale", "log", "--min", "1e-4", "--max", "10",
+                      "--bp", bp)
+    assert rc == 0
+    crossings = json.loads(out)["crossings"]
+    assert len(crossings) == 1
+    want = criteria.entanglement_boundary_twin_beam(float(bp), True)
+    assert abs(crossings[0]["x"] - want) <= 1e-7 * want
+
+
 def test_scan_stdout_matches_the_library(capsys):
     rc, out, _ = run_cli(capsys, "scan",
                       "--axis", "bp:0.1:2:5", "--axis", "bs:0:1:5",
@@ -211,6 +226,11 @@ def test_selftest_passes(capsys):
       "--eta", "0.5", "--eta2", "0.9"], "ConfigError"),
     (["boundary", "--family", "E_p", "--axis", "bp", "--t", "0.5",
       "--phi", "inf"], "ConfigError"),
+    (["crit", "--bp", "1", "--family", "E_p", "--phi", "inf"], "ConfigError"),
+    (["crit", "--bp", "1", "--family", "M_p", "--t", "0.5", "--phi", "nan"],
+     "ConfigError"),
+    (["state", "--bp", "1", "--phi", "nan"], "ConfigError"),
+    (["pnd", "--bp", "1", "--nmax", "2", "--phi=-inf"], "ConfigError"),
 ])
 def test_failures_report_json_and_exit_nonzero(capsys, argv, error):
     rc, _, err = run_cli(capsys, *argv)

@@ -92,6 +92,16 @@ def test_evaluate_dispatches_to_family_functions():
         assert via.id == cid
 
 
+def test_evaluate_parses_label_text():
+    st = states.beam_splitter(states.twin_beam(0.8, bs=0.2, bi=0.1), 0.7)
+    for text in ("R_p:4:4:2", "M_W"):
+        assert (criteria.evaluate(st, text)
+                == criteria.evaluate(st, CriterionId.parse(text)))
+    for text in ("E_p:0", "M_W:1", "R_p:4", "X_p:0:0", "E_W:a:b"):
+        with pytest.raises(ParameterError):
+            criteria.evaluate(st, text)
+
+
 def test_ratio_criteria_swap_with_the_modes():
     st = states.twin_beam(0.8, bs=0.5, bi=0.05)
     swapped = states.TwoModeGaussianState(

@@ -68,6 +68,31 @@ def test_boundary_matches_the_separability_curve():
     assert res.errors == []
 
 
+def test_log_axis_boundary_follows_the_ratio_boundary():
+    """Edges along a log-spaced bp axis are bisected geometrically; every
+    refined vertex lies on the analytic R_p:2:2 boundary."""
+    res = scan.run_scan(ScanSpec(
+        axes=[AxisSpec("bp", 0.05, 20.0, 40, scale="log"),
+              AxisSpec("t", 0.55, 0.95, 30)],
+        targets=[TargetSpec.parse("R_p:2:2")]))
+    lines = res.boundaries["R_p:2:2:1"]
+    assert lines
+    points = np.concatenate(lines)
+    want = [criteria.boundary_R22p(t) for t in points[:, 1]]
+    np.testing.assert_allclose(points[:, 0], want, rtol=1e-7, atol=0.0)
+
+
+@pytest.mark.parametrize("env", ["0", "-2"])
+def test_thread_count_from_the_environment_must_be_positive(monkeypatch,
+                                                             env):
+    spec = _negativity_spec(3)
+    monkeypatch.setenv(scan.THREADS_ENV, "3")
+    assert spec.resolve_threads() == 3
+    monkeypatch.setenv(scan.THREADS_ENV, env)
+    with pytest.raises(ConfigError):
+        spec.resolve_threads()
+
+
 def test_verdicts_flag_the_nonclassical_side():
     res = scan.run_scan(_negativity_spec(9))
     vals = res.values["negativity"]
@@ -294,14 +319,12 @@ def test_invalid_configurations_are_rejected(build):
 
 # -- marching squares and CSV against per-cell references -------------------
 
-def _midpoint_refine(pipeline, target, axes, axis_values, grid, store, axis):
+def _midpoint_refine(pipeline, target, axis_values, grid, axis, rel_tol):
     """Stand-in for bisection: every crossing edge ends at its midpoint."""
-    xs, ys = axis_values
-    for i, j in store:
-        if axis == 0:
-            store[(i, j)] = (0.5 * (xs[i] + xs[i + 1]), float(ys[j]))
-        else:
-            store[(i, j)] = (float(xs[i]), 0.5 * (ys[j] + ys[j + 1]))
+    edges = scan._sign_changes(grid, axis)
+    points = [values[index] for values, index in zip(axis_values, edges)]
+    points[axis] = 0.5 * (points[axis] + axis_values[axis][edges[axis] + 1])
+    return edges, np.stack(points, axis=-1)
 
 
 def _per_cell_trace(axis_values, grid):
@@ -309,9 +332,10 @@ def _per_cell_trace(axis_values, grid):
     xs, ys = axis_values
     crossings = ({}, {})
     for axis, store in enumerate(crossings):
-        for i, j in zip(*scan._sign_changes(grid, axis)):
-            store[(int(i), int(j))] = None
-        _midpoint_refine(None, None, None, axis_values, grid, store, axis)
+        (ii, jj), pts = _midpoint_refine(None, None, axis_values, grid, axis,
+                                         None)
+        for i, j, pt in zip(ii, jj, pts):
+            store[(int(i), int(j))] = tuple(pt)
     segments = []
     for i in range(len(xs) - 1):
         for j in range(len(ys) - 1):
@@ -378,7 +402,7 @@ def test_marching_squares_matches_the_per_cell_reference(monkeypatch, name):
     rows, cols = grid.shape
     axis_values = (np.geomspace(0.1, 3.0, rows), np.linspace(0.5, 1.0, cols))
     monkeypatch.setattr(scan, "_refine_edges", _midpoint_refine)
-    got = scan._trace_boundaries(None, None, None, axis_values, grid)
+    got = scan._trace_boundaries(None, None, axis_values, grid)
     want = _per_cell_trace(axis_values, grid)
     assert want  # every grid here has a contour
     assert len(got) == len(want)
@@ -393,7 +417,7 @@ def test_saddle_centres_pick_the_pairing(monkeypatch):
     axis_values = (np.array([0.0, 1.0]), np.array([0.0, 1.0]))
 
     def cuts(name):
-        lines = scan._trace_boundaries(None, None, None, axis_values,
+        lines = scan._trace_boundaries(None, None, axis_values,
                                        _TRACE_GRIDS[name])
         return sorted(sorted(map(tuple, line.tolist())) for line in lines)
 
