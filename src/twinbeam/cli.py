@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import re
 import sys
 
 import numpy as np
@@ -33,7 +34,7 @@ from .moments import (build_k_matrix, photon_number_distribution, pnd_table)
 from .quantifiers import classify
 from .scan import (AXIS_NAMES, AxisSpec, ScanSpec, TargetSpec, _Pipeline,
                    _refine_edges, run_scan, write_boundaries_json, write_csv)
-from .states import (BeamSplitterParams, TwinBeamParams, attenuate,
+from .states import (BeamSplitterParams, TwinBeamParams, _checked, attenuate,
                      beam_splitter, covariance_n, symplectic_eigenvalues,
                      twin_beam)
 from .svg import render_svg
@@ -50,6 +51,12 @@ _BOUNDARY_DEFAULT_RANGES = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # take -1e-3, -.5, -inf and -nan for values, not for flags
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)",
+                                                   re.IGNORECASE)
+
     def error(self, message):
         raise ConfigError(message)
 
@@ -94,8 +101,7 @@ def _add_state_args(parser, require_bp=True):
 
 
 def _state_from_args(args):
-    if not np.isfinite(args.phi):
-        raise ConfigError(f"--phi must be finite, got {args.phi}")
+    _checked("phi", args.phi, ConfigError)
     state = twin_beam(TwinBeamParams(args.bp, args.bs, args.bi))
     if args.t is not None:
         state = beam_splitter(state, BeamSplitterParams(args.t, args.phi))

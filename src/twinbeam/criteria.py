@@ -9,6 +9,10 @@ W uses normally ordered intensity moments, p uses factorial-scaled photon
 number probabilities, which stay finite for strong fields and are directly
 accessible from photocounting records.
 
+Every criterion reads its table from moments._table and passes the
+max_order guard of the moments module; the closed forms and boundaries
+check their parameters against the range table of the states module.
+
 A criterion certifies non-classicality only when its value is below -tol,
 where tol is 1e-12 times the largest of its constituent terms.  This
 tolerance is a heuristic, not a proven bound on the rounding error: where
@@ -28,10 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderLimitError, ParameterError
-from .moments import (DEFAULT_MAX_ORDER, _marginal_grid, _moment_grid,
-                      _prob_grid, _q_coeff_array, _scaled_grid)
-from .states import TwoModeGaussianState
+from .errors import ParameterError
+from .moments import _check_index, _check_order, _q_coeff_array, _table
+from .states import TwoModeGaussianState, _checked
 
 __all__ = [
     "FAMILIES",
@@ -76,12 +79,8 @@ class CriterionId:
                 f"unknown criterion family {self.family!r}; "
                 f"expected one of {', '.join(FAMILIES)}")
         for name in ("k1", "k2"):
-            value = getattr(self, name)
-            iv = int(value)
-            if iv != value or iv < 0:
-                raise ParameterError(
-                    f"{name} must be a non-negative integer, got {value!r}")
-            object.__setattr__(self, name, iv)
+            value = _check_index(name, getattr(self, name))
+            object.__setattr__(self, name, value)
         mode = int(self.mode)
         if mode not in (1, 2):
             raise ParameterError(f"mode must be 1 or 2, got {self.mode!r}")
@@ -146,15 +145,17 @@ class CriterionResult:
 
 # -- the shared engine ------------------------------------------------------
 #
-# Every criterion is read off one table built from the Q coefficients.  The
-# functions below take coefficient arrays with any trailing batch axes, so a
-# single state (a batch of one) and a scan grid share them.
+# Every criterion is read off one table that moments._table builds from the
+# Q coefficients.  The functions below take coefficient arrays with any
+# trailing batch axes, so a single state (a batch of one) and a scan grid
+# share them.
 
 def _need(cid: CriterionId):
     """Table kind, table orders and derivative order of a criterion.
 
-    Kinds are "W" (intensity moments), "p" (factorial-scaled probabilities)
-    and their single-mode marginals "W1", "W2", "p1", "p2".
+    Kinds are those of moments._table: "W" (intensity moments), "p"
+    (factorial-scaled probabilities) and their single-mode marginals "W1",
+    "W2", "p1", "p2".
     """
     variant = cid.family[2]
     if cid.family[0] == "E":
@@ -192,14 +193,8 @@ def _judge(ids, coeffs: np.ndarray) -> list:
     for kind, (o1, o2), _ in needs:
         c1, c2 = orders.get(kind, (0, 0))
         orders[kind] = (max(c1, o1), max(c2, o2))
-    tables = {}
-    for kind, (o1, o2) in orders.items():
-        q = coeffs if len(kind) == 1 else _marginal_grid(coeffs, int(kind[1]))
-        if kind[0] == "W":
-            table = _moment_grid(q, o1, o2)
-        else:
-            table = _scaled_grid(_prob_grid(q, o1, o2))
-        tables[kind] = table if len(kind) == 1 else table[:, 0]
+    tables = {kind: _table(coeffs, kind, o1, o2)
+              for kind, (o1, o2) in orders.items()}
     out = []
     for cid, (kind, _, _) in zip(ids, needs):
         value, scale = _value(cid, tables[kind])
@@ -213,11 +208,7 @@ def evaluate(state: TwoModeGaussianState, cid: CriterionId,
     if not isinstance(cid, CriterionId):
         cid = CriterionId.parse(str(cid))
     order = _need(cid)[2]
-    limit = DEFAULT_MAX_ORDER if max_order is None else int(max_order)
-    if order > limit:
-        raise OrderLimitError(
-            f"criterion needs derivative order {order}, above the configured "
-            f"maximum {limit}")
+    _check_order(order, max_order)
     ((value, tol),) = _judge([cid], _q_coeff_array(*state.params()))
     return CriterionResult(id=cid, value=float(value),
                            nonclassical=bool(value < -tol),
@@ -278,20 +269,13 @@ def default_catalog() -> tuple:
 
 # -- closed forms for the noiseless twin beam -------------------------------
 
-def _check_bp(bp: float) -> float:
-    bp = float(bp)
-    if not np.isfinite(bp) or bp < 0.0:
-        raise ParameterError(f"bp must be non-negative and finite, got {bp}")
-    return bp
-
-
 def closed_form_noiseless(cid: CriterionId, bp: float) -> float:
     """Reference value of a criterion on the noiseless twin beam.
 
     Covers the E and M families at the index pairs with compact closed
     forms; other identifiers raise ParameterError.
     """
-    b = _check_bp(bp)
+    b = _checked("bp", bp)
     if not isinstance(cid, CriterionId):
         cid = CriterionId.parse(str(cid))
     key = (min(cid.k1, cid.k2), max(cid.k1, cid.k2))
@@ -331,10 +315,8 @@ def closed_form_bs_output(cid: CriterionId, bp: float, t: float) -> float:
 
     The dependence on the splitting enters only through w = t (1 - t).
     """
-    b = _check_bp(bp)
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError(f"transmissivity must lie in [0, 1], got {t}")
+    b = _checked("bp", bp)
+    t = _checked("t", t)
     if not isinstance(cid, CriterionId):
         cid = CriterionId.parse(str(cid))
     w = t * (1.0 - t)
@@ -368,9 +350,7 @@ def boundary_R22p(t: float) -> float | None:
     stays negative for every pair mean, so the non-classical region is
     unbounded there.
     """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError(f"transmissivity must lie in [0, 1], got {t}")
+    t = _checked("t", t)
     w = t * (1.0 - t)
     denom = (2.0 * t - 1.0) ** 2
     if denom < 1e-30:
@@ -388,10 +368,8 @@ def boundary_noise_balanced_R22p(bp: float, t: float) -> float:
     A non-positive return means the criterion is already non-negative
     without added noise.
     """
-    b = _check_bp(bp)
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ParameterError(f"transmissivity must lie in [0, 1], got {t}")
+    b = _checked("bp", bp)
+    t = _checked("t", t)
     w = t * (1.0 - t)
     s = b * (b + 1.0)
     inner = 16.0 * w * s + 4.0 * math.sqrt((_SQRT33 - 5.0) * w * s) + 1.0
@@ -406,7 +384,7 @@ def entanglement_boundary_twin_beam(bp: float, balanced: bool) -> float:
     threshold is 1 independently of the pair mean.  A beam with no pairs is
     never entangled, so bp = 0 returns 0.
     """
-    b = _check_bp(bp)
+    b = _checked("bp", bp)
     if b == 0.0:
         return 0.0
     if balanced:

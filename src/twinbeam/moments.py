@@ -9,6 +9,12 @@ number distribution.  The expansion itself lives in the series module; this
 module builds Q from the state parameters and packages the coefficients as
 moments, probabilities, and their factorial-scaled variants.
 
+One private function, _table, maps Q coefficients (of one state or a scan
+grid) to every table, joint or marginal, for the public functions and the
+criteria alike.  It holds the one rule for negative probabilities: below
+-1e-12 it raises EvaluationError, above that it clamps to zero, so an
+element raises exactly when the table it is read from does.
+
 Marginal quantities use the exact single-mode reduction of Q rather than
 summing the joint distribution, so marginal tails can be bounded without
 ever forming a large two-dimensional table.
@@ -161,59 +167,58 @@ def q_polynomial(state: TwoModeGaussianState) -> BivariateSeries:
     return BivariateSeries(_q_coeff_array(*state.params()), point=(0.0, 0.0))
 
 
-# -- grids from Q coefficients ---------------------------------------------
-#
-# The helpers below take the (3, 3, *batch) coefficient array of Q, so one
-# state and a whole parameter grid go through the same code.
+# -- tables from Q coefficients --------------------------------------------
 
-def _signed_expansion(q: np.ndarray, o1: int, o2: int,
-                      about_one: bool) -> np.ndarray:
-    """Coefficients of Q**(-1/2) about the origin or about (1, 1), times
-    (-1)**(i + j)."""
+def _table(q: np.ndarray, kind: str, o1: int, o2: int = 0) -> np.ndarray:
+    """One table read off the (3, 3, *batch) Q coefficients ``q``.
+
+    ``kind`` is "W" for the normally ordered intensity moments
+    <W1**i W2**j>, "P" for the photon-number probabilities p(n1, n2) and
+    "p" for the factorial-scaled probabilities n1! n2! p(n1, n2) / p(0, 0),
+    with i, n1 <= o1 and j, n2 <= o2.  A trailing "1" or "2" asks for the
+    marginal of that mode instead, an (o1 + 1, *batch) table.
+
+    Moments expand Q**(-1/2) about the origin, probabilities about (1, 1).
+    Probabilities below -1e-12 raise EvaluationError, and rounding-level
+    negatives above that are clamped to zero.  The scaled probabilities
+    keep their sign, because the criteria read them with a tolerance of
+    their own.
+    """
+    marginal = kind[1:]
+    if marginal == "1":
+        q = q[:, :1]
+    elif marginal == "2":
+        # setting the other variable to zero removes its mode exactly
+        q = q[:1].swapaxes(0, 1)
+    elif marginal:
+        raise ParameterError(f"mode must be 1 or 2, got {marginal!r}")
     series = BivariateSeries(q)
-    if about_one:
+    if kind[0] != "W":
         series = series.rebased(1.0, 1.0)
     s = series.rsqrt(order1=o1, order2=o2).coeffs
     s[1::2] *= -1.0
     s[:, 1::2] *= -1.0
-    return s
+    if kind[0] == "W":
+        s = _fact_grid(s) * s
+    elif kind[0] == "p":
+        s = _fact_grid(s) * (s / s[0, 0])
+    else:
+        if np.any(s < -1e-12):
+            raise EvaluationError(
+                "photon-number expansion produced a significantly negative "
+                "probability; the requested size exceeds the stable range")
+        s = np.maximum(s, 0.0, out=s)
+    return s[:, 0] if marginal else s
 
 
-def _moment_grid(q: np.ndarray, o1: int, o2: int) -> np.ndarray:
-    """Normally ordered intensity moments <W1**i W2**j>, i <= o1, j <= o2."""
-    s = _signed_expansion(q, o1, o2, about_one=False)
-    return _fact_grid(s) * s
-
-
-def _prob_grid(q: np.ndarray, o1: int, o2: int) -> np.ndarray:
-    """Photon-number probabilities p(n1, n2), n1 <= o1, n2 <= o2, unclamped."""
-    return _signed_expansion(q, o1, o2, about_one=True)
-
-
-def _scaled_grid(p: np.ndarray) -> np.ndarray:
-    """Factorial-scaled probabilities n1! n2! p(n1, n2) / p(0, 0)."""
-    return _fact_grid(p) * (p / p[0, 0])
-
-
-def _marginal_grid(q: np.ndarray, mode: int) -> np.ndarray:
-    """Single-mode reduction of Q as a (3, 1, *batch) coefficient grid.
-
-    Setting the other mode's variable to zero removes it exactly, leaving the
-    quadratic 1 + a*l + b*l**2 in the first variable; the second axis is kept
-    with order zero so the two-mode helpers apply unchanged.
-    """
-    if mode == 1:
-        return q[:, :1]
-    if mode == 2:
-        return q[:1].swapaxes(0, 1)
-    raise ParameterError(f"mode must be 1 or 2, got {mode!r}")
-
-
-def _check_order(total: int, max_order: int):
-    if total > max_order:
+def _check_order(total: int, max_order: int | None) -> None:
+    """Raise OrderLimitError when a derivative order of ``total`` exceeds
+    ``max_order``, DEFAULT_MAX_ORDER when it is None."""
+    limit = DEFAULT_MAX_ORDER if max_order is None else int(max_order)
+    if total > limit:
         raise OrderLimitError(
             f"requested derivative order {total} exceeds the configured "
-            f"maximum {max_order}; raise max_order explicitly if intended")
+            f"maximum {limit}; raise max_order explicitly if intended")
 
 
 def _check_index(name: str, value) -> int:
@@ -222,6 +227,13 @@ def _check_index(name: str, value) -> int:
         raise ParameterError(f"{name} must be a non-negative integer, "
                              f"got {value!r}")
     return iv
+
+
+def _element(state: TwoModeGaussianState, kind: str, index: tuple,
+             max_order: int | None) -> float:
+    """Entry ``index`` of the smallest table of ``kind`` that holds it."""
+    _check_order(sum(index), max_order)
+    return float(_table(q_polynomial(state).coeffs, kind, *index)[index])
 
 
 # -- intensity moments -----------------------------------------------------
@@ -235,26 +247,21 @@ def moment_table(state: TwoModeGaussianState, order1: int, order2: int,
     """
     o1 = _check_index("order1", order1)
     o2 = _check_index("order2", order2)
-    _check_order(o1 + o2, DEFAULT_MAX_ORDER if max_order is None else max_order)
-    return _moment_grid(q_polynomial(state).coeffs, o1, o2)
+    _check_order(o1 + o2, max_order)
+    return _table(q_polynomial(state).coeffs, "W", o1, o2)
 
 
 def intensity_moment(state: TwoModeGaussianState, k1: int, k2: int,
                      *, max_order: int | None = None) -> float:
     """Normally ordered intensity moment <W1**k1 W2**k2>."""
-    k1 = _check_index("k1", k1)
-    k2 = _check_index("k2", k2)
-    _check_order(k1 + k2, DEFAULT_MAX_ORDER if max_order is None else max_order)
-    return float(_moment_grid(q_polynomial(state).coeffs, k1, k2)[k1, k2])
+    return _element(state, "W", (_check_index("k1", k1),
+                                 _check_index("k2", k2)), max_order)
 
 
 def marginal_intensity_moment(state: TwoModeGaussianState, mode: int, k: int,
                               *, max_order: int | None = None) -> float:
     """Single-mode moment <Wj**k>, computed from the exact marginal."""
-    k = _check_index("k", k)
-    _check_order(k, DEFAULT_MAX_ORDER if max_order is None else max_order)
-    q = _marginal_grid(q_polynomial(state).coeffs, mode)
-    return float(_moment_grid(q, k, 0)[k, 0])
+    return _element(state, f"W{mode}", (_check_index("k", k),), max_order)
 
 
 # -- photon-number distribution --------------------------------------------
@@ -262,79 +269,59 @@ def marginal_intensity_moment(state: TwoModeGaussianState, mode: int, k: int,
 def pnd_table(state: TwoModeGaussianState, n_max1: int, n_max2: int) -> np.ndarray:
     """Joint photon-number probabilities p(n1, n2) for n1 <= n_max1,
     n2 <= n_max2.  Rounding-level negatives deep in the tail are clamped."""
-    o1 = _check_index("n_max1", n_max1)
-    o2 = _check_index("n_max2", n_max2)
-    p = _prob_grid(q_polynomial(state).coeffs, o1, o2)
-    if np.any(p < -1e-12):
-        raise EvaluationError(
-            "photon-number expansion produced a significantly negative "
-            "probability; the requested size exceeds the stable range")
-    return np.maximum(p, 0.0, out=p)
+    return _table(q_polynomial(state).coeffs, "P",
+                  _check_index("n_max1", n_max1),
+                  _check_index("n_max2", n_max2))
 
 
 def pnd_element(state: TwoModeGaussianState, n1: int, n2: int,
                 *, max_order: int | None = None) -> float:
-    """Joint photon-number probability p(n1, n2)."""
-    n1 = _check_index("n1", n1)
-    n2 = _check_index("n2", n2)
-    _check_order(n1 + n2, DEFAULT_MAX_ORDER if max_order is None else max_order)
-    value = float(_prob_grid(q_polynomial(state).coeffs, n1, n2)[n1, n2])
-    return max(value, 0.0) if value > -1e-12 else value
+    """Joint photon-number probability p(n1, n2), the entry of
+    pnd_table(state, n1, n2)."""
+    return _element(state, "P", (_check_index("n1", n1),
+                                 _check_index("n2", n2)), max_order)
 
 
 def modified_pnd_table(state: TwoModeGaussianState, n_max1: int,
                        n_max2: int) -> np.ndarray:
     """Table of factorial-scaled probabilities n1! n2! p(n1, n2) / p(0, 0)."""
-    o1 = _check_index("n_max1", n_max1)
-    o2 = _check_index("n_max2", n_max2)
-    return _scaled_grid(_prob_grid(q_polynomial(state).coeffs, o1, o2))
+    return _table(q_polynomial(state).coeffs, "p",
+                  _check_index("n_max1", n_max1),
+                  _check_index("n_max2", n_max2))
 
 
 def modified_pnd_element(state: TwoModeGaussianState, n1: int, n2: int,
                          *, max_order: int | None = None) -> float:
     """Factorial-scaled joint probability n1! n2! p(n1, n2) / p(0, 0)."""
-    n1 = _check_index("n1", n1)
-    n2 = _check_index("n2", n2)
-    _check_order(n1 + n2, DEFAULT_MAX_ORDER if max_order is None else max_order)
-    p = _prob_grid(q_polynomial(state).coeffs, n1, n2)
-    return float(_scaled_grid(p)[n1, n2])
-
-
-def _marginal_prob_grid(state: TwoModeGaussianState, mode: int,
-                        n_max: int) -> np.ndarray:
-    q = _marginal_grid(q_polynomial(state).coeffs, mode)
-    return _prob_grid(q, n_max, 0)
+    return _element(state, "p", (_check_index("n1", n1),
+                                 _check_index("n2", n2)), max_order)
 
 
 def marginal_pnd_table(state: TwoModeGaussianState, mode: int,
                        n_max: int) -> np.ndarray:
     """Marginal probabilities p_mode(n) for n <= n_max, from the exact
     single-mode reduction (no joint table is formed)."""
-    n_max = _check_index("n_max", n_max)
-    p = _marginal_prob_grid(state, mode, n_max)[:, 0]
-    return np.where((p < 0.0) & (p > -1e-12), 0.0, p)
+    return _table(q_polynomial(state).coeffs, f"P{mode}",
+                  _check_index("n_max", n_max))
 
 
 def marginal_pnd(state: TwoModeGaussianState, mode: int, n: int,
                  *, max_order: int | None = None) -> float:
-    """Marginal photon-number probability of one mode."""
-    n = _check_index("n", n)
-    _check_order(n, DEFAULT_MAX_ORDER if max_order is None else max_order)
-    return float(marginal_pnd_table(state, mode, n)[n])
+    """Marginal photon-number probability of one mode, the entry of
+    marginal_pnd_table(state, mode, n)."""
+    return _element(state, f"P{mode}", (_check_index("n", n),), max_order)
 
 
 def marginal_modified_pnd_table(state: TwoModeGaussianState, mode: int,
                                 n_max: int) -> np.ndarray:
-    n_max = _check_index("n_max", n_max)
-    return _scaled_grid(_marginal_prob_grid(state, mode, n_max))[:, 0]
+    return _table(q_polynomial(state).coeffs, f"p{mode}",
+                  _check_index("n_max", n_max))
 
 
 def marginal_modified_pnd(state: TwoModeGaussianState, mode: int, n: int,
                           *, max_order: int | None = None) -> float:
     """Factorial-scaled marginal probability n! p_mode(n) / p_mode(0)."""
-    n = _check_index("n", n)
-    _check_order(n, DEFAULT_MAX_ORDER if max_order is None else max_order)
-    return float(marginal_modified_pnd_table(state, mode, n)[n])
+    return _element(state, f"p{mode}", (_check_index("n", n),), max_order)
 
 
 @dataclass(frozen=True)
@@ -379,11 +366,6 @@ class PhotonNumberDistribution:
         return float(self.p.sum())
 
 
-def _marginal_tail(state: TwoModeGaussianState, mode: int, n_max: int) -> float:
-    covered = float(marginal_pnd_table(state, mode, n_max).sum())
-    return max(0.0, 1.0 - covered)
-
-
 def photon_number_distribution(state: TwoModeGaussianState,
                                *, tail_tol: float = 1e-10,
                                n_start: int = 16,
@@ -401,7 +383,9 @@ def photon_number_distribution(state: TwoModeGaussianState,
     cutoffs = []
     for mode in (1, 2):
         n = max(4, int(n_start))
-        while _marginal_tail(state, mode, n) > tail_tol / 2.0:
+        # the exact marginal's mass beyond n, without a joint table
+        while (1.0 - float(marginal_pnd_table(state, mode, n).sum())
+               > tail_tol / 2.0):
             n *= 2
             if n > n_cap:
                 raise TruncationError(

@@ -26,6 +26,7 @@ from scipy.stats import binom
 
 from .errors import EvaluationError, ParameterError
 from .moments import PhotonNumberDistribution
+from .states import _checked
 
 __all__ = [
     "BsCoefficientTable",
@@ -91,10 +92,7 @@ class BsCoefficientTable:
     _shells: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        t = float(self.t)
-        if not 0.0 <= t <= 1.0:
-            raise ParameterError(f"transmissivity must lie in [0, 1], got {t}")
-        self.t = t
+        self.t = _checked("t", self.t)
         self.cutoff = int(self.cutoff)
         if self.cutoff < 0:
             raise ParameterError("cutoff must be non-negative")
@@ -166,11 +164,8 @@ def bernoulli_downsample(pnd: PhotonNumberDistribution, eta1: float,
     tail mass is kept as a (now conservative) bound, since loss can only
     move probability toward smaller counts.
     """
-    e1 = float(eta1)
-    e2 = e1 if eta2 is None else float(eta2)
-    for name, value in (("eta1", e1), ("eta2", e2)):
-        if not 0.0 <= value <= 1.0:
-            raise ParameterError(f"{name} must lie in [0, 1], got {value}")
+    e1 = _checked("eta1", eta1)
+    e2 = e1 if eta2 is None else _checked("eta2", eta2)
     t1 = _loss_matrix(pnd.n_max1, e1)
     t2 = _loss_matrix(pnd.n_max2, e2)
     out = t1 @ pnd.p @ t2.T

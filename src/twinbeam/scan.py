@@ -25,7 +25,6 @@ zero count as non-classical for the contour topology.
 from __future__ import annotations
 
 import json
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -36,7 +35,8 @@ from .criteria import CriterionId, _judge
 from .errors import ConfigError
 from .moments import _q_coeff_array
 from .quantifiers import ZERO_TOL, _local_values, _negativity_arrays
-from .states import _attenuate_arrays, _bs_transform_arrays, _twin_beam_arrays
+from .states import (_attenuate_arrays, _bs_transform_arrays, _checked,
+                     _twin_beam_arrays)
 
 __all__ = [
     "AXIS_NAMES",
@@ -53,25 +53,8 @@ AXIS_NAMES = ("bp", "bs", "bi", "t", "eta")
 NOISE_MODES = ("independent", "balanced", "unbalanced")
 THREADS_ENV = "TWINBEAM_THREADS"
 
-_RANGES = {
-    "bp": (0.0, math.inf),
-    "bs": (0.0, math.inf),
-    "bi": (0.0, math.inf),
-    "t": (0.0, 1.0),
-    "eta": (0.0, 1.0),
-    "phi": (-math.inf, math.inf),
-}
-
 BISECTION_MAX_ITER = 60
 BISECTION_REL_TOL = 1e-9
-
-
-def _check_range(name: str, value: float):
-    lo, hi = _RANGES[name]
-    if not np.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value}")
-    if not lo <= value <= hi:
-        raise ConfigError(f"{name} must lie in [{lo}, {hi}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +72,8 @@ class AxisSpec:
             raise ConfigError(
                 f"unknown axis {self.name!r}; expected one of "
                 f"{', '.join(AXIS_NAMES)}")
-        start = float(self.start)
-        stop = float(self.stop)
+        start = _checked(self.name, self.start, ConfigError)
+        stop = _checked(self.name, self.stop, ConfigError)
         count = int(self.count)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "stop", stop)
@@ -99,8 +82,6 @@ class AxisSpec:
             raise ConfigError(f"scale must be linear or log, got {self.scale!r}")
         if count < 1:
             raise ConfigError(f"axis {self.name} needs count >= 1, got {count}")
-        if not (np.isfinite(start) and np.isfinite(stop)):
-            raise ConfigError(f"axis {self.name} bounds must be finite")
         if start > stop:
             raise ConfigError(
                 f"axis {self.name} bounds must be ordered, got "
@@ -109,8 +90,6 @@ class AxisSpec:
             raise ConfigError(
                 f"axis {self.name} uses log spacing, so its start must be "
                 f"positive, got {start}")
-        _check_range(self.name, start)
-        _check_range(self.name, stop)
 
     def values(self) -> np.ndarray:
         if self.count == 1:
@@ -192,14 +171,12 @@ class ScanSpec:
                 f"noise_mode must be one of {', '.join(NOISE_MODES)}, "
                 f"got {self.noise_mode!r}")
         for key, value in self.fixed.items():
-            if key not in _RANGES:
+            if key not in AXIS_NAMES + ("phi",):
                 raise ConfigError(f"unknown fixed parameter {key!r}")
             if key in names:
                 raise ConfigError(
                     f"{key!r} cannot be both an axis and a fixed parameter")
-            value = float(value)
-            _check_range(key, value)
-            self.fixed[key] = value
+            self.fixed[key] = _checked(key, value, ConfigError)
         if self.noise_mode in ("balanced", "unbalanced"):
             if "bi" in names or "bi" in self.fixed:
                 raise ConfigError(

@@ -25,6 +25,8 @@ even from another state's fields, carries no copy.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,9 +51,28 @@ __all__ = [
 PHYSICALITY_TOL = 1e-9
 
 
-def _require_finite(name, value):
-    if not np.isfinite(value):
-        raise ParameterError(f"{name} must be finite, got {value!r}")
+# Allowed range of every scalar state parameter: the twin-beam means bp, bs
+# and bi, the mode means b1 and b2, the transmissivity t and phase phi of a
+# beam splitter, and the detection efficiencies.  _checked is the only
+# place they are compared; bs_unitary, which takes arrays, checks its own.
+_PARAM_RANGES = {
+    **dict.fromkeys(("bp", "bs", "bi", "b1", "b2"), (0.0, math.inf)),
+    **dict.fromkeys(("t", "eta", "eta1", "eta2"), (0.0, 1.0)),
+    "phi": (-math.inf, math.inf),
+}
+
+
+def _checked(name: str, value, error=ParameterError) -> float:
+    """``value`` as a float, or ``error`` when it is not finite or lies
+    outside the range of parameter ``name``."""
+    value = float(value)
+    lo, hi = _PARAM_RANGES[name]
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
+    if not lo <= value <= hi:
+        span = "non-negative" if hi == math.inf else f"in [{lo:g}, {hi:g}]"
+        raise error(f"{name} must be {span}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -64,11 +85,7 @@ class TwinBeamParams:
 
     def __post_init__(self):
         for name in ("bp", "bs", "bi"):
-            value = float(getattr(self, name))
-            _require_finite(name, value)
-            if value < 0.0:
-                raise ParameterError(f"{name} must be non-negative, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _checked(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -79,14 +96,8 @@ class BeamSplitterParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        t = float(self.t)
-        phi = float(self.phi)
-        _require_finite("t", t)
-        _require_finite("phi", phi)
-        if not 0.0 <= t <= 1.0:
-            raise ParameterError(f"transmissivity must lie in [0, 1], got {t}")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "t", _checked("t", self.t))
+        object.__setattr__(self, "phi", _checked("phi", self.phi))
 
     @property
     def r(self) -> float:
@@ -221,22 +232,14 @@ class TwoModeGaussianState:
                                     repr=False)
 
     def __post_init__(self):
-        b1 = float(self.b1)
-        b2 = float(self.b2)
-        _require_finite("b1", b1)
-        _require_finite("b2", b2)
-        if b1 < 0.0 or b2 < 0.0:
-            raise ParameterError(
-                f"mean photon numbers must be non-negative, got ({b1}, {b2})")
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "b2", b2)
+        for name in ("b1", "b2"):
+            object.__setattr__(self, name, _checked(name, getattr(self, name)))
         for name in ("c1", "c2", "d12", "dbar12"):
             value = complex(getattr(self, name))
-            if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+            if not cmath.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
-        if not is_physical_params(b1, b2, self.c1, self.c2,
-                                  self.d12, self.dbar12):
+        if not is_physical_params(*self.params()):
             nu_m, _ = _symplectic_pair(*_covariance_invariants(*self.params()))
             raise PhysicalityError(
                 "parameters violate the uncertainty relation "
@@ -485,10 +488,6 @@ def attenuate(state: TwoModeGaussianState, eta1: float,
               eta2: float | None = None) -> TwoModeGaussianState:
     """Detection loss: independent attenuation of the two modes, a plain
     rescaling of the parameters."""
-    e1 = float(eta1)
-    e2 = e1 if eta2 is None else float(eta2)
-    for name, value in (("eta1", e1), ("eta2", e2)):
-        _require_finite(name, value)
-        if not 0.0 <= value <= 1.0:
-            raise ParameterError(f"{name} must lie in [0, 1], got {value}")
+    e1 = _checked("eta1", eta1)
+    e2 = e1 if eta2 is None else _checked("eta2", eta2)
     return _apply(state, _attenuate_arrays, e1, e2)

@@ -231,6 +231,8 @@ def test_selftest_passes(capsys):
      "ConfigError"),
     (["state", "--bp", "1", "--phi", "nan"], "ConfigError"),
     (["pnd", "--bp", "1", "--nmax", "2", "--phi=-inf"], "ConfigError"),
+    (["crit", "--bp", "1", "--family", "M_p", "--t", "0.6", "--phi", "-inf"],
+     "ConfigError"),
 ])
 def test_failures_report_json_and_exit_nonzero(capsys, argv, error):
     rc, _, err = run_cli(capsys, *argv)
@@ -238,6 +240,21 @@ def test_failures_report_json_and_exit_nonzero(capsys, argv, error):
     payload = json.loads(err)
     assert payload["error"] == error
     assert payload["message"]
+
+
+@pytest.mark.parametrize("phi", ["-1e-3", "-2E-1", "-.5", "-3"])
+def test_negative_values_are_values_not_flags(capsys, phi):
+    base = ["crit", "--bp", "1", "--family", "M_p", "--t", "0.6"]
+    rc, out, err = run_cli(capsys, *base, "--phi", phi)
+    assert rc == 0, err
+    assert out == run_cli(capsys, *base, f"--phi={phi}")[1]
+
+
+def test_negative_infinite_phi_is_rejected_as_a_value(capsys):
+    rc, _, err = run_cli(capsys, "crit", "--bp", "1", "--family", "M_p",
+                         "--t", "0.6", "--phi", "-inf")
+    assert rc == 1
+    assert "phi must be finite" in json.loads(err)["message"]
 
 
 def test_module_entry_point():

@@ -92,6 +92,19 @@ def test_evaluate_dispatches_to_family_functions():
         assert via.id == cid
 
 
+@pytest.mark.parametrize("call", [
+    lambda: criteria.closed_form_noiseless(CriterionId("M_p"), -1.0),
+    lambda: criteria.closed_form_bs_output(CriterionId("M_p"), 1.0, 1.5),
+    lambda: criteria.closed_form_bs_output(CriterionId("M_p"), math.nan, 0.5),
+    lambda: criteria.boundary_R22p(math.nan),
+    lambda: criteria.boundary_noise_balanced_R22p(1.0, -0.1),
+    lambda: criteria.entanglement_boundary_twin_beam(math.inf, True),
+])
+def test_parameter_validation(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
 def test_evaluate_parses_label_text():
     st = states.beam_splitter(states.twin_beam(0.8, bs=0.2, bi=0.1), 0.7)
     for text in ("R_p:4:4:2", "M_W"):

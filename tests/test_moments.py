@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_physical_state
 from twinbeam import moments, states
-from twinbeam.errors import OrderLimitError, TruncationError
+from twinbeam.errors import EvaluationError, OrderLimitError, TruncationError
 
 
 def _characteristic_quadrature(state, lam1, lam2, nodes=48):
@@ -203,6 +203,31 @@ def test_pnd_table_matches_elements():
             assert table[n1, n2] == pytest.approx(
                 moments.pnd_element(st, n1, n2), rel=1e-13, abs=1e-300
             )
+
+
+def test_pnd_element_raises_where_its_table_does():
+    """At bp = 60.6 the expansion about (1, 1) turns significantly negative
+    inside a 124 x 122 table; its element must not return that value."""
+    st = states.twin_beam(60.6)
+    with pytest.raises(EvaluationError):
+        moments.pnd_table(st, 123, 121)
+    with pytest.raises(EvaluationError):
+        moments.pnd_element(st, 123, 121, max_order=244)
+
+
+def test_probability_elements_are_their_table_entries():
+    """Exact zeros off a twin beam's diagonal and underflowed marginal tails
+    come back as the same +0.0 from an element and from its table."""
+    st = states.twin_beam(0.01)
+    for n1, n2 in [(0, 0), (4, 3), (2, 7), (6, 6)]:
+        got = moments.pnd_element(st, n1, n2, max_order=16)
+        want = moments.pnd_table(st, n1, n2)[n1, n2]
+        assert got == want and not np.signbit(got)
+    for mode in (1, 2):
+        for n in (0, 5, 300):
+            got = moments.marginal_pnd(st, mode, n, max_order=n)
+            want = moments.marginal_pnd_table(st, mode, n)[n]
+            assert got == want and not np.signbit(got)
 
 
 def test_modified_elements_follow_definition():

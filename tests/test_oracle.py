@@ -134,3 +134,9 @@ def test_parameter_validation():
         oracle.bernoulli_downsample(pnd, -0.1)
     with pytest.raises(ParameterError):
         oracle.BsCoefficientTable(2.0)
+    with pytest.raises(ParameterError):
+        oracle.BsCoefficientTable(np.nan)
+    with pytest.raises(ParameterError):
+        oracle.bernoulli_downsample(pnd, np.nan)
+    with pytest.raises(ParameterError):
+        oracle.bernoulli_downsample(pnd, 0.5, 1.5)

@@ -309,6 +309,9 @@ def test_target_labels_round_trip():
     lambda: ScanSpec(axes=[AxisSpec("bp", 0.0, 1.0, 3)],
                      targets=[TargetSpec.parse("negativity")],
                      fixed={"t": 0.5, "phi": math.inf}),
+    lambda: ScanSpec(axes=[AxisSpec("bp", 0.0, 1.0, 3)],
+                     targets=[TargetSpec.parse("negativity")],
+                     fixed={"eta": 1.5}),
 ])
 def test_invalid_configurations_are_rejected(build):
     with pytest.raises(ConfigError):

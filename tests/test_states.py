@@ -47,6 +47,10 @@ def test_beam_splitter_accepts_params_object():
         lambda: states.bs_unitary(0.5, math.nan),
         lambda: states.bs_unitary(0.5, -math.inf),
         lambda: states.bs_unitary(np.array([0.5, math.nan])),
+        lambda: states.twin_beam(math.inf),
+        lambda: states.attenuate(states.twin_beam(1.0), math.nan),
+        lambda: states.BeamSplitterParams(0.5, math.inf),
+        lambda: states.TwoModeGaussianState(math.nan, 1.0),
     ],
 )
 def test_parameter_validation(build):
