@@ -32,8 +32,9 @@ from .criteria import FAMILIES, CriterionId, evaluate
 from .errors import ConfigError, OrderLimitError, ParameterError, TwinbeamError
 from .moments import (build_k_matrix, photon_number_distribution, pnd_table)
 from .quantifiers import classify
-from .scan import (AXIS_NAMES, AxisSpec, ScanSpec, TargetSpec, _Pipeline,
-                   _refine_edges, run_scan, write_boundaries_json, write_csv)
+from .scan import (AXIS_NAMES, NOISE_MODES, AxisSpec, ScanSpec, TargetSpec,
+                   _Pipeline, _refine_edges, run_scan, write_boundaries_json,
+                   write_csv)
 from .states import (BeamSplitterParams, TwinBeamParams, _checked, attenuate,
                      beam_splitter, covariance_n, symplectic_eigenvalues,
                      twin_beam)
@@ -160,9 +161,8 @@ def _cmd_crit(args) -> int:
 def _cmd_pnd(args) -> int:
     state = _state_from_args(args)
     if args.nmax is not None:
-        if args.nmax < 0:
-            raise ConfigError("--nmax must be non-negative")
-        p = pnd_table(state, args.nmax, args.nmax)
+        n_max = _checked("n_max", args.nmax, ConfigError)
+        p = pnd_table(state, n_max, n_max)
         tail = 1.0 - float(p.sum())
     else:
         dist = photon_number_distribution(state, tail_tol=args.tail_tol)
@@ -192,6 +192,8 @@ def _cmd_boundary(args) -> int:
         raise ConfigError(
             "boundary scans apply one detection efficiency to both modes; "
             "--eta2 is not supported")
+    if not 0.0 <= args.tol < 1.0:
+        raise ConfigError(f"--tol must lie in [0, 1), got {args.tol}")
     target = _boundary_target(args)
     lo_default, hi_default = _BOUNDARY_DEFAULT_RANGES[args.axis]
     lo = lo_default if args.min is None else args.min
@@ -400,7 +402,7 @@ def _build_parser() -> _Parser:
     p_bound.add_argument("--tol", type=float, default=1e-8,
                          help="relative refinement tolerance on the axis")
     p_bound.add_argument("--noise-mode", default="independent",
-                         choices=("independent", "balanced", "unbalanced"))
+                         choices=NOISE_MODES)
     p_bound.set_defaults(func=_cmd_boundary)
 
     p_scan = sub.add_parser("scan", help="evaluate targets over a grid")
@@ -413,7 +415,7 @@ def _build_parser() -> _Parser:
     p_scan.add_argument("--fixed", action="append", default=None,
                         metavar="NAME=VALUE")
     p_scan.add_argument("--noise-mode", default=None,
-                        choices=("independent", "balanced", "unbalanced"))
+                        choices=NOISE_MODES)
     p_scan.add_argument("--threads", type=int, default=None)
     p_scan.add_argument("--csv", default="-",
                         help="CSV output path, - for stdout (default)")

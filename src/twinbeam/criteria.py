@@ -10,8 +10,9 @@ number probabilities, which stay finite for strong fields and are directly
 accessible from photocounting records.
 
 Every criterion reads its table from moments._table and passes the
-max_order guard of the moments module; the closed forms and boundaries
-check their parameters against the range table of the states module.
+max_order guard of the moments module; the identifiers, closed forms and
+boundaries check their arguments against the range table of the states
+module.
 
 A criterion certifies non-classicality only when its value is below -tol,
 where tol is 1e-12 times the largest of its constituent terms.  This
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .moments import _check_index, _check_order, _q_coeff_array, _table
+from .moments import _check_order, _q_coeff_array, _table
 from .states import TwoModeGaussianState, _checked
 
 __all__ = [
@@ -78,13 +79,8 @@ class CriterionId:
             raise ParameterError(
                 f"unknown criterion family {self.family!r}; "
                 f"expected one of {', '.join(FAMILIES)}")
-        for name in ("k1", "k2"):
-            value = _check_index(name, getattr(self, name))
-            object.__setattr__(self, name, value)
-        mode = int(self.mode)
-        if mode not in (1, 2):
-            raise ParameterError(f"mode must be 1 or 2, got {self.mode!r}")
-        object.__setattr__(self, "mode", mode)
+        for name in ("k1", "k2", "mode"):
+            object.__setattr__(self, name, _checked(name, getattr(self, name)))
         if self.family in ("R_W", "R_p") and self.k2 < 1:
             raise ParameterError(
                 "the R family needs l >= 1 in its index pair (k, l)")

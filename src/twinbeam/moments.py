@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EvaluationError, OrderLimitError, ParameterError, TruncationError
 from .series import BivariateSeries
-from .states import TwinBeamParams, TwoModeGaussianState
+from .states import TwinBeamParams, TwoModeGaussianState, _checked
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
@@ -190,8 +190,6 @@ def _table(q: np.ndarray, kind: str, o1: int, o2: int = 0) -> np.ndarray:
     elif marginal == "2":
         # setting the other variable to zero removes its mode exactly
         q = q[:1].swapaxes(0, 1)
-    elif marginal:
-        raise ParameterError(f"mode must be 1 or 2, got {marginal!r}")
     series = BivariateSeries(q)
     if kind[0] != "W":
         series = series.rebased(1.0, 1.0)
@@ -214,19 +212,12 @@ def _table(q: np.ndarray, kind: str, o1: int, o2: int = 0) -> np.ndarray:
 def _check_order(total: int, max_order: int | None) -> None:
     """Raise OrderLimitError when a derivative order of ``total`` exceeds
     ``max_order``, DEFAULT_MAX_ORDER when it is None."""
-    limit = DEFAULT_MAX_ORDER if max_order is None else int(max_order)
+    limit = (DEFAULT_MAX_ORDER if max_order is None
+             else _checked("max_order", max_order))
     if total > limit:
         raise OrderLimitError(
             f"requested derivative order {total} exceeds the configured "
             f"maximum {limit}; raise max_order explicitly if intended")
-
-
-def _check_index(name: str, value) -> int:
-    iv = int(value)
-    if iv != value or iv < 0:
-        raise ParameterError(f"{name} must be a non-negative integer, "
-                             f"got {value!r}")
-    return iv
 
 
 def _element(state: TwoModeGaussianState, kind: str, index: tuple,
@@ -245,8 +236,8 @@ def moment_table(state: TwoModeGaussianState, order1: int, order2: int,
     Entry [i, j] covers all i <= order1, j <= order2.  The guard applies to
     the largest requested total order i + j = order1 + order2.
     """
-    o1 = _check_index("order1", order1)
-    o2 = _check_index("order2", order2)
+    o1 = _checked("order1", order1)
+    o2 = _checked("order2", order2)
     _check_order(o1 + o2, max_order)
     return _table(q_polynomial(state).coeffs, "W", o1, o2)
 
@@ -254,14 +245,15 @@ def moment_table(state: TwoModeGaussianState, order1: int, order2: int,
 def intensity_moment(state: TwoModeGaussianState, k1: int, k2: int,
                      *, max_order: int | None = None) -> float:
     """Normally ordered intensity moment <W1**k1 W2**k2>."""
-    return _element(state, "W", (_check_index("k1", k1),
-                                 _check_index("k2", k2)), max_order)
+    return _element(state, "W", (_checked("k1", k1),
+                                 _checked("k2", k2)), max_order)
 
 
 def marginal_intensity_moment(state: TwoModeGaussianState, mode: int, k: int,
                               *, max_order: int | None = None) -> float:
     """Single-mode moment <Wj**k>, computed from the exact marginal."""
-    return _element(state, f"W{mode}", (_check_index("k", k),), max_order)
+    return _element(state, f"W{_checked('mode', mode)}",
+                    (_checked("k", k),), max_order)
 
 
 # -- photon-number distribution --------------------------------------------
@@ -270,58 +262,58 @@ def pnd_table(state: TwoModeGaussianState, n_max1: int, n_max2: int) -> np.ndarr
     """Joint photon-number probabilities p(n1, n2) for n1 <= n_max1,
     n2 <= n_max2.  Rounding-level negatives deep in the tail are clamped."""
     return _table(q_polynomial(state).coeffs, "P",
-                  _check_index("n_max1", n_max1),
-                  _check_index("n_max2", n_max2))
+                  _checked("n_max1", n_max1), _checked("n_max2", n_max2))
 
 
 def pnd_element(state: TwoModeGaussianState, n1: int, n2: int,
                 *, max_order: int | None = None) -> float:
     """Joint photon-number probability p(n1, n2), the entry of
     pnd_table(state, n1, n2)."""
-    return _element(state, "P", (_check_index("n1", n1),
-                                 _check_index("n2", n2)), max_order)
+    return _element(state, "P", (_checked("n1", n1),
+                                 _checked("n2", n2)), max_order)
 
 
 def modified_pnd_table(state: TwoModeGaussianState, n_max1: int,
                        n_max2: int) -> np.ndarray:
     """Table of factorial-scaled probabilities n1! n2! p(n1, n2) / p(0, 0)."""
     return _table(q_polynomial(state).coeffs, "p",
-                  _check_index("n_max1", n_max1),
-                  _check_index("n_max2", n_max2))
+                  _checked("n_max1", n_max1), _checked("n_max2", n_max2))
 
 
 def modified_pnd_element(state: TwoModeGaussianState, n1: int, n2: int,
                          *, max_order: int | None = None) -> float:
     """Factorial-scaled joint probability n1! n2! p(n1, n2) / p(0, 0)."""
-    return _element(state, "p", (_check_index("n1", n1),
-                                 _check_index("n2", n2)), max_order)
+    return _element(state, "p", (_checked("n1", n1),
+                                 _checked("n2", n2)), max_order)
 
 
 def marginal_pnd_table(state: TwoModeGaussianState, mode: int,
                        n_max: int) -> np.ndarray:
     """Marginal probabilities p_mode(n) for n <= n_max, from the exact
     single-mode reduction (no joint table is formed)."""
-    return _table(q_polynomial(state).coeffs, f"P{mode}",
-                  _check_index("n_max", n_max))
+    return _table(q_polynomial(state).coeffs, f"P{_checked('mode', mode)}",
+                  _checked("n_max", n_max))
 
 
 def marginal_pnd(state: TwoModeGaussianState, mode: int, n: int,
                  *, max_order: int | None = None) -> float:
     """Marginal photon-number probability of one mode, the entry of
     marginal_pnd_table(state, mode, n)."""
-    return _element(state, f"P{mode}", (_check_index("n", n),), max_order)
+    return _element(state, f"P{_checked('mode', mode)}",
+                    (_checked("n", n),), max_order)
 
 
 def marginal_modified_pnd_table(state: TwoModeGaussianState, mode: int,
                                 n_max: int) -> np.ndarray:
-    return _table(q_polynomial(state).coeffs, f"p{mode}",
-                  _check_index("n_max", n_max))
+    return _table(q_polynomial(state).coeffs, f"p{_checked('mode', mode)}",
+                  _checked("n_max", n_max))
 
 
 def marginal_modified_pnd(state: TwoModeGaussianState, mode: int, n: int,
                           *, max_order: int | None = None) -> float:
     """Factorial-scaled marginal probability n! p_mode(n) / p_mode(0)."""
-    return _element(state, f"p{mode}", (_check_index("n", n),), max_order)
+    return _element(state, f"p{_checked('mode', mode)}",
+                    (_checked("n", n),), max_order)
 
 
 @dataclass(frozen=True)
@@ -339,8 +331,8 @@ class PhotonNumberDistribution:
         if p.ndim != 2:
             raise ParameterError("probability table must be two-dimensional")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n_max1", int(self.n_max1))
-        object.__setattr__(self, "n_max2", int(self.n_max2))
+        for name in ("n_max1", "n_max2"):
+            object.__setattr__(self, name, _checked(name, getattr(self, name)))
         if p.shape != (self.n_max1 + 1, self.n_max2 + 1):
             raise ParameterError(
                 f"table shape {p.shape} does not match photon-number cutoffs "
@@ -356,11 +348,7 @@ class PhotonNumberDistribution:
         return cls(p.shape[0] - 1, p.shape[1] - 1, p, tail_mass)
 
     def marginal(self, mode: int) -> np.ndarray:
-        if mode == 1:
-            return self.p.sum(axis=1)
-        if mode == 2:
-            return self.p.sum(axis=0)
-        raise ParameterError(f"mode must be 1 or 2, got {mode!r}")
+        return self.p.sum(axis=2 - _checked("mode", mode))
 
     def total_mass(self) -> float:
         return float(self.p.sum())
@@ -380,9 +368,11 @@ def photon_number_distribution(state: TwoModeGaussianState,
     """
     if not 0.0 < tail_tol < 1.0:
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    n_start = _checked("n_start", n_start)
+    n_cap = _checked("n_cap", n_cap)
     cutoffs = []
     for mode in (1, 2):
-        n = max(4, int(n_start))
+        n = max(4, n_start)
         # the exact marginal's mass beyond n, without a joint table
         while (1.0 - float(marginal_pnd_table(state, mode, n).sum())
                > tail_tol / 2.0):
@@ -406,8 +396,8 @@ def twin_beam_pnd_closed_form(params, n1: int, n2: int) -> float:
         p = params
     else:
         p = TwinBeamParams(float(params))
-    n1 = _check_index("n1", n1)
-    n2 = _check_index("n2", n2)
+    n1 = _checked("n1", n1)
+    n2 = _checked("n2", n2)
 
     bt1 = 1.0 + p.bp + p.bs
     bt2 = 1.0 + p.bp + p.bi

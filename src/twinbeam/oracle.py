@@ -93,12 +93,11 @@ class BsCoefficientTable:
 
     def __post_init__(self):
         self.t = _checked("t", self.t)
-        self.cutoff = int(self.cutoff)
-        if self.cutoff < 0:
-            raise ParameterError("cutoff must be non-negative")
+        self.cutoff = _checked("cutoff", self.cutoff)
 
     def shell(self, s: int) -> np.ndarray:
-        if s < 0 or s > self.cutoff:
+        s = _checked("shell", s)
+        if s > self.cutoff:
             raise ParameterError(
                 f"shell {s} outside the tabulated range 0..{self.cutoff}")
         cached = self._shells.get(s)
@@ -110,8 +109,9 @@ class BsCoefficientTable:
     def coefficient(self, n1_out: int, n2_out: int, n1_in: int,
                     n2_in: int) -> float:
         """Transition probability between Fock states; zero across shells."""
-        if min(n1_out, n2_out, n1_in, n2_in) < 0:
-            raise ParameterError("photon numbers must be non-negative")
+        n1_out, n2_out, n1_in, n2_in = map(
+            _checked, ("n1_out", "n2_out", "n1_in", "n2_in"),
+            (n1_out, n2_out, n1_in, n2_in))
         s = n1_in + n2_in
         if n1_out + n2_out != s:
             return 0.0
@@ -192,10 +192,8 @@ def factorial_moment_from_pnd(pnd: PhotonNumberDistribution, k1: int,
     with room to spare for the geometrically decaying tails these
     distributions have once the cutoff satisfies the tail tolerance.
     """
-    k1 = int(k1)
-    k2 = int(k2)
-    if k1 < 0 or k2 < 0:
-        raise ParameterError("factorial-moment orders must be non-negative")
+    k1 = _checked("k1", k1)
+    k2 = _checked("k2", k2)
     f1 = np.array([math.perm(n, k1) if n >= k1 else 0
                    for n in range(pnd.n_max1 + 1)], dtype=float)
     f2 = np.array([math.perm(n, k2) if n >= k2 else 0

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
-from .states import (TwoModeGaussianState, _covariance_invariants,
+from .states import (TwoModeGaussianState, _checked, _covariance_invariants,
                      _precise_params, _symplectic_pair)
 
 __all__ = [
@@ -54,13 +53,8 @@ def local_quantifier(state: TwoModeGaussianState, mode: int) -> float:
     Positive values certify single-mode non-classicality (a squeezed
     quadrature); classical fields give values <= 0.
     """
-    if mode == 1:
-        value = _local_values(state.b1, 0.0, state.c1, 0.0)[0]
-    elif mode == 2:
-        value = _local_values(0.0, state.b2, 0.0, state.c2)[1]
-    else:
-        raise ParameterError(f"mode must be 1 or 2, got {mode!r}")
-    return float(value)
+    values = _local_values(state.b1, state.b2, state.c1, state.c2)
+    return float(values[_checked("mode", mode) - 1])
 
 
 def _negativity_arrays(b1, b2, c1, c2, d12, dbar12):

@@ -74,14 +74,12 @@ class AxisSpec:
                 f"{', '.join(AXIS_NAMES)}")
         start = _checked(self.name, self.start, ConfigError)
         stop = _checked(self.name, self.stop, ConfigError)
-        count = int(self.count)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "stop", stop)
-        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "count",
+                           _checked("count", self.count, ConfigError))
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"scale must be linear or log, got {self.scale!r}")
-        if count < 1:
-            raise ConfigError(f"axis {self.name} needs count >= 1, got {count}")
         if start > stop:
             raise ConfigError(
                 f"axis {self.name} bounds must be ordered, got "
@@ -113,8 +111,8 @@ class TargetSpec:
             raise ConfigError(f"unknown target kind {self.kind!r}")
         if self.kind == "criterion" and self.criterion is None:
             raise ConfigError("criterion targets need a criterion id")
-        if self.mode not in (1, 2):
-            raise ConfigError(f"mode must be 1 or 2, got {self.mode!r}")
+        object.__setattr__(self, "mode",
+                           _checked("mode", self.mode, ConfigError))
 
     def label(self) -> str:
         if self.kind == "criterion":
@@ -168,8 +166,8 @@ class ScanSpec:
             raise ConfigError("a scan needs at least one target")
         if self.noise_mode not in NOISE_MODES:
             raise ConfigError(
-                f"noise_mode must be one of {', '.join(NOISE_MODES)}, "
-                f"got {self.noise_mode!r}")
+                f"unknown noise_mode {self.noise_mode!r}; expected one of "
+                f"{', '.join(NOISE_MODES)}")
         for key, value in self.fixed.items():
             if key not in AXIS_NAMES + ("phi",):
                 raise ConfigError(f"unknown fixed parameter {key!r}")
@@ -185,10 +183,8 @@ class ScanSpec:
         if "bp" not in names and "bp" not in self.fixed:
             raise ConfigError("bp must be given as an axis or fixed value")
         if self.threads is not None:
-            threads = int(self.threads)
-            if threads < 1:
-                raise ConfigError(f"threads must be >= 1, got {threads}")
-            object.__setattr__(self, "threads", threads)
+            object.__setattr__(self, "threads",
+                               _checked("threads", self.threads, ConfigError))
 
     def resolve_threads(self) -> int:
         if self.threads is not None:
@@ -196,13 +192,9 @@ class ScanSpec:
         env = os.environ.get(THREADS_ENV, "").strip()
         if env:
             try:
-                value = int(env)
-            except ValueError:
-                raise ConfigError(
-                    f"{THREADS_ENV} must be an integer, got {env!r}") from None
-            if value < 1:
-                raise ConfigError(f"{THREADS_ENV} must be >= 1, got {value}")
-            return value
+                return _checked("threads", int(env), ConfigError)
+            except ValueError as exc:  # ConfigError included
+                raise ConfigError(f"{THREADS_ENV}: {exc}") from None
         return min(os.cpu_count() or 1, 8)
 
 
@@ -524,21 +516,16 @@ def _chain_segments(segments, points) -> list:
             path.append(next_key)
             current = next_key
 
+    # open chains start at the endpoints; what is left after them are loops
     endpoints = sorted(k for k, nbrs in adjacency.items() if len(nbrs) == 1)
-    for key in endpoints:
+    for index, key in enumerate(endpoints + sorted(adjacency)):
         if all(tuple(sorted((key, nbr))) in visited_edges
                for nbr in adjacency[key]):
             continue
         path = walk(key)
         if len(path) >= 2:
-            polylines.append(np.array([points[k] for k in path]))
-    for key in sorted(adjacency):
-        if all(tuple(sorted((key, nbr))) in visited_edges
-               for nbr in adjacency[key]):
-            continue
-        path = walk(key)
-        if len(path) >= 2:
-            path.append(path[0])  # close the loop
+            if index >= len(endpoints):
+                path.append(path[0])  # close the loop
             polylines.append(np.array([points[k] for k in path]))
     return polylines
 

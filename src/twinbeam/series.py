@@ -19,6 +19,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import EvaluationError
+from .states import _checked
 
 __all__ = ["BivariateSeries"]
 
@@ -174,8 +175,8 @@ class BivariateSeries:
         higher coefficients are taken as zero).  For batched coefficients,
         lanes whose constant term is not positive come back as NaN.
         """
-        o1 = self.order1 if order1 is None else int(order1)
-        o2 = self.order2 if order2 is None else int(order2)
+        o1 = self.order1 if order1 is None else _checked("order1", order1)
+        o2 = self.order2 if order2 is None else _checked("order2", order2)
         q = self.coeffs
         dq1 = min(self.order1, o1)
         dq2 = min(self.order2, o2)

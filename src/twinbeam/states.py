@@ -51,28 +51,45 @@ __all__ = [
 PHYSICALITY_TOL = 1e-9
 
 
-# Allowed range of every scalar state parameter: the twin-beam means bp, bs
-# and bi, the mode means b1 and b2, the transmissivity t and phase phi of a
-# beam splitter, and the detection efficiencies.  _checked is the only
-# place they are compared; bs_unitary, which takes arrays, checks its own.
+# Allowed range of every scalar argument: the twin-beam means bp, bs and bi,
+# the mode means b1 and b2, the transmissivity t and phase phi of a beam
+# splitter, the detection efficiencies, and, with integer bounds, the
+# integer arguments: indices, orders, photon numbers and cutoffs, the
+# counts, and the probed mode.  _checked is the only place they are
+# compared; bs_unitary, which takes arrays, checks its own.
 _PARAM_RANGES = {
     **dict.fromkeys(("bp", "bs", "bi", "b1", "b2"), (0.0, math.inf)),
     **dict.fromkeys(("t", "eta", "eta1", "eta2"), (0.0, 1.0)),
     "phi": (-math.inf, math.inf),
+    **dict.fromkeys(("k", "k1", "k2", "n", "n1", "n2", "n_max", "n_max1",
+                     "n_max2", "order1", "order2", "max_order", "cutoff",
+                     "shell", "n1_out", "n2_out", "n1_in", "n2_in"),
+                    (0, math.inf)),
+    **dict.fromkeys(("count", "threads", "n_start", "n_cap"), (1, math.inf)),
+    "mode": (1, 2),
 }
 
 
-def _checked(name: str, value, error=ParameterError) -> float:
-    """``value`` as a float, or ``error`` when it is not finite or lies
-    outside the range of parameter ``name``."""
-    value = float(value)
+def _checked(name: str, value, error=ParameterError) -> float | int:
+    """``value`` as a float, or as an int for an integer argument, or
+    ``error`` when it is not finite, not integral where it must be, or
+    outside the range of ``name``."""
     lo, hi = _PARAM_RANGES[name]
-    if not math.isfinite(value):
-        raise error(f"{name} must be finite, got {value}")
-    if not lo <= value <= hi:
-        span = "non-negative" if hi == math.inf else f"in [{lo:g}, {hi:g}]"
-        raise error(f"{name} must be {span}, got {value}")
-    return value
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise error(f"{name} must be finite, got {number}")
+    if isinstance(lo, int):
+        if int(number) != value:
+            raise error(f"{name} must be an integer, got {value!r}")
+        number = int(number)
+    if not lo <= number <= hi:
+        span = (f"in [{lo:g}, {hi:g}]" if hi != math.inf
+                else "non-negative" if lo == 0 else f">= {lo:g}")
+        raise error(f"{name} must be {span}, got {number}")
+    return number
 
 
 @dataclass(frozen=True)

@@ -46,19 +46,18 @@ class _AxisMap:
         else:
             self.edges = np.array([lo - 0.5, lo + 0.5])
 
-    def to_px(self, value: float) -> float:
-        v = math.log10(value) if self.log else float(value)
+    def _px(self, v) -> float:
+        """Pixel position of ``v``, a coordinate on the mapped scale."""
         frac = (v - self.lo) / (self.hi - self.lo)
         if self.flip:
             frac = 1.0 - frac
         return self.px_lo + frac * (self.px_hi - self.px_lo)
 
+    def to_px(self, value: float) -> float:
+        return self._px(math.log10(value) if self.log else float(value))
+
     def edge_px(self, k: int) -> float:
-        v = self.edges[k]
-        frac = (v - self.lo) / (self.hi - self.lo)
-        if self.flip:
-            frac = 1.0 - frac
-        return self.px_lo + frac * (self.px_hi - self.px_lo)
+        return self._px(self.edges[k])
 
 
 def render_svg(result, target_label: str) -> str:

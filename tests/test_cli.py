@@ -233,6 +233,15 @@ def test_selftest_passes(capsys):
     (["pnd", "--bp", "1", "--nmax", "2", "--phi=-inf"], "ConfigError"),
     (["crit", "--bp", "1", "--family", "M_p", "--t", "0.6", "--phi", "-inf"],
      "ConfigError"),
+    (["boundary", "--family", "E_p", "--axis", "t", "--bp", "1",
+      "--tol=inf"], "ConfigError"),
+    (["boundary", "--family", "E_p", "--axis", "t", "--bp", "1",
+      "--tol=nan"], "ConfigError"),
+    (["boundary", "--family", "E_p", "--axis", "t", "--bp", "1",
+      "--tol", "-1"], "ConfigError"),
+    (["boundary", "--family", "E_p", "--axis", "t", "--bp", "1",
+      "--tol", "1"], "ConfigError"),
+    (["pnd", "--bp", "1", "--nmax", "-1"], "ConfigError"),
 ])
 def test_failures_report_json_and_exit_nonzero(capsys, argv, error):
     rc, _, err = run_cli(capsys, *argv)

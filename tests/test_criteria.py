@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from twinbeam import criteria, states
+from twinbeam import criteria, moments, quantifiers, states
 from twinbeam.criteria import CriterionId
 from twinbeam.errors import OrderLimitError, ParameterError
 
@@ -99,6 +99,22 @@ def test_evaluate_dispatches_to_family_functions():
     lambda: criteria.boundary_R22p(math.nan),
     lambda: criteria.boundary_noise_balanced_R22p(1.0, -0.1),
     lambda: criteria.entanglement_boundary_twin_beam(math.inf, True),
+    # integer arguments: no truncation, one rule for the mode
+    lambda: CriterionId("R_p", 2, 2, 1.9),
+    lambda: CriterionId("R_p", 2, 2, 3),
+    lambda: criteria.evaluate(states.twin_beam(1.0), "E_W:2:2",
+                              max_order=6.5),
+    lambda: moments.moment_table(states.twin_beam(1.0), 2, 2, max_order=4.9),
+    lambda: moments.photon_number_distribution(states.twin_beam(1.0),
+                                               n_start=4.9),
+    lambda: moments.photon_number_distribution(states.twin_beam(1.0),
+                                               n_cap=-3),
+    lambda: moments.marginal_pnd(states.twin_beam(1.0), 1.5, 2),
+    lambda: moments.pnd_table(states.twin_beam(1.0), math.nan, 2),
+    lambda: moments.PhotonNumberDistribution.from_table(
+        np.eye(3) / 3.0).marginal(0),
+    lambda: quantifiers.local_quantifier(states.twin_beam(1.0), 1.5),
+    lambda: CriterionId("E_p", None, 0),
 ])
 def test_parameter_validation(call):
     with pytest.raises(ParameterError):

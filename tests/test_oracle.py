@@ -140,3 +140,11 @@ def test_parameter_validation():
         oracle.bernoulli_downsample(pnd, np.nan)
     with pytest.raises(ParameterError):
         oracle.bernoulli_downsample(pnd, 0.5, 1.5)
+    with pytest.raises(ParameterError):
+        oracle.factorial_moment_from_pnd(pnd, 1.5, 0)
+    with pytest.raises(ParameterError):
+        oracle.BsCoefficientTable(0.5, cutoff=3.7)
+    with pytest.raises(ParameterError):
+        oracle.BsCoefficientTable(0.5).shell(1.5)
+    with pytest.raises(ParameterError):
+        oracle.BsCoefficientTable(0.5).coefficient(1, 0, 0.5, 0.5)

@@ -274,6 +274,21 @@ def test_grid_with_a_fixed_first_mode_mean():
                                                                 rel=1e-12)
 
 
+def test_local_target_takes_an_integral_float_mode():
+    spec = ScanSpec(axes=[AxisSpec("bp", 0.1, 1.0, 3),
+                          AxisSpec("t", 0.5, 1.0, 3)],
+                    targets=[TargetSpec("local", mode=1.0)])
+    res = scan.run_scan(spec)
+    assert list(res.values) == ["i_ncl:1"]
+    assert res.errors == []
+    assert np.all(res.verdicts["i_ncl:1"] >= 0)
+    for i, bp in enumerate(res.axis_values[0]):
+        for j, t in enumerate(res.axis_values[1]):
+            state = states.beam_splitter(states.twin_beam(bp), t)
+            assert res.values["i_ncl:1"][i, j] == pytest.approx(
+                quantifiers.local_quantifier(state, 1), rel=1e-12)
+
+
 def test_target_labels_round_trip():
     for text in ("negativity", "E_p:0:0", "E_W:1:2", "M_p", "i_ncl:2"):
         assert TargetSpec.parse(text).label() == text
@@ -312,6 +327,11 @@ def test_target_labels_round_trip():
     lambda: ScanSpec(axes=[AxisSpec("bp", 0.0, 1.0, 3)],
                      targets=[TargetSpec.parse("negativity")],
                      fixed={"eta": 1.5}),
+    lambda: AxisSpec("bp", 0.0, 1.0, 2.5),
+    lambda: ScanSpec(axes=[AxisSpec("bp", 0.0, 1.0, 3)],
+                     targets=[TargetSpec.parse("negativity")], threads=1.5),
+    lambda: TargetSpec("local", mode=1.5),
+    lambda: TargetSpec("local", mode=3),
 ])
 def test_invalid_configurations_are_rejected(build):
     with pytest.raises(ConfigError):

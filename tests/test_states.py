@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_physical_state
-from twinbeam import states
+from twinbeam import criteria, moments, oracle, quantifiers, scan, states
 from twinbeam.errors import ParameterError, PhysicalityError
 
 
@@ -56,6 +56,72 @@ def test_beam_splitter_accepts_params_object():
 def test_parameter_validation(build):
     with pytest.raises(ParameterError):
         build()
+
+
+_STATE = states.beam_splitter(states.twin_beam(0.8, bs=0.2, bi=0.1), 0.7)
+_PND = moments.PhotonNumberDistribution.from_table(
+    moments.pnd_table(_STATE, 6, 6))
+
+# every public entry point that takes an integer, called with v = 2 in each
+# integer slot (or a multiple of v where 2 is too small)
+_INTEGER_CALLS = {
+    "CriterionId": lambda v: criteria.CriterionId("R_p", v, v, v).label(),
+    "evaluate": lambda v: criteria.evaluate(_STATE, "E_W:2:2",
+                                            max_order=3 * v),
+    "eval_R_p": lambda v: criteria.eval_R_p(_STATE, v, v, v).value,
+    "moment_table": lambda v: moments.moment_table(_STATE, v, v,
+                                                   max_order=2 * v),
+    "intensity_moment": lambda v: moments.intensity_moment(_STATE, v, v),
+    "marginal_intensity_moment":
+        lambda v: moments.marginal_intensity_moment(_STATE, v, v),
+    "pnd_table": lambda v: moments.pnd_table(_STATE, v, v),
+    "pnd_element": lambda v: moments.pnd_element(_STATE, v, v),
+    "modified_pnd_table": lambda v: moments.modified_pnd_table(_STATE, v, v),
+    "modified_pnd_element":
+        lambda v: moments.modified_pnd_element(_STATE, v, v),
+    "marginal_pnd_table": lambda v: moments.marginal_pnd_table(_STATE, v, v),
+    "marginal_pnd": lambda v: moments.marginal_pnd(_STATE, v, v),
+    "marginal_modified_pnd_table":
+        lambda v: moments.marginal_modified_pnd_table(_STATE, v, v),
+    "marginal_modified_pnd":
+        lambda v: moments.marginal_modified_pnd(_STATE, v, v),
+    "twin_beam_pnd_closed_form":
+        lambda v: moments.twin_beam_pnd_closed_form(0.8, v, v),
+    "photon_number_distribution": lambda v: moments.photon_number_distribution(
+        _STATE, n_start=4 * v, n_cap=2048 * v).p,
+    "PhotonNumberDistribution": lambda v: moments.PhotonNumberDistribution(
+        v, v, np.zeros((3, 3)), 0.0).n_max1,
+    "PhotonNumberDistribution.marginal": lambda v: _PND.marginal(v),
+    "rsqrt": lambda v: moments.q_polynomial(_STATE).rsqrt(v, v).coeffs,
+    "local_quantifier": lambda v: quantifiers.local_quantifier(_STATE, v),
+    "BsCoefficientTable": lambda v: oracle.BsCoefficientTable(
+        0.5, cutoff=v).cutoff,
+    "BsCoefficientTable.shell": lambda v: oracle.BsCoefficientTable(
+        0.5).shell(v),
+    "BsCoefficientTable.coefficient": lambda v: oracle.BsCoefficientTable(
+        0.5).coefficient(v, 0, 0, v),
+    "factorial_moment_from_pnd":
+        lambda v: oracle.factorial_moment_from_pnd(_PND, v, v),
+    "AxisSpec": lambda v: scan.AxisSpec("bp", 0.0, 1.0, v).count,
+    "ScanSpec": lambda v: scan.ScanSpec(
+        axes=[scan.AxisSpec("bp", 0.0, 1.0, 3)],
+        targets=[scan.TargetSpec("negativity")], threads=v).threads,
+    "TargetSpec": lambda v: scan.TargetSpec("local", mode=v).label(),
+}
+
+
+@pytest.mark.parametrize("call", _INTEGER_CALLS.values(),
+                         ids=_INTEGER_CALLS.keys())
+def test_integer_arguments_take_any_integral_number(call):
+    """2, 2.0 and np.int64(2) are one argument to every integer slot."""
+    want = call(2)
+    for value in (2.0, np.int64(2)):
+        got = call(value)
+        assert type(got) is type(want)
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        else:
+            assert got == want
 
 
 @pytest.mark.parametrize("bp,delta", [(1e-3, 1e-2), (1.0, 1e-4), (1e3, 1e-8)])
