@@ -33,8 +33,8 @@ from .errors import ConfigError, OrderLimitError, ParameterError, TwinbeamError
 from .moments import (build_k_matrix, photon_number_distribution, pnd_table)
 from .quantifiers import classify
 from .scan import (AXIS_NAMES, NOISE_MODES, AxisSpec, ScanSpec, TargetSpec,
-                   _Pipeline, _refine_edges, run_scan, write_boundaries_json,
-                   write_csv)
+                   _Pipeline, _refine_edges, _write_rows, run_scan,
+                   write_boundaries_json, write_csv)
 from .states import (BeamSplitterParams, TwinBeamParams, _checked, attenuate,
                      beam_splitter, covariance_n, symplectic_eigenvalues,
                      twin_beam)
@@ -113,6 +113,13 @@ def _state_from_args(args):
     return state
 
 
+def _add_criterion_args(parser, families):
+    parser.add_argument("--family", required=True, choices=families)
+    parser.add_argument("--k1", type=int, default=0)
+    parser.add_argument("--k2", type=int, default=0)
+    parser.add_argument("--mode", type=int, default=1, choices=(1, 2))
+
+
 def _criterion_from_args(args) -> CriterionId:
     return CriterionId(args.family, args.k1, args.k2, args.mode)
 
@@ -170,9 +177,8 @@ def _cmd_pnd(args) -> int:
     out = sys.stdout
     header = ["n1\\n2"] + [str(j) for j in range(p.shape[1])]
     out.write(",".join(header) + "\n")
-    for i in range(p.shape[0]):
-        out.write(",".join([str(i)] + [format(v, ".12g") for v in p[i]])
-                  + "\n")
+    _write_rows(out, "%d," + ",".join(["%.12g"] * p.shape[1]) + "\n",
+                [np.arange(p.shape[0]), p])
     out.write(f"# tail_mass,{format(tail, '.12g')}\n")
     return 0
 
@@ -182,9 +188,7 @@ def _boundary_target(args) -> TargetSpec:
         return TargetSpec("negativity")
     if args.family == "i_ncl":
         return TargetSpec("local", mode=args.mode)
-    return TargetSpec("criterion",
-                      criterion=CriterionId(args.family, args.k1, args.k2,
-                                            args.mode))
+    return TargetSpec("criterion", criterion=_criterion_from_args(args))
 
 
 def _cmd_boundary(args) -> int:
@@ -239,12 +243,11 @@ def _parse_axis_flag(text: str) -> AxisSpec:
     if len(parts) not in (4, 5):
         raise ConfigError(
             f"axes are written name:min:max:count[:scale], got {text!r}")
-    name, lo, hi, count = parts[:4]
-    scale = parts[4] if len(parts) == 5 else "linear"
     try:
-        return AxisSpec(name, float(lo), float(hi), int(count), scale)
+        lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError:
         raise ConfigError(f"malformed axis {text!r}") from None
+    return AxisSpec(parts[0], lo, hi, count, *parts[4:])
 
 
 def _parse_fixed_flag(text: str):
@@ -257,82 +260,78 @@ def _parse_fixed_flag(text: str):
         raise ConfigError(f"malformed fixed value {text!r}") from None
 
 
-def _load_config(path: str):
-    """INI scan description: [scan] targets/noise_mode/threads, [fixed]
-    name=value pairs, and one [axis:NAME] section per axis in order."""
+def _load_config(path: str) -> list:
+    """The scan flags an INI file stands for: [scan] targets, noise_mode
+    and threads, [fixed] name = value pairs, and one [axis:NAME] section
+    per axis with min, max, count (default 2) and scale (default linear)."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    axes = []
-    targets = []
-    fixed = {}
-    noise_mode = None
-    threads = None
-    for section in cp.sections():
-        if section == "scan":
-            raw = cp.get(section, "targets", fallback="")
-            targets = [TargetSpec.parse(part)
-                       for part in raw.split(",") if part.strip()]
-            noise_mode = cp.get(section, "noise_mode", fallback=None)
-            if cp.has_option(section, "threads"):
-                threads = cp.getint(section, "threads")
-        elif section == "fixed":
-            for key, value in cp.items(section):
-                try:
-                    fixed[key] = float(value)
-                except ValueError:
+    flags = []
+    try:
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+        for name in cp.sections():
+            section = cp[name]
+            if name == "scan":
+                flags += [f"--target={section.get('targets', '')}",
+                          f"--noise-mode={section.get('noise_mode', '')}"]
+                if "threads" in section:
+                    flags.append(f"--threads={section['threads']}")
+            elif name == "fixed":
+                flags += [f"--fixed={key}={value}"
+                          for key, value in cp.items(name)]
+            elif name.startswith("axis:"):
+                lo = section.get("min", section.get("start"))
+                hi = section.get("max", section.get("stop"))
+                if lo is None or hi is None:
                     raise ConfigError(
-                        f"fixed value {key} = {value!r} is not a number"
-                    ) from None
-        elif section.startswith("axis:"):
-            name = section.split(":", 1)[1]
-            def _num(option, default=None):
-                if cp.has_option(section, option):
-                    return cp.getfloat(section, option)
-                return default
-            lo = _num("min", _num("start"))
-            hi = _num("max", _num("stop"))
-            if lo is None or hi is None:
-                raise ConfigError(
-                    f"axis section {section!r} needs min and max")
-            count = cp.getint(section, "count", fallback=2)
-            scale = cp.get(section, "scale", fallback="linear")
-            axes.append(AxisSpec(name, lo, hi, count, scale))
-        else:
-            raise ConfigError(f"unknown config section {section!r}")
-    return axes, targets, fixed, noise_mode, threads
+                        f"axis section {name!r} needs min and max")
+                flags.append(f"--axis={name.split(':', 1)[1]}:{lo}:{hi}:"
+                             f"{section.get('count', '2')}:"
+                             f"{section.get('scale', 'linear')}")
+            else:
+                raise ConfigError(f"unknown config section {name!r}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from None
+    return flags
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _cmd_scan(args) -> int:
-    axes, targets, fixed, noise_mode, threads = [], [], {}, None, None
+    # an INI file is read as the flags it stands for, ahead of the command
+    # line: --axis and --target replace its lists, --fixed overrides it key
+    # by key, --noise-mode and --threads override it
+    sources = [args]
     if args.config:
-        axes, targets, fixed, noise_mode, threads = _load_config(args.config)
-    if args.axis:
-        axes = [_parse_axis_flag(text) for text in args.axis]
-    if args.target:
-        targets = [TargetSpec.parse(part)
-                   for text in args.target
-                   for part in text.split(",") if part.strip()]
-    for text in args.fixed or []:
-        name, value = _parse_fixed_flag(text)
-        fixed[name] = value
-    if args.noise_mode is not None:
-        noise_mode = args.noise_mode
-    if args.threads is not None:
-        threads = args.threads
-
-    spec = ScanSpec(axes=tuple(axes), targets=tuple(targets), fixed=fixed,
+        sources.insert(0, _build_parser().parse_args(
+            ["scan", *_load_config(args.config)]))
+    axes, targets, fixed, noise_mode, threads = [], [], {}, None, None
+    for flags in sources:
+        if flags.axis:
+            axes = [_parse_axis_flag(text) for text in flags.axis]
+        if flags.target:
+            targets = [TargetSpec.parse(part) for text in flags.target
+                       for part in text.split(",") if part.strip()]
+        fixed.update(_parse_fixed_flag(text) for text in flags.fixed or [])
+        noise_mode = flags.noise_mode or noise_mode
+        if flags.threads is not None:
+            threads = flags.threads
+    spec = ScanSpec(axes=axes, targets=targets, fixed=fixed,
                     noise_mode=noise_mode or "independent", threads=threads)
     result = run_scan(spec)
 
     if args.csv == "-":
         write_csv(result, sys.stdout)
     else:
-        with open(args.csv, "w") as handle:
+        with _open_output(args.csv) as handle:
             write_csv(result, handle)
     if args.json is not None:
-        with open(args.json, "w") as handle:
+        with _open_output(args.json) as handle:
             write_boundaries_json(result, handle)
     if args.svg is not None:
         if len(result.shape) != 2:
@@ -340,15 +339,12 @@ def _cmd_scan(args) -> int:
         for tgt in spec.targets:
             label = tgt.label()
             safe = label.replace(":", "-").replace("/", "-")
-            path = f"{args.svg}{safe}.svg"
-            with open(path, "w") as handle:
+            with _open_output(f"{args.svg}{safe}.svg") as handle:
                 handle.write(render_svg(result, label))
     if result.errors:
-        sys.stderr.write(json.dumps(
-            {"error": "EvaluationError",
-             "message": f"{len(result.errors)} grid cells failed; see the "
-                        "JSON error records"},
-            sort_keys=True) + "\n")
+        _print_json({"error": "EvaluationError",
+                     "message": f"{len(result.errors)} grid cells failed; "
+                                "see the JSON error records"}, sys.stderr)
     return 0
 
 
@@ -371,10 +367,7 @@ def _build_parser() -> _Parser:
 
     p_crit = sub.add_parser("crit", help="evaluate one criterion")
     _add_state_args(p_crit)
-    p_crit.add_argument("--family", required=True, choices=FAMILIES)
-    p_crit.add_argument("--k1", type=int, default=0)
-    p_crit.add_argument("--k2", type=int, default=0)
-    p_crit.add_argument("--mode", type=int, default=1, choices=(1, 2))
+    _add_criterion_args(p_crit, FAMILIES)
     p_crit.add_argument("--max-order", type=int, default=None)
     p_crit.set_defaults(func=_cmd_crit)
 
@@ -388,11 +381,7 @@ def _build_parser() -> _Parser:
     p_bound = sub.add_parser("boundary",
                              help="locate sign changes along one axis")
     _add_state_args(p_bound, require_bp=False)
-    p_bound.add_argument("--family", required=True,
-                         choices=FAMILIES + ("negativity", "i_ncl"))
-    p_bound.add_argument("--k1", type=int, default=0)
-    p_bound.add_argument("--k2", type=int, default=0)
-    p_bound.add_argument("--mode", type=int, default=1, choices=(1, 2))
+    _add_criterion_args(p_bound, FAMILIES + ("negativity", "i_ncl"))
     p_bound.add_argument("--axis", required=True, choices=AXIS_NAMES)
     p_bound.add_argument("--min", type=float, default=None)
     p_bound.add_argument("--max", type=float, default=None)
@@ -414,8 +403,10 @@ def _build_parser() -> _Parser:
                         metavar="TARGET[,TARGET..]")
     p_scan.add_argument("--fixed", action="append", default=None,
                         metavar="NAME=VALUE")
+    # the scan spec checks the noise mode, so that a --noise-mode flag
+    # overrides whatever an INI file names
     p_scan.add_argument("--noise-mode", default=None,
-                        choices=NOISE_MODES)
+                        help=f"one of {', '.join(NOISE_MODES)}")
     p_scan.add_argument("--threads", type=int, default=None)
     p_scan.add_argument("--csv", default="-",
                         help="CSV output path, - for stdout (default)")
@@ -435,16 +426,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, OrderLimitError, ParameterError) as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)},
-            sort_keys=True) + "\n")
-        return 1
     except TwinbeamError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)},
-            sort_keys=True) + "\n")
-        return 2
+        _print_json({"error": type(exc).__name__, "message": str(exc)},
+                    sys.stderr)
+        usage = (ConfigError, OrderLimitError, ParameterError)
+        return 1 if isinstance(exc, usage) else 2
 
 
 if __name__ == "__main__":  # pragma: no cover

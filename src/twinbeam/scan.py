@@ -55,6 +55,7 @@ THREADS_ENV = "TWINBEAM_THREADS"
 
 BISECTION_MAX_ITER = 60
 BISECTION_REL_TOL = 1e-9
+WRITE_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -548,11 +549,21 @@ def write_csv(result: ScanResult, stream):
     # '%.12g' writes nan, inf and -0.0 as format(x, ".12g") does
     row = ",".join(["%.12g"] * len(coords)
                    + ["%.12g", "%d"] * len(labels)) + "\n"
+    _write_rows(stream, row, columns)
+
+
+def _write_rows(stream, row, columns):
+    """Write ``row % cells`` for every row of ``columns`` laid side by side,
+    arrays of equal length: a 1-D array gives one cell per row, a 2-D array
+    one per column."""
+    columns = [c if c.ndim == 2 else c[:, None] for c in columns]
     # blocks of rows bound the Python objects alive at once; one write
     # per block also leaves less of the heap behind than one per row
-    for start in range(0, columns[0].size, 4096):
-        block = zip(*(col[start:start + 4096].tolist() for col in columns))
-        stream.write("".join(row % cells for cells in block))
+    step = max(1, WRITE_BLOCK_CELLS // sum(c.shape[1] for c in columns))
+    for start in range(0, len(columns[0]), step):
+        lists = [col for c in columns
+                 for col in c[start:start + step].T.tolist()]
+        stream.write("".join(row % cells for cells in zip(*lists)))
 
 
 def write_boundaries_json(result: ScanResult, stream):

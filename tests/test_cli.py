@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from twinbeam import criteria, scan, states
+from twinbeam import criteria, moments, scan, states
 from twinbeam.cli import main
 from twinbeam.scan import AxisSpec, ScanSpec, TargetSpec
 
@@ -212,6 +212,14 @@ def test_selftest_passes(capsys):
         assert match.group(1) and float(match.group(2)) >= 0.0
 
 
+class _Ini(str):
+    """Config-file text that the failure test writes to a file and passes
+    by its path."""
+
+
+_AXIS_BP = "[axis:bp]\nmin = 0.1\nmax = 1\n"
+
+
 @pytest.mark.parametrize("argv,error", [
     (["crit", "--bp", "1.0"], "ConfigError"),
     (["crit", "--bp", "-1", "--family", "E_p", "--k1", "0", "--k2", "0"],
@@ -242,13 +250,109 @@ def test_selftest_passes(capsys):
     (["boundary", "--family", "E_p", "--axis", "t", "--bp", "1",
       "--tol", "1"], "ConfigError"),
     (["pnd", "--bp", "1", "--nmax", "-1"], "ConfigError"),
+    (["scan", "--config", _Ini("[axis:bp]\nmin = abc\nmax = 1\n"),
+      "--target", "negativity"], "ConfigError"),
+    (["scan", "--config", _Ini(_AXIS_BP + "count = 2.5\n"),
+      "--target", "negativity"], "ConfigError"),
+    (["scan", "--config", _Ini(_AXIS_BP + "[scan]\nthreads = x\n"),
+      "--target", "negativity"], "ConfigError"),
+    (["scan", "--config", _Ini("min = 0\nmax = 1\n"),
+      "--target", "negativity"], "ConfigError"),
+    (["scan", "--config", _Ini(_AXIS_BP + _AXIS_BP),
+      "--target", "negativity"], "ConfigError"),
+    (["scan", "--config", _Ini(_AXIS_BP + "count = 3%\n"),
+      "--target", "negativity"], "ConfigError"),
 ])
-def test_failures_report_json_and_exit_nonzero(capsys, argv, error):
+def test_failures_report_json_and_exit_nonzero(capsys, tmp_path, argv,
+                                               error):
+    config = tmp_path / "scan.ini"
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if isinstance(arg, _Ini):
+            config.write_text(arg)
+            argv[i] = str(config)
     rc, _, err = run_cli(capsys, *argv)
     assert rc == 1
     payload = json.loads(err)
     assert payload["error"] == error
     assert payload["message"]
+
+
+@pytest.mark.parametrize("axis,section", [
+    ("bp:0:1:0", "[axis:bp]\nmin = 0\nmax = 1\ncount = 0\n"),
+    ("foo:0:1:3", "[axis:foo]\nmin = 0\nmax = 1\ncount = 3\n"),
+    ("bp:0:1:3:log", "[axis:bp]\nmin = 0\nmax = 1\ncount = 3\nscale = log\n"),
+], ids=["count", "name", "scale"])
+def test_axis_flags_fail_as_their_config_sections(capsys, tmp_path, axis,
+                                                  section):
+    config = tmp_path / "scan.ini"
+    config.write_text(section)
+    rc, _, from_flag = run_cli(capsys, "scan", "--axis", axis,
+                               "--target", "negativity")
+    assert rc == 1
+    rc, _, from_config = run_cli(capsys, "scan", "--config", str(config),
+                                 "--target", "negativity")
+    assert rc == 1
+    assert from_flag == from_config
+    assert "malformed" not in json.loads(from_flag)["message"]
+
+
+def test_scan_flags_override_the_config_file(capsys, tmp_path):
+    """--axis and --target replace the file's lists, --fixed overrides it
+    key by key, --noise-mode and --threads override it; start and stop
+    spell min and max."""
+    config = tmp_path / "scan.ini"
+    config.write_text(
+        "[scan]\ntargets = M_p\nnoise_mode = balanced\nthreads = 1\n"
+        "[fixed]\nt = 0.7\nphi = 0.3\n"
+        "[axis:bp]\nstart = 0.1\nstop = 2\ncount = 3\n")
+    rc, from_config, _ = run_cli(capsys, "scan", "--config", str(config))
+    assert rc == 0
+    rc, from_flags, _ = run_cli(capsys, "scan", "--axis", "bp:0.1:2:3",
+                                "--target", "M_p", "--fixed", "t=0.7",
+                                "--fixed", "phi=0.3",
+                                "--noise-mode", "balanced")
+    assert rc == 0
+    assert from_config == from_flags
+    rc, merged, _ = run_cli(capsys, "scan", "--config", str(config),
+                            "--axis", "bs:0:1:2", "--target", "E_p:0:0",
+                            "--fixed", "t=0.9", "--fixed", "bp=1",
+                            "--noise-mode", "independent", "--threads", "2")
+    assert rc == 0
+    rc, want, _ = run_cli(capsys, "scan", "--axis", "bs:0:1:2",
+                          "--target", "E_p:0:0", "--fixed", "t=0.9",
+                          "--fixed", "phi=0.3", "--fixed", "bp=1")
+    assert rc == 0
+    assert merged == want
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--json", "--svg"])
+def test_unwritable_output_paths_report_json(capsys, tmp_path, flag):
+    rc, _, err = run_cli(capsys, "scan", "--axis", "bp:0.1:1:3",
+                         "--axis", "bs:0:1:3", "--target", "negativity",
+                         "--csv", str(tmp_path / "grid.csv"),
+                         flag, str(tmp_path / "missing" / "out"))
+    assert rc == 1
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert "missing" in payload["message"]
+
+
+def test_pnd_rows_match_per_value_formatting(capsys):
+    """Row templates and block writes give the bytes of per-value
+    format(v, ".12g") rows, on a table wider than one block of rows."""
+    argv = ["--bp", "0.7", "--bs", "0.2", "--t", "0.4", "--phi", "0.3"]
+    rc, out, _ = run_cli(capsys, "pnd", *argv, "--nmax", "300")
+    assert rc == 0
+    st = states.beam_splitter(states.twin_beam(0.7, bs=0.2), 0.4, phi=0.3)
+    p = moments.pnd_table(st, 300, 300)
+    assert p.size > scan.WRITE_BLOCK_CELLS
+    want = ",".join(["n1\\n2"] + [str(j) for j in range(301)]) + "\n"
+    for i in range(301):
+        want += ",".join([str(i)] + [format(v, ".12g") for v in p[i]]) + "\n"
+    want += f"# tail_mass,{format(1.0 - float(p.sum()), '.12g')}\n"
+    assert out == want
 
 
 @pytest.mark.parametrize("phi", ["-1e-3", "-2E-1", "-.5", "-3"])
