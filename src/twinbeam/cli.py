@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import re
 import sys
@@ -62,25 +63,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _jsonable(value):
+def _json_default(value):
+    """What ``json`` cannot write itself: complex numbers as [re, im],
+    arrays as lists, numpy scalars as Python scalars."""
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.bool_):
-        return bool(value)
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _print_json(payload, stream=None):
     stream = stream or sys.stdout
-    json.dump(_jsonable(payload), stream, sort_keys=True)
+    json.dump(payload, stream, sort_keys=True, default=_json_default)
     stream.write("\n")
 
 
@@ -323,24 +320,28 @@ def _cmd_scan(args) -> int:
             threads = flags.threads
     spec = ScanSpec(axes=axes, targets=targets, fixed=fixed,
                     noise_mode=noise_mode or "independent", threads=threads)
-    result = run_scan(spec)
+    if args.svg is not None and len(spec.axes) != 2:
+        raise ConfigError("SVG output needs a two-dimensional scan")
 
-    if args.csv == "-":
-        write_csv(result, sys.stdout)
-    else:
-        with _open_output(args.csv) as handle:
-            write_csv(result, handle)
-    if args.json is not None:
-        with _open_output(args.json) as handle:
-            write_boundaries_json(result, handle)
-    if args.svg is not None:
-        if len(result.shape) != 2:
-            raise ConfigError("SVG output needs a two-dimensional scan")
-        for tgt in spec.targets:
+    # every output is opened before the scan runs, so that a path that
+    # cannot be written fails before any work is done
+    with contextlib.ExitStack() as stack:
+        def output(path):
+            return stack.enter_context(_open_output(path))
+
+        csv_out = sys.stdout if args.csv == "-" else output(args.csv)
+        json_out = None if args.json is None else output(args.json)
+        svg_out = []
+        for tgt in spec.targets if args.svg is not None else ():
             label = tgt.label()
             safe = label.replace(":", "-").replace("/", "-")
-            with _open_output(f"{args.svg}{safe}.svg") as handle:
-                handle.write(render_svg(result, label))
+            svg_out.append((label, output(f"{args.svg}{safe}.svg")))
+        result = run_scan(spec)
+        write_csv(result, csv_out)
+        if json_out is not None:
+            write_boundaries_json(result, json_out)
+        for label, handle in svg_out:
+            handle.write(render_svg(result, label))
     if result.errors:
         _print_json({"error": "EvaluationError",
                      "message": f"{len(result.errors)} grid cells failed; "

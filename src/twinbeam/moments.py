@@ -395,7 +395,7 @@ def twin_beam_pnd_closed_form(params, n1: int, n2: int) -> float:
     if isinstance(params, TwinBeamParams):
         p = params
     else:
-        p = TwinBeamParams(float(params))
+        p = TwinBeamParams(params)
     n1 = _checked("n1", n1)
     n2 = _checked("n2", n2)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (TwoModeGaussianState, _checked, _covariance_invariants,
-                     _precise_params, _symplectic_pair)
+                     _symplectic_pair)
 
 __all__ = [
     "ZERO_TOL",
@@ -70,7 +70,7 @@ def _negativity_arrays(b1, b2, c1, c2, d12, dbar12):
 
 def negativity(state: TwoModeGaussianState) -> float:
     """Entanglement negativity of the state; zero for separable states."""
-    return float(_negativity_arrays(*_precise_params(state))[0])
+    return float(_negativity_arrays(*state._extended)[0])
 
 
 def classify(state: TwoModeGaussianState,

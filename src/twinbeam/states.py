@@ -14,14 +14,15 @@ runs in extended precision because the smaller eigenvalue of a strongly
 entangled state emerges from cancellation between covariance entries that
 are many orders of magnitude larger.
 
-The physical maps (twin_beam, beam_splitter, attenuate) also carry the six
-parameters in extended precision, next to the float64 fields.  A noiseless
-twin beam's negativity rests on bp + 1/2 - |d12|, which magnifies the float64
-rounding of d12 = i sqrt(bp(bp+1)) to about 3e-10 relative at bp = 1e3; the
-extended copy keeps that rounding out of the negativity and the symplectic
-eigenvalues.  Everything else, the criteria and the physicality check
-included, reads the float64 fields.  A state built directly from numbers,
-even from another state's fields, carries no copy.
+Every state also carries its six parameters in extended precision, next
+to the float64 fields.  A state built directly from numbers carries their
+exact promotion; the physical maps (twin_beam, beam_splitter, attenuate)
+compute the copy of their output from their inputs' copy.  A noiseless
+twin beam's negativity rests on bp + 1/2 - |d12|, which magnifies the
+float64 rounding of d12 = i sqrt(bp(bp+1)) to about 3e-10 relative at
+bp = 1e3; the extended copy keeps that rounding out of the negativity and
+the symplectic eigenvalues.  Everything else, the criteria and the
+physicality check included, reads the float64 fields.
 """
 from __future__ import annotations
 
@@ -123,35 +124,27 @@ class BeamSplitterParams:
 
 # -- symplectic invariants (extended precision, batch friendly) ----------
 
+def _sigma_entries(b1, b2, c1, c2, d12, dbar12, real):
+    """The ten entries of the symmetric-ordered quadrature covariance
+    (vacuum level 1/2) in the real type ``real``: the single-mode blocks
+    a00, a01, a11 and b00, b01, b11 and the correlation block c00, c01,
+    c10, c11.  Inputs may be arrays."""
+    b1, b2 = np.asarray(b1, dtype=real), np.asarray(b2, dtype=real)
+    cplx = np.result_type(real, 1j)
+    c1, c2, d, e = [np.asarray(x, dtype=cplx) for x in (c1, c2, d12, dbar12)]
+    half = real(0.5)
+    return (b1 + half + c1.real, c1.imag, b1 + half - c1.real,
+            b2 + half + c2.real, c2.imag, b2 + half - c2.real,
+            d.real - e.real, d.imag - e.imag, d.imag + e.imag,
+            -d.real - e.real)
+
+
 def _covariance_invariants(b1, b2, c1, c2, d12, dbar12):
     """det of the two single-mode blocks, the correlation block, and the
-    full symmetric-ordered quadrature covariance (vacuum level 1/2).
-
-    All arithmetic in numpy extended precision; inputs may be arrays.
-    """
-    ld = np.longdouble
-    b1 = np.asarray(b1, dtype=ld)
-    b2 = np.asarray(b2, dtype=ld)
-    c1r = np.asarray(np.real(c1), dtype=ld)
-    c1i = np.asarray(np.imag(c1), dtype=ld)
-    c2r = np.asarray(np.real(c2), dtype=ld)
-    c2i = np.asarray(np.imag(c2), dtype=ld)
-    dr = np.asarray(np.real(d12), dtype=ld)
-    di = np.asarray(np.imag(d12), dtype=ld)
-    er = np.asarray(np.real(dbar12), dtype=ld)
-    ei = np.asarray(np.imag(dbar12), dtype=ld)
-
-    half = ld("0.5")
-    a00 = b1 + half + c1r
-    a01 = c1i
-    a11 = b1 + half - c1r
-    b00 = b2 + half + c2r
-    b01 = c2i
-    b11 = b2 + half - c2r
-    c00 = dr - er
-    c01 = di - ei
-    c10 = di + ei
-    c11 = -dr - er
+    full quadrature covariance, in extended precision; inputs may be
+    arrays."""
+    a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = _sigma_entries(
+        b1, b2, c1, c2, d12, dbar12, np.longdouble)
 
     det_a = a00 * a11 - a01 * a01
     det_b = b00 * b11 - b01 * b01
@@ -244,9 +237,9 @@ class TwoModeGaussianState:
     c2: complex = 0.0
     d12: complex = 0.0
     dbar12: complex = 0.0
-    # extended-precision copy of params(), set by the physical maps only
-    _extended: tuple | None = field(default=None, init=False, compare=False,
-                                    repr=False)
+    # extended-precision copy of params(): their exact promotion, replaced
+    # by the mapped copy in the physical maps
+    _extended: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("b1", "b2"):
@@ -256,6 +249,7 @@ class TwoModeGaussianState:
             if not cmath.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_extended", _promoted(*self.params()))
         if not is_physical_params(*self.params()):
             nu_m, _ = _symplectic_pair(*_covariance_invariants(*self.params()))
             raise PhysicalityError(
@@ -270,27 +264,17 @@ class TwoModeGaussianState:
         return (self.b1, self.b2, self.c1, self.c2, self.d12, self.dbar12)
 
 
-def _carry(state: TwoModeGaussianState, b1, b2, c1, c2, d12,
-           dbar12) -> TwoModeGaussianState:
-    """Attach the extended-precision copy of the six parameters."""
+def _promoted(b1, b2, c1, c2, d12, dbar12) -> tuple:
+    """The six parameters as extended-precision scalars."""
     ld, cld = np.longdouble, np.clongdouble
-    object.__setattr__(state, "_extended", (
-        ld(b1), ld(b2), cld(c1), cld(c2), cld(d12), cld(dbar12)))
-    return state
-
-
-def _precise_params(state: TwoModeGaussianState) -> tuple:
-    """The extended-precision copy when the state carries one, else params()."""
-    if state._extended is not None:
-        return state._extended
-    return state.params()
+    return ld(b1), ld(b2), cld(c1), cld(c2), cld(d12), cld(dbar12)
 
 
 def symplectic_eigenvalues(state: TwoModeGaussianState,
                            partial_transpose: bool = False):
     """(smaller, larger) symplectic eigenvalue of the quadrature covariance."""
     nu_m, nu_p = _symplectic_pair(
-        *_covariance_invariants(*_precise_params(state)),
+        *_covariance_invariants(*state._extended),
         partial_transpose=partial_transpose)
     return float(nu_m), float(nu_p)
 
@@ -348,28 +332,22 @@ class CovarianceMatrixN:
         m = np.asarray(self.entries, dtype=complex)
         if m.shape != (4, 4):
             raise ParameterError(f"expected a 4x4 matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ParameterError("covariance entries must be finite")
         object.__setattr__(self, "entries", m)
         self.validate()
 
     def validate(self, tol: float = 1e-9):
         m = self.entries
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m - m.conj().T)) > tol * scale:
-            raise ParameterError("covariance matrix is not Hermitian")
-        pattern_pairs = [
-            ((0, 0), (1, 1)),  # both equal -b1
-            ((2, 2), (3, 3)),  # both equal -b2
-            ((0, 2), (3, 1)),  # both equal conj(dbar12)
-            ((0, 3), (2, 1)),  # both equal d12
-        ]
-        for (i, j), (k, l) in pattern_pairs:
-            if abs(m[i, j] - m[k, l]) > tol * scale:
-                raise ParameterError(
-                    f"covariance entries ({i},{j}) and ({k},{l}) must match")
-        if abs(np.imag(m[0, 0])) > tol * scale or np.real(m[0, 0]) > tol * scale:
-            raise ParameterError("diagonal must hold -b1 <= 0")
-        if abs(np.imag(m[2, 2])) > tol * scale or np.real(m[2, 2]) > tol * scale:
-            raise ParameterError("diagonal must hold -b2 <= 0")
+        bound = tol * max(1.0, float(np.max(np.abs(m))))
+        for k, name in ((0, "b1"), (2, "b2")):
+            if np.real(m[k, k]) > bound:
+                raise ParameterError(f"diagonal must hold -{name} <= 0")
+        off = np.abs(m - _an_matrix(*_params_from_an(m))) > bound
+        if off.any():
+            i, j = np.argwhere(off)[0]
+            raise ParameterError(f"covariance entry ({i},{j}) does not fit "
+                                 "the normal-ordered layout")
 
     @classmethod
     def from_state(cls, state: TwoModeGaussianState) -> "CovarianceMatrixN":
@@ -386,19 +364,10 @@ def covariance_n(state: TwoModeGaussianState) -> CovarianceMatrixN:
 
 def quadrature_covariance(state: TwoModeGaussianState) -> np.ndarray:
     """Symmetric-ordered covariance in (x1, p1, x2, p2) order, vacuum 1/2."""
-    b1, b2, c1, c2, d, e = state.params()
-    sig = np.zeros((4, 4), dtype=float)
-    sig[0, 0] = b1 + c1.real + 0.5
-    sig[1, 1] = b1 - c1.real + 0.5
-    sig[0, 1] = sig[1, 0] = c1.imag
-    sig[2, 2] = b2 + c2.real + 0.5
-    sig[3, 3] = b2 - c2.real + 0.5
-    sig[2, 3] = sig[3, 2] = c2.imag
-    sig[0, 2] = sig[2, 0] = d.real - e.real
-    sig[0, 3] = sig[3, 0] = d.imag - e.imag
-    sig[1, 2] = sig[2, 1] = d.imag + e.imag
-    sig[1, 3] = sig[3, 1] = -d.real - e.real
-    return sig
+    a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = _sigma_entries(
+        *state.params(), np.float64)
+    return np.array([[a00, a01, c00, c01], [a01, a11, c10, c11],
+                     [c00, c10, b00, b01], [c01, c11, b01, b11]])
 
 
 # -- physical maps --------------------------------------------------------
@@ -425,19 +394,17 @@ def twin_beam(params, bs: float = 0.0, bi: float = 0.0) -> TwoModeGaussianState:
     if isinstance(params, TwinBeamParams):
         p = params
     else:
-        p = TwinBeamParams(float(params), float(bs), float(bi))
-    state = TwoModeGaussianState(*_twin_beam_arrays(p.bp, p.bs, p.bi))
-    ld = np.longdouble
-    return _carry(state, *_twin_beam_arrays(ld(p.bp), ld(p.bs), ld(p.bi)))
+        p = TwinBeamParams(params, bs, bi)
+    means = (p.bp, p.bs, p.bi)
+    return _apply(_twin_beam_arrays, means, map(np.longdouble, means))
 
 
-def _apply(state: TwoModeGaussianState, fmap, *args) -> TwoModeGaussianState:
-    """State after ``fmap`` on its fields and, when it carries one, on its
-    extended-precision copy."""
-    out = TwoModeGaussianState(*fmap(*state.params(), *args))
-    if state._extended is None:
-        return out
-    return _carry(out, *fmap(*state._extended, *args))
+def _apply(fmap, params, extended, *args) -> TwoModeGaussianState:
+    """State built by ``fmap`` from float64 ``params``, carrying ``fmap`` of
+    their extended-precision copy ``extended`` as its own copy."""
+    state = TwoModeGaussianState(*fmap(*params, *args))
+    object.__setattr__(state, "_extended", _promoted(*fmap(*extended, *args)))
+    return state
 
 
 def bs_unitary(t, phi=0.0) -> np.ndarray:
@@ -486,8 +453,9 @@ def beam_splitter(state: TwoModeGaussianState, bs,
     if isinstance(bs, BeamSplitterParams):
         p = bs
     else:
-        p = BeamSplitterParams(float(bs), float(phi))
-    return _apply(state, _bs_transform_arrays, p.t, p.phi)
+        p = BeamSplitterParams(bs, phi)
+    return _apply(_bs_transform_arrays, state.params(), state._extended,
+                  p.t, p.phi)
 
 
 def _attenuate_arrays(b1, b2, c1, c2, d12, dbar12, eta1, eta2):
@@ -507,4 +475,4 @@ def attenuate(state: TwoModeGaussianState, eta1: float,
     rescaling of the parameters."""
     e1 = _checked("eta1", eta1)
     e2 = e1 if eta2 is None else _checked("eta2", eta2)
-    return _apply(state, _attenuate_arrays, e1, e2)
+    return _apply(_attenuate_arrays, state.params(), state._extended, e1, e2)

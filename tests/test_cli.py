@@ -337,6 +337,22 @@ def test_unwritable_output_paths_report_json(capsys, tmp_path, flag):
     payload = json.loads(err)
     assert payload["error"] == "ConfigError"
     assert "missing" in payload["message"]
+    # every output is opened before the scan runs, so no rows are written
+    csv = tmp_path / "grid.csv"
+    assert not csv.exists() or csv.read_text() == ""
+
+
+def test_svg_of_a_one_dimensional_scan_fails_before_the_scan(capsys,
+                                                             tmp_path):
+    rc, _, err = run_cli(capsys, "scan", "--axis", "bp:0.1:1:3",
+                         "--target", "negativity",
+                         "--csv", str(tmp_path / "grid.csv"),
+                         "--svg", str(tmp_path / "plot-"))
+    assert rc == 1
+    assert json.loads(err) == {
+        "error": "ConfigError",
+        "message": "SVG output needs a two-dimensional scan"}
+    assert not (tmp_path / "grid.csv").exists()
 
 
 def test_pnd_rows_match_per_value_formatting(capsys):

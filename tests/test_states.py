@@ -51,6 +51,11 @@ def test_beam_splitter_accepts_params_object():
         lambda: states.attenuate(states.twin_beam(1.0), math.nan),
         lambda: states.BeamSplitterParams(0.5, math.inf),
         lambda: states.TwoModeGaussianState(math.nan, 1.0),
+        lambda: states.twin_beam("abc"),
+        lambda: states.twin_beam(1.0, bs=None),
+        lambda: states.beam_splitter(states.twin_beam(1.0), "x"),
+        lambda: states.beam_splitter(states.twin_beam(1.0), 0.5, phi=None),
+        lambda: moments.twin_beam_pnd_closed_form("abc", 1, 1),
     ],
 )
 def test_parameter_validation(build):
@@ -238,6 +243,45 @@ def test_covariance_layout():
     assert m[0, 3] == pytest.approx(tb.d12)
     assert m[1, 2] == pytest.approx(np.conj(tb.d12))
     np.testing.assert_allclose(m, m.conj().T, atol=1e-14)
+
+
+_COV_STATE = states.beam_splitter(states.twin_beam(1.0, bs=0.3, bi=0.1), 0.6,
+                                  phi=0.4)
+
+
+def test_covariance_matrix_round_trip():
+    m = states.CovarianceMatrixN(states.covariance_n(_COV_STATE).entries)
+    assert m.to_state() == _COV_STATE
+
+
+def _shifted_covariance(i, j, delta):
+    m = states.covariance_n(_COV_STATE).entries.copy()
+    m[i, j] += delta
+    return m
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        np.zeros((3, 3)),
+        _shifted_covariance(1, 0, 0.1j),  # not Hermitian
+        _shifted_covariance(1, 1, 0.1),   # (1,1) != (0,0)
+        _shifted_covariance(3, 1, 0.1),   # (3,1) != (0,2)
+        _shifted_covariance(0, 0, 0.1j),  # imaginary (0,0)
+        np.diag([0.5, 0.5, -1.0, -1.0]).astype(complex),
+    ],
+)
+def test_covariance_matrix_rejects_a_broken_layout(entries):
+    with pytest.raises(ParameterError):
+        states.CovarianceMatrixN(entries)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_covariance_matrix_rejects_non_finite_entries(value):
+    entries = _shifted_covariance(0, 1, value)
+    entries[1, 0] = entries[0, 1]
+    with pytest.raises(ParameterError, match="finite"):
+        states.CovarianceMatrixN(entries)
 
 
 def test_vacuum_quadrature_covariance():
