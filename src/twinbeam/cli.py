@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import functools
 import json
 import re
 import sys
@@ -356,7 +357,9 @@ def _cmd_selftest(_args) -> int:
 
 # -- parser wiring -----------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built once: parsing leaves it as it was."""
     parser = _Parser(prog="twinbeam",
                      description="Non-classicality analysis of noisy twin "
                                  "beams and their beam-splitter transforms.")
@@ -390,7 +393,7 @@ def _build_parser() -> _Parser:
     p_bound.add_argument("--scale", choices=("linear", "log"),
                          default="linear")
     p_bound.add_argument("--tol", type=float, default=1e-8,
-                         help="relative refinement tolerance on the axis")
+                         help="relative ITP refinement tolerance on the axis")
     p_bound.add_argument("--noise-mode", default="independent",
                          choices=NOISE_MODES)
     p_bound.set_defaults(func=_cmd_boundary)

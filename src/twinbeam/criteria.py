@@ -67,7 +67,9 @@ _SQRT33 = math.sqrt(33.0)
 class CriterionId:
     """Identifier of one criterion: family, indices, and for the single-mode
     R family which mode is probed.  For R the indices are (k, l) with
-    l >= 1."""
+    1 <= l <= k: the moments T of a classical field are log-convex
+    (Lyapunov's inequality), so T[k+1] T[l-1] - T[k] T[l] >= 0 there, while
+    for l > k it is <= 0 on classical fields and certifies nothing."""
 
     family: str
     k1: int = 0
@@ -81,9 +83,9 @@ class CriterionId:
                 f"expected one of {', '.join(FAMILIES)}")
         for name in ("k1", "k2", "mode"):
             object.__setattr__(self, name, _checked(name, getattr(self, name)))
-        if self.family in ("R_W", "R_p") and self.k2 < 1:
+        if self.family in ("R_W", "R_p") and not 1 <= self.k2 <= self.k1:
             raise ParameterError(
-                "the R family needs l >= 1 in its index pair (k, l)")
+                f"the R family needs 1 <= l <= k, got ({self.k1}, {self.k2})")
 
     def label(self) -> str:
         if self.family in ("M_W", "M_p"):

@@ -17,7 +17,7 @@ Cells whose evaluation degenerates (non-finite results) are recorded in the
 error list and marked with verdict -1; they never abort the scan.
 
 Boundary tracing uses marching squares on the sign of a per-target
-indicator, with every crossing edge refined by bisection against the exact
+indicator, with every crossing edge refined by ITP against the exact
 evaluator, so reported boundary vertices satisfy the criterion to solver
 precision rather than to grid resolution.  Grid values that are exactly
 zero count as non-classical for the contour topology.
@@ -55,6 +55,10 @@ THREADS_ENV = "TWINBEAM_THREADS"
 
 BISECTION_MAX_ITER = 60
 BISECTION_REL_TOL = 1e-9
+# ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020) in _bisect: truncation
+# kappa1 * (b - a)**2 with kappa1 = ITP_KAPPA1 / (b0 - a0), and n0 = ITP_N0
+ITP_KAPPA1 = 0.2
+ITP_N0 = 1
 WRITE_BLOCK_CELLS = 1 << 16
 
 
@@ -398,7 +402,7 @@ def _edge_key(side: str, i: int, j: int):
 
 def _trace_boundaries(pipeline: _Pipeline, target: TargetSpec, axis_values,
                       grid: np.ndarray) -> list:
-    """Marching squares over the indicator sign with bisected edges."""
+    """Marching squares over the indicator sign with refined edges."""
     xs, ys = axis_values
     if len(xs) < 2 or len(ys) < 2:
         return []
@@ -440,39 +444,61 @@ def _sign_changes(grid: np.ndarray, axis: int) -> tuple:
                       & ((a <= 0.0) != (b <= 0.0)))
 
 
-def _bisect(indicator, lo, hi, lo_sign, log_spacing: bool,
+def _bisect(indicator, lo, hi, f_lo, f_hi, log_spacing: bool,
             rel_tol: float) -> np.ndarray:
-    """Batched bisection of sign changes, one lane per bracket [lo, hi].
+    """ITP refinement of sign changes, one lane per bracket [lo, hi].
 
-    ``indicator`` maps an array of midpoints to indicator values; lo_sign
-    says whether the indicator is <= 0 at lo.  A non-finite value at a
-    midpoint counts as lo's side.  Stops once every bracket is within
-    rel_tol of its larger end, or after BISECTION_MAX_ITER steps, and
-    returns the bracket midpoints.
+    Each step truncates the regula falsi point of the end values toward the
+    midpoint, projects it so that no bracket is wider than bisection's was
+    ITP_N0 steps earlier, and keeps it half a stopping width inside the
+    bracket, as Brent's method does, so that a step next to the crossing
+    closes the bracket.  Log-spaced axes step in log x.
+
+    ``indicator(x, lanes)`` gives the values at points of the unfinished
+    ``lanes``; f_lo and f_hi lie on opposite sides (<= 0 against > 0).  A
+    non-finite value counts as lo's side and sends its lane to midpoints.
+    A lane stops once its bracket is within rel_tol of its larger end, or
+    after BISECTION_MAX_ITER steps.  Returns the bracket midpoints.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    for _ in range(BISECTION_MAX_ITER):
-        mid = np.sqrt(lo * hi) if log_spacing else 0.5 * (lo + hi)
-        f_mid = indicator(mid)
-        mid_sign = np.where(np.isfinite(f_mid), f_mid <= 0.0, lo_sign)
-        take_lo = mid_sign == lo_sign
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-        span = hi - lo
-        scale = np.maximum(np.abs(lo), np.abs(hi))
-        if np.all(span <= rel_tol * np.maximum(scale, 1e-30)):
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    f_lo, f_hi = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
+    lo_sign = f_lo <= 0.0
+    to_u = np.log if log_spacing else np.asarray
+    width0 = to_u(hi) - to_u(lo)
+    for step in range(BISECTION_MAX_ITER):
+        stop = rel_tol * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-30)
+        lanes = np.flatnonzero(hi - lo > stop)
+        if not lanes.size:
             break
+        a, b = to_u(lo[lanes]), to_u(hi[lanes])
+        width, mid = b - a, 0.5 * (a + b)
+        with np.errstate(all="ignore"):
+            falsi = a - f_lo[lanes] * width / (f_hi[lanes] - f_lo[lanes])
+        falsi = np.where(np.isfinite(falsi), falsi, mid)
+        toward = np.sign(mid - falsi)
+        delta = ITP_KAPPA1 * width ** 2 / width0[lanes]
+        u = np.where(delta <= np.abs(mid - falsi), falsi + toward * delta,
+                     mid)
+        radius = 0.5 * (width0[lanes] * 2.0 ** (ITP_N0 - step) - width)
+        u = np.where(np.abs(u - mid) <= radius, u, mid - toward * radius)
+        margin = 0.5 * stop[lanes]
+        x = np.clip(np.exp(u) if log_spacing else u, lo[lanes] + margin,
+                    hi[lanes] - margin)
+        f = indicator(x, lanes)
+        take_lo = (np.where(np.isfinite(f), f <= 0.0, lo_sign[lanes])
+                   == lo_sign[lanes])
+        lo[lanes[take_lo]], f_lo[lanes[take_lo]] = x[take_lo], f[take_lo]
+        hi[lanes[~take_lo]], f_hi[lanes[~take_lo]] = x[~take_lo], f[~take_lo]
     return np.sqrt(lo * hi) if log_spacing else 0.5 * (lo + hi)
 
 
 def _refine_edges(pipeline, target, axis_values, grid, axis, rel_tol):
-    """Bisect every sign change of a 1-D or 2-D indicator grid along
-    ``axis`` in one batch.
+    """Refine every sign change of a 1-D or 2-D indicator grid along
+    ``axis`` in one batch, starting from the grid values at both ends.
 
     Returns the edge indices, each edge named by its lower end as
     _sign_changes gives them, and an (edges, ndim) array of crossing points
-    in axis coordinates: the coordinate along ``axis`` bisected to
+    in axis coordinates: the coordinate along ``axis`` refined by _bisect to
     ``rel_tol``, the others those of the grid.
     """
     edges = _sign_changes(grid, axis)
@@ -480,11 +506,15 @@ def _refine_edges(pipeline, target, axis_values, grid, axis, rel_tol):
     if edges[axis].size:
         axes = pipeline.spec.axes
         sub = _Pipeline(replace(pipeline.spec, targets=(target,)))
-        coords = {a.name: p for a, p in zip(axes, points)}
+        upper = edges[:axis] + (edges[axis] + 1,) + edges[axis + 1:]
+
+        def indicator(x, lanes):
+            coords = {a.name: p[lanes] for a, p in zip(axes, points)}
+            return sub.evaluate({**coords, axes[axis].name: x})[0][2]
+
         points[axis] = _bisect(
-            lambda mid: sub.evaluate({**coords, axes[axis].name: mid})[0][2],
-            points[axis], axis_values[axis][edges[axis] + 1],
-            grid[edges] <= 0.0, axes[axis].scale == "log", rel_tol)
+            indicator, points[axis], axis_values[axis][upper[axis]],
+            grid[edges], grid[upper], axes[axis].scale == "log", rel_tol)
     return edges, np.stack(points, axis=-1)
 
 

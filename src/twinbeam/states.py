@@ -388,10 +388,12 @@ def _twin_beam_arrays(bp, bs, bi):
 def twin_beam(params, bs: float = 0.0, bi: float = 0.0) -> TwoModeGaussianState:
     """Noisy twin beam: photon pairs plus independent thermal noise.
 
-    Accepts either a TwinBeamParams or a bare pair mean with optional noise
-    means.
+    Accepts either a TwinBeamParams, which carries the noise means, or a
+    bare pair mean with optional noise means.
     """
     if isinstance(params, TwinBeamParams):
+        if bs != 0.0 or bi != 0.0:
+            raise ParameterError("the noise means belong in the params")
         p = params
     else:
         p = TwinBeamParams(params, bs, bi)
@@ -447,10 +449,12 @@ def beam_splitter(state: TwoModeGaussianState, bs,
                   phi: float = 0.0) -> TwoModeGaussianState:
     """State after mixing the two modes on a beam splitter.
 
-    ``bs`` is a BeamSplitterParams or a bare transmissivity.  Mean photon
-    numbers of the output are stored as magnitudes (non-negative).
+    ``bs`` is a BeamSplitterParams, with its phase, or a bare transmissivity.
+    Mean photon numbers of the output are stored as magnitudes (non-negative).
     """
     if isinstance(bs, BeamSplitterParams):
+        if phi != 0.0:
+            raise ParameterError("the phase belongs in the params")
         p = bs
     else:
         p = BeamSplitterParams(bs, phi)

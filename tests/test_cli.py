@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from twinbeam import criteria, moments, scan, states
+from twinbeam import cli, criteria, moments, scan, states
 from twinbeam.cli import main
 from twinbeam.scan import AxisSpec, ScanSpec, TargetSpec
 
@@ -212,6 +212,25 @@ def test_selftest_passes(capsys):
         assert match.group(1) and float(match.group(2)) >= 0.0
 
 
+def test_one_parser_serves_every_call(capsys):
+    """main builds the argparse tree once; calls that share it print and
+    exit as each would on a fresh tree."""
+    sweep = ["boundary", "--family", "E_p", "--axis", "t", "--bp", "1"]
+    calls = [sweep, sweep + ["--tol", "-1"],
+             ["boundary", "--family", "E_p", "--axis", "nosuch"], sweep,
+             ["scan", "--axis", "bp:0.1:1:3", "--target", "negativity"],
+             ["scan", "--axis", "bs:0:1:2", "--target", "M_p",
+              "--fixed", "bp=1"]]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert cli._build_parser() is cli._build_parser()
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [0, 1, 1, 0, 0, 0]
+
+
 class _Ini(str):
     """Config-file text that the failure test writes to a file and passes
     by its path."""
@@ -262,6 +281,9 @@ _AXIS_BP = "[axis:bp]\nmin = 0.1\nmax = 1\n"
       "--target", "negativity"], "ConfigError"),
     (["scan", "--config", _Ini(_AXIS_BP + "count = 3%\n"),
       "--target", "negativity"], "ConfigError"),
+    # l > k certifies the thermal state: R_W:1:3:1 read -2.0 there
+    (["crit", "--bp", "0", "--bs", "1", "--bi", "1", "--family", "R_W",
+      "--k1", "1", "--k2", "3"], "ParameterError"),
 ])
 def test_failures_report_json_and_exit_nonzero(capsys, tmp_path, argv,
                                                error):

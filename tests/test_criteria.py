@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from twinbeam import criteria, moments, quantifiers, states
 from twinbeam.criteria import CriterionId
-from twinbeam.errors import OrderLimitError, ParameterError
+from twinbeam.errors import ConfigError, OrderLimitError, ParameterError
+from twinbeam.scan import TargetSpec
 
 E_AND_M_IDS = [
     CriterionId(family, k1, k2)
@@ -162,6 +164,41 @@ def test_thermal_state_fires_no_criterion():
     for cid in criteria.default_catalog():
         res = criteria.evaluate(th, cid)
         assert not res.nonclassical, cid.label()
+
+
+@pytest.mark.parametrize("text", ["R_W:1:3:1", "R_p:1:3:1", "R_W:2:4:1",
+                                  "R_p:2:3:2", "R_W:0:1"])
+def test_ratio_pairs_with_l_above_k_are_rejected(text):
+    """On the thermal twin_beam(0, bs=1, bi=1) the first three read -2.0,
+    -0.125 and -12: pairs with l > k certify classical fields."""
+    with pytest.raises(ParameterError, match="1 <= l <= k"):
+        CriterionId.parse(text)
+    with pytest.raises(ParameterError):
+        criteria.evaluate(states.twin_beam(0.0, bs=1.0, bi=1.0), text)
+    with pytest.raises(ConfigError):
+        TargetSpec.parse(text)
+
+
+_SOUND_RATIO_IDS = [CriterionId(family, k, l, mode)
+                    for family in ("R_W", "R_p") for k in range(1, 6)
+                    for l in range(1, k + 1) for mode in (1, 2)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(bs=st.floats(0.0, 10.0), bi=st.floats(0.0, 10.0),
+       t=st.floats(0.0, 1.0), phi=st.floats(-math.pi, math.pi),
+       eta1=st.floats(0.0, 1.0), eta2=st.floats(0.0, 1.0))
+# one thermal mode split in two: W1 = W2 on the classical edge
+@example(bs=1.0, bi=0.0, t=0.5, phi=0.0, eta1=1.0, eta2=1.0)
+def test_ratio_criteria_never_certify_a_classical_state(bs, bi, t, phi, eta1,
+                                                        eta2):
+    """Beam splitters and loss keep the P function of thermal light
+    non-negative, so no accepted R id may certify the result."""
+    state = states.attenuate(
+        states.beam_splitter(states.twin_beam(0.0, bs=bs, bi=bi), t,
+                             phi=phi), eta1, eta2)
+    for cid in _SOUND_RATIO_IDS:
+        assert not criteria.evaluate(state, cid).nonclassical, cid.label()
 
 
 def test_verdict_tolerance_scales_with_magnitude():

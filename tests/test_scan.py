@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinbeam import criteria, quantifiers, scan, states
+from twinbeam.cli import main
 from twinbeam.errors import ConfigError
 from twinbeam.scan import AxisSpec, ScanSpec, TargetSpec
 
@@ -69,7 +70,7 @@ def test_boundary_matches_the_separability_curve():
 
 
 def test_log_axis_boundary_follows_the_ratio_boundary():
-    """Edges along a log-spaced bp axis are bisected geometrically; every
+    """Edges along a log-spaced bp axis are refined in log bp; every
     refined vertex lies on the analytic R_p:2:2 boundary."""
     res = scan.run_scan(ScanSpec(
         axes=[AxisSpec("bp", 0.05, 20.0, 40, scale="log"),
@@ -343,7 +344,8 @@ def test_invalid_configurations_are_rejected(build):
 # -- marching squares and CSV against per-cell references -------------------
 
 def _midpoint_refine(pipeline, target, axis_values, grid, axis, rel_tol):
-    """Stand-in for bisection: every crossing edge ends at its midpoint."""
+    """Stand-in for edge refinement: every crossing edge ends at its
+    midpoint."""
     edges = scan._sign_changes(grid, axis)
     points = [values[index] for values, index in zip(axis_values, edges)]
     points[axis] = 0.5 * (points[axis] + axis_values[axis][edges[axis] + 1])
@@ -521,3 +523,140 @@ def test_negativity_needs_no_criterion_tables(monkeypatch, texts):
     for arrays_got, arrays_want in zip(got, want):
         for a, b in zip(arrays_got, arrays_want):
             assert np.array_equal(a, b)
+
+
+# -- edge refinement against the bisection it replaced ----------------------
+
+def _reference_bisection(indicator, lo, hi, lo_sign, log_spacing, rel_tol):
+    """The batched bisection that edge refinement used before ITP.  Returns,
+    per lane, the evaluations that lane needs to meet the stopping rule on
+    its own."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    needed = np.full(lo.shape, scan.BISECTION_MAX_ITER)
+    for step in range(scan.BISECTION_MAX_ITER):
+        mid = np.sqrt(lo * hi) if log_spacing else 0.5 * (lo + hi)
+        f_mid = indicator(mid)
+        mid_sign = np.where(np.isfinite(f_mid), f_mid <= 0.0, lo_sign)
+        take_lo = mid_sign == lo_sign
+        lo = np.where(take_lo, mid, lo)
+        hi = np.where(take_lo, hi, mid)
+        span = hi - lo
+        scale = np.maximum(np.abs(lo), np.abs(hi))
+        met = span <= rel_tol * np.maximum(scale, 1e-30)
+        needed = np.where(met, np.minimum(needed, step + 1), needed)
+        if np.all(met):
+            break
+    return needed
+
+
+def _nan_patch(s):
+    """Straight, with a non-finite patch on lo's side next to the crossing."""
+    return np.where((s > -0.3) & (s <= 0.0), np.nan, s)
+
+
+# indicators of s = (x - root) / width, negated on every other lane
+_SHAPES = {
+    "straight": lambda s: s,
+    "smooth": lambda s: np.expm1(3.0 * s),
+    "triple-root": lambda s: s ** 3,
+    "step": lambda s: np.where(s > 0.0, 1.0, -1.0),
+    "flat-then-steep": lambda s: np.expm1(40.0 * s),
+    "nan-patch": _nan_patch,
+    "lo=0": lambda s: np.tanh(4.0 * s),
+}
+
+
+def _refine_brackets(shape, log_spacing, lanes=400):
+    """Seeded brackets of one indicator shape, refined by _bisect with the
+    tracer's tolerance.  Returns the crossings, the true roots, the
+    evaluations per lane and the bisection count per lane; refine(picked)
+    runs the lanes ``picked`` alone."""
+    rng = np.random.default_rng(sorted(_SHAPES).index(shape))
+    if shape == "lo=0":
+        lo = np.zeros(lanes)
+    elif log_spacing:
+        lo = 10.0 ** rng.uniform(-3.0, 2.0, lanes)
+    else:
+        lo = rng.uniform(0.0, 5.0, lanes)
+    width = (lo if log_spacing else 1.0) * rng.uniform(1e-3, 1.0, lanes)
+    hi = lo + width
+    root = lo + width * rng.uniform(0.35 if shape == "nan-patch" else 0.02,
+                                    0.98, lanes)
+    sign = np.where(np.arange(lanes) % 2, -1.0, 1.0)
+    rel_tol = scan.BISECTION_REL_TOL
+
+    def values(x, lanes):
+        return sign[lanes] * _SHAPES[shape]((x - root[lanes]) / width[lanes])
+
+    every = np.arange(lanes)
+    f_lo, f_hi = values(lo, every), values(hi, every)
+
+    def refine(picked):
+        counts = np.zeros(lanes, dtype=int)
+
+        def indicator(x, active):
+            counts[picked[active]] += 1
+            return values(x, picked[active])
+
+        got = scan._bisect(indicator, lo[picked], hi[picked], f_lo[picked],
+                           f_hi[picked], log_spacing, rel_tol)
+        return got, counts[picked]
+
+    needed = _reference_bisection(lambda x: values(x, every), lo, hi,
+                                     f_lo <= 0.0, log_spacing, rel_tol)
+    got, counts = refine(every)
+    return got, root, counts, needed, refine
+
+
+@pytest.mark.parametrize("shape,log_spacing", [
+    (shape, log_spacing) for shape in sorted(_SHAPES)
+    for log_spacing in (False, True)
+    if not (shape == "lo=0" and log_spacing)])  # log axes start above 0
+def test_refinement_keeps_the_worst_case_of_bisection(shape, log_spacing):
+    """On every lane ITP needs at most two evaluations beyond bisection, and
+    its crossing, the bracket midpoint, meets bisection's stopping rule; a
+    lane gives the same point and count alone as in a batch of 400."""
+    got, root, counts, needed, refine = _refine_brackets(shape, log_spacing)
+    assert np.all(counts <= needed + 2)
+    half = 0.5 * scan.BISECTION_REL_TOL * root * (1.0 + 1e-6)
+    assert np.all(np.abs(got - root) <= half)
+    for lane in (0, 1, int(np.argmax(counts - needed))):
+        alone, count = refine(np.array([lane]))
+        assert alone[0] == got[lane] and count[0] == counts[lane]
+
+
+@pytest.mark.parametrize("log_spacing", [False, True], ids=["linear", "log"])
+def test_refinement_closes_in_on_a_straight_crossing(log_spacing):
+    """Regula falsi lands next to the crossing of a straight indicator, and
+    the point kept inside the bracket closes it: at most 8 evaluations on
+    every lane, where bisection needs 20 to 35."""
+    _, _, counts, needed, _ = _refine_brackets("straight", log_spacing)
+    assert counts.max() <= 8 and needed.min() >= 20
+
+
+@pytest.mark.parametrize("flags,name,values", [
+    (["--family", "E_p", "--axis", "t"], "--bp", np.linspace(0.1, 5.0, 15)),
+    (["--family", "negativity", "--axis", "bs", "--noise-mode", "balanced"],
+     "--bp", np.linspace(0.1, 5.0, 15)),
+    (["--family", "R_p", "--k1", "2", "--k2", "2", "--axis", "bp"], "--t",
+     np.linspace(0.65, 0.9, 15)),
+], ids=["E_p-over-t", "negativity-over-bs", "R_p-over-bp"])
+def test_boundary_sweeps_refine_in_a_few_evaluations(monkeypatch, capsys,
+                                                      flags, name, values):
+    """Each sweep kind of the scan_map benchmark, over its range there,
+    evaluates the grid, at most 8 refinement points and the value at the
+    crossing; bisection took 19 to 26 refinement points."""
+    calls = []
+    evaluate = scan._Pipeline.evaluate
+
+    def counted(self, coords):
+        calls.append(coords)
+        return evaluate(self, coords)
+
+    monkeypatch.setattr(scan._Pipeline, "evaluate", counted)
+    for value in values:
+        calls.clear()
+        assert main(["boundary", *flags, name, repr(float(value))]) == 0
+        assert len(json.loads(capsys.readouterr().out)["crossings"]) == 1
+        assert len(calls) - 2 <= 8

@@ -56,6 +56,11 @@ def test_beam_splitter_accepts_params_object():
         lambda: states.beam_splitter(states.twin_beam(1.0), "x"),
         lambda: states.beam_splitter(states.twin_beam(1.0), 0.5, phi=None),
         lambda: moments.twin_beam_pnd_closed_form("abc", 1, 1),
+        # a params object carries every parameter of its map
+        lambda: states.twin_beam(states.TwinBeamParams(1.0), bs=0.5),
+        lambda: states.twin_beam(states.TwinBeamParams(1.0), bi=0.5),
+        lambda: states.beam_splitter(states.twin_beam(1.0),
+                                     states.BeamSplitterParams(0.5), phi=0.3),
     ],
 )
 def test_parameter_validation(build):
