@@ -10,9 +10,10 @@ number probabilities, which stay finite for strong fields and are directly
 accessible from photocounting records.
 
 Every criterion reads its table from moments._table and passes the
-max_order guard of the moments module; the identifiers, closed forms and
-boundaries check their arguments against the range table of the states
-module.
+max_order guard of the moments module.  A state's Q coefficients and
+tables are built once and shared by every evaluate on it.  The
+identifiers, closed forms and boundaries check their arguments against
+the range table of the states module.
 
 A criterion certifies non-classicality only when its value is below -tol,
 where tol is 1e-12 times the largest of its constituent terms.  This
@@ -180,19 +181,29 @@ def _value(cid: CriterionId, table: np.ndarray):
     return a - b, np.maximum(np.abs(a), np.abs(b))
 
 
-def _judge(ids, coeffs: np.ndarray) -> list:
+def _judge(ids, coeffs: np.ndarray, memo: dict | None = None) -> list:
     """(value, tol) of each criterion on the Q coefficients ``coeffs``.
 
     Each table kind is built once, at the largest orders the criteria ask
-    for.  A criterion certifies non-classicality where value < -tol.
+    for.  A state's ``memo`` keeps each kind's table, read-only, at the
+    largest orders asked so far: its prefix equals a smaller table bit for
+    bit, so it serves every smaller request and is rebuilt at the
+    elementwise max of both orders for a larger one.  A criterion
+    certifies non-classicality where value < -tol.
     """
     needs = [_need(cid) for cid in ids]
     orders = {}
     for kind, (o1, o2), _ in needs:
         c1, c2 = orders.get(kind, (0, 0))
         orders[kind] = (max(c1, o1), max(c2, o2))
-    tables = {kind: _table(coeffs, kind, o1, o2)
-              for kind, (o1, o2) in orders.items()}
+    tables = {} if memo is None else memo
+    for kind, (o1, o2) in orders.items():
+        # held table's sizes, a marginal's padded with a 1; (0, 1) if none
+        h1, h2 = (*np.shape(tables.get(kind, ())), 1)[:2]
+        if o1 >= h1 or o2 >= h2:
+            tables[kind] = _table(coeffs, kind, max(o1, h1 - 1),
+                                  max(o2, h2 - 1))
+            tables[kind].flags.writeable = False
     out = []
     for cid, (kind, _, _) in zip(ids, needs):
         value, scale = _value(cid, tables[kind])
@@ -207,7 +218,11 @@ def evaluate(state: TwoModeGaussianState, cid: CriterionId,
         cid = CriterionId.parse(str(cid))
     order = _need(cid)[2]
     _check_order(order, max_order)
-    ((value, tol),) = _judge([cid], _q_coeff_array(*state.params()))
+    memo = state._memo
+    if "Q" not in memo:
+        memo["Q"] = _q_coeff_array(*state.params())
+        memo["Q"].flags.writeable = False
+    ((value, tol),) = _judge([cid], memo["Q"], memo)
     return CriterionResult(id=cid, value=float(value),
                            nonclassical=bool(value < -tol),
                            tol=float(tol), max_order_used=order)

@@ -366,6 +366,7 @@ def photon_number_distribution(state: TwoModeGaussianState,
     The union bound tail(n1_max, n2_max) <= tail_1 + tail_2 makes the
     reported tail_mass trustworthy without summing anything infinite.
     """
+    tail_tol = _checked("tail_tol", tail_tol)
     if not 0.0 < tail_tol < 1.0:
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     n_start = _checked("n_start", n_start)

@@ -77,6 +77,7 @@ def classify(state: TwoModeGaussianState,
              tol: float = ZERO_TOL) -> NonclassicalityReport:
     """Full report: local quantifiers for both modes, the negativity, and
     Boolean verdicts using an absolute tolerance around zero."""
+    tol = _checked("tol", tol)
     i1 = local_quantifier(state, 1)
     i2 = local_quantifier(state, 2)
     n = negativity(state)

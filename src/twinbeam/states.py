@@ -54,14 +54,16 @@ PHYSICALITY_TOL = 1e-9
 
 # Allowed range of every scalar argument: the twin-beam means bp, bs and bi,
 # the mode means b1 and b2, the transmissivity t and phase phi of a beam
-# splitter, the detection efficiencies, and, with integer bounds, the
-# integer arguments: indices, orders, photon numbers and cutoffs, the
-# counts, and the probed mode.  _checked is the only place they are
-# compared; bs_unitary, which takes arrays, checks its own.
+# splitter, the detection efficiencies and tolerances, and, with integer
+# bounds, the integer arguments: indices, orders, photon numbers and
+# cutoffs, the counts, and the probed mode.  _checked is the only place
+# they are compared; bs_unitary, which takes arrays, checks its own.
 _PARAM_RANGES = {
     **dict.fromkeys(("bp", "bs", "bi", "b1", "b2"), (0.0, math.inf)),
     **dict.fromkeys(("t", "eta", "eta1", "eta2"), (0.0, 1.0)),
     "phi": (-math.inf, math.inf),
+    "tol": (0.0, math.inf),
+    "tail_tol": (0.0, 1.0),
     **dict.fromkeys(("k", "k1", "k2", "n", "n1", "n2", "n_max", "n_max1",
                      "n_max2", "order1", "order2", "max_order", "cutoff",
                      "shell", "n1_out", "n2_out", "n1_in", "n2_in"),
@@ -240,6 +242,8 @@ class TwoModeGaussianState:
     # extended-precision copy of params(): their exact promotion, replaced
     # by the mapped copy in the physical maps
     _extended: tuple = field(init=False, compare=False, repr=False)
+    # Q and criterion tables: built on use, read-only, not pickled or copied
+    _memo: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("b1", "b2"):
@@ -250,11 +254,15 @@ class TwoModeGaussianState:
                 raise ParameterError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_extended", _promoted(*self.params()))
+        object.__setattr__(self, "_memo", {})
         if not is_physical_params(*self.params()):
             nu_m, _ = _symplectic_pair(*_covariance_invariants(*self.params()))
             raise PhysicalityError(
                 "parameters violate the uncertainty relation "
                 f"(smaller symplectic eigenvalue {float(nu_m):.6g} < 1/2)")
+
+    def __getstate__(self):
+        return {**self.__dict__, "_memo": {}}
 
     def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
         return is_physical_params(self.b1, self.b2, self.c1, self.c2,

@@ -1,12 +1,15 @@
 """Tests for the non-classicality criteria and their closed forms."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
+from conftest import random_physical_state
 from twinbeam import criteria, moments, quantifiers, states
 from twinbeam.criteria import CriterionId
 from twinbeam.errors import ConfigError, OrderLimitError, ParameterError
@@ -184,6 +187,14 @@ _SOUND_RATIO_IDS = [CriterionId(family, k, l, mode)
                     for l in range(1, k + 1) for mode in (1, 2)]
 
 
+def _classical_state(bs, bi, t, phi, eta1, eta2):
+    """Thermal light through a beam splitter and loss: both keep its P
+    function non-negative."""
+    return states.attenuate(
+        states.beam_splitter(states.twin_beam(0.0, bs=bs, bi=bi), t,
+                             phi=phi), eta1, eta2)
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(bs=st.floats(0.0, 10.0), bi=st.floats(0.0, 10.0),
        t=st.floats(0.0, 1.0), phi=st.floats(-math.pi, math.pi),
@@ -194,11 +205,120 @@ def test_ratio_criteria_never_certify_a_classical_state(bs, bi, t, phi, eta1,
                                                         eta2):
     """Beam splitters and loss keep the P function of thermal light
     non-negative, so no accepted R id may certify the result."""
-    state = states.attenuate(
-        states.beam_splitter(states.twin_beam(0.0, bs=bs, bi=bi), t,
-                             phi=phi), eta1, eta2)
+    state = _classical_state(bs, bi, t, phi, eta1, eta2)
     for cid in _SOUND_RATIO_IDS:
         assert not criteria.evaluate(state, cid).nonclassical, cid.label()
+
+
+_SOUND_MOMENT_IDS = [CriterionId(family, k1, k2) for family in ("E_W", "E_p")
+                     for k1 in range(5) for k2 in range(5)]
+_SOUND_MOMENT_IDS += [CriterionId("M_W"), CriterionId("M_p")]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(bs=st.floats(0.0, 10.0), bi=st.floats(0.0, 10.0),
+       t=st.floats(0.0, 1.0), phi=st.floats(-math.pi, math.pi),
+       eta1=st.floats(0.0, 1.0), eta2=st.floats(0.0, 1.0))
+# one thermal mode split in two: W1 = W2, so every E value is 0 exactly
+@example(bs=1.0, bi=0.0, t=0.5, phi=0.0, eta1=1.0, eta2=1.0)
+def test_moment_criteria_never_certify_a_classical_state(bs, bi, t, phi,
+                                                         eta1, eta2):
+    """On a non-negative P function E reads the mean of
+    W1**k1 W2**k2 (W1 - W2)**2 and M a Gram determinant, or their
+    photon-number analogues, so no E id up to (4, 4) and no M id may
+    certify the states of the ratio property."""
+    state = _classical_state(bs, bi, t, phi, eta1, eta2)
+    for cid in _SOUND_MOMENT_IDS:
+        assert not criteria.evaluate(state, cid).nonclassical, cid.label()
+
+
+def _bits(results):
+    """Value and tol of each result as raw float64 bytes, with its verdict."""
+    return [(np.float64(r.value).tobytes(), np.float64(r.tol).tobytes(),
+             r.nonclassical) for r in results]
+
+
+# the vacuum, whose tables hold signed zeros, a noiseless twin beam, a
+# balanced split of one, and three noisy, split and lossy states
+_ORDER_PARAMS = [s.params() for s in (
+    states.twin_beam(0.0), states.twin_beam(0.5),
+    states.beam_splitter(states.twin_beam(1.0), 0.5),
+    *(random_physical_state(np.random.default_rng(seed))
+      for seed in range(3)))]
+
+
+@pytest.mark.parametrize("params", _ORDER_PARAMS)
+def test_catalog_bits_do_not_depend_on_the_evaluation_order(params):
+    """A state keeps its tables across evaluate calls, so the order in
+    which a catalog asks for them must not show in any bit."""
+    catalog = criteria.default_catalog()
+    state = states.TwoModeGaussianState(*params)
+    forwards = [criteria.evaluate(state, cid) for cid in catalog]
+    state = states.TwoModeGaussianState(*params)
+    backwards = [criteria.evaluate(state, cid) for cid in catalog[::-1]]
+    fresh = [criteria.evaluate(states.TwoModeGaussianState(*params), cid)
+             for cid in catalog]
+    assert _bits(forwards) == _bits(backwards[::-1]) == _bits(fresh)
+
+
+def _evaluated_state():
+    state = random_physical_state(np.random.default_rng(9))
+    for cid in criteria.default_catalog():
+        criteria.evaluate(state, cid)
+    return state
+
+
+def test_an_evaluated_state_equals_hashes_and_prints_as_a_fresh_one():
+    state = _evaluated_state()
+    fresh = states.TwoModeGaussianState(*state.params())
+    assert state._memo and not fresh._memo
+    assert state == fresh
+    assert hash(state) == hash(fresh)
+    assert repr(state) == repr(fresh)
+    for twin in (copy.copy(state), copy.deepcopy(state),
+                 pickle.loads(pickle.dumps(state))):
+        assert twin == state and not twin._memo
+
+
+def test_memoized_arrays_are_read_only():
+    state = _evaluated_state()
+    assert set(state._memo) == {"Q", "W", "p", "W1", "W2", "p1", "p2"}
+    for key, array in state._memo.items():
+        assert not array.flags.writeable, key
+        with pytest.raises(ValueError):
+            array.flat[0] = 1.0
+    # the public Q polynomial stays the caller's to change
+    assert moments.q_polynomial(state).coeffs.flags.writeable
+
+
+def test_photon_number_tables_stay_out_of_the_memo():
+    state = _evaluated_state()
+    held = dict(state._memo)
+    moments.pnd_table(state, 8, 8)
+    moments.marginal_pnd_table(state, 1, 8)
+    moments.photon_number_distribution(state)
+    assert state._memo.keys() == held.keys()
+    assert all(state._memo[key] is held[key] for key in held)
+
+
+def test_a_catalog_builds_one_q_and_22_tables_per_state(monkeypatch):
+    """Each kind's table grows to the elementwise max of the orders asked
+    so far: 5 builds for each E kind, 3 for each marginal, none for M."""
+    calls = {"q": 0, "table": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(criteria, "_q_coeff_array",
+                        counted("q", criteria._q_coeff_array))
+    monkeypatch.setattr(criteria, "_table", counted("table", criteria._table))
+    state = random_physical_state(np.random.default_rng(5))
+    for cid in criteria.default_catalog():
+        criteria.evaluate(state, cid)
+    assert calls == {"q": 1, "table": 22}
 
 
 def test_verdict_tolerance_scales_with_magnitude():

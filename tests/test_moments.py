@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_physical_state
 from twinbeam import moments, states
@@ -308,3 +309,27 @@ def test_q_polynomial_evaluates_like_k_matrix():
     for _ in range(5):
         l1, l2 = rng.uniform(0.0, 1.5, size=2)
         assert poly.eval(l1, l2) == pytest.approx(km.q_value(l1, l2), rel=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(bp=st.floats(0.01, 5.0), bs=st.floats(0.0, 2.0), bi=st.floats(0.0, 2.0),
+       t=st.floats(0.0, 1.0), phi=st.floats(-math.pi, math.pi),
+       eta1=st.floats(0.05, 1.0), eta2=st.floats(0.05, 1.0),
+       kind=st.sampled_from(("W", "p", "W1", "W2", "p1", "p2")),
+       o1=st.integers(0, 7), o2=st.integers(0, 7),
+       d1=st.integers(0, 4), d2=st.integers(0, 4))
+def test_table_prefix_is_the_smaller_table(bp, bs, bi, t, phi, eta1, eta2,
+                                           kind, o1, o2, d1, d2):
+    """Every criterion table kind: the [:o1 + 1, :o2 + 1] corner of a larger
+    table is the smaller table bit for bit, signs of zero included, which
+    lets a state keep one table per kind at its largest orders."""
+    state = states.attenuate(states.beam_splitter(
+        states.twin_beam(bp, bs=bs, bi=bi), t, phi=phi), eta1, eta2)
+    q = moments._q_coeff_array(*state.params())
+    if kind != kind[0]:  # a marginal has one order
+        o2 = d2 = 0
+    small = moments._table(q, kind, o1, o2)
+    large = moments._table(q, kind, o1 + d1, o2 + d2)
+    corner = large[:o1 + 1, :o2 + 1] if kind == kind[0] else large[:o1 + 1]
+    assert corner.shape == small.shape
+    assert corner.tobytes() == small.tobytes()

@@ -61,6 +61,20 @@ def test_beam_splitter_accepts_params_object():
         lambda: states.twin_beam(states.TwinBeamParams(1.0), bi=0.5),
         lambda: states.beam_splitter(states.twin_beam(1.0),
                                      states.BeamSplitterParams(0.5), phi=0.3),
+        # tolerances: negativity 1.37 read as not entangled at nan, a
+        # thermal state as entangled at -1
+        lambda: quantifiers.classify(states.twin_beam(0.5), tol=math.nan),
+        lambda: quantifiers.classify(states.twin_beam(0.0, bs=1.0, bi=1.0),
+                                     tol=-1.0),
+        lambda: quantifiers.classify(states.twin_beam(0.5), tol="x"),
+        lambda: moments.photon_number_distribution(states.twin_beam(0.5),
+                                                   tail_tol="x"),
+        lambda: moments.photon_number_distribution(states.twin_beam(0.5),
+                                                   tail_tol=None),
+        lambda: moments.photon_number_distribution(states.twin_beam(0.5),
+                                                   tail_tol=0.0),
+        lambda: moments.photon_number_distribution(states.twin_beam(0.5),
+                                                   tail_tol=1.0),
     ],
 )
 def test_parameter_validation(build):
