@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .moments import _check_order, _q_coeff_array, _table
+from .moments import _check_order, _q, _table
 from .states import TwoModeGaussianState, _checked
 
 __all__ = [
@@ -218,11 +218,7 @@ def evaluate(state: TwoModeGaussianState, cid: CriterionId,
         cid = CriterionId.parse(str(cid))
     order = _need(cid)[2]
     _check_order(order, max_order)
-    memo = state._memo
-    if "Q" not in memo:
-        memo["Q"] = _q_coeff_array(*state.params())
-        memo["Q"].flags.writeable = False
-    ((value, tol),) = _judge([cid], memo["Q"], memo)
+    ((value, tol),) = _judge([cid], _q(state), state._memo)
     return CriterionResult(id=cid, value=float(value),
                            nonclassical=bool(value < -tol),
                            tol=float(tol), max_order_used=order)

@@ -167,6 +167,14 @@ def q_polynomial(state: TwoModeGaussianState) -> BivariateSeries:
     return BivariateSeries(_q_coeff_array(*state.params()), point=(0.0, 0.0))
 
 
+def _q(state: TwoModeGaussianState) -> np.ndarray:
+    """The state's Q coefficients, built once and read-only in its memo."""
+    if "Q" not in state._memo:
+        state._memo["Q"] = q = _q_coeff_array(*state.params())
+        q.flags.writeable = False
+    return state._memo["Q"]
+
+
 # -- tables from Q coefficients --------------------------------------------
 
 def _table(q: np.ndarray, kind: str, o1: int, o2: int = 0) -> np.ndarray:
@@ -224,7 +232,7 @@ def _element(state: TwoModeGaussianState, kind: str, index: tuple,
              max_order: int | None) -> float:
     """Entry ``index`` of the smallest table of ``kind`` that holds it."""
     _check_order(sum(index), max_order)
-    return float(_table(q_polynomial(state).coeffs, kind, *index)[index])
+    return float(_table(_q(state), kind, *index)[index])
 
 
 # -- intensity moments -----------------------------------------------------
@@ -239,7 +247,7 @@ def moment_table(state: TwoModeGaussianState, order1: int, order2: int,
     o1 = _checked("order1", order1)
     o2 = _checked("order2", order2)
     _check_order(o1 + o2, max_order)
-    return _table(q_polynomial(state).coeffs, "W", o1, o2)
+    return _table(_q(state), "W", o1, o2)
 
 
 def intensity_moment(state: TwoModeGaussianState, k1: int, k2: int,
@@ -261,7 +269,7 @@ def marginal_intensity_moment(state: TwoModeGaussianState, mode: int, k: int,
 def pnd_table(state: TwoModeGaussianState, n_max1: int, n_max2: int) -> np.ndarray:
     """Joint photon-number probabilities p(n1, n2) for n1 <= n_max1,
     n2 <= n_max2.  Rounding-level negatives deep in the tail are clamped."""
-    return _table(q_polynomial(state).coeffs, "P",
+    return _table(_q(state), "P",
                   _checked("n_max1", n_max1), _checked("n_max2", n_max2))
 
 
@@ -276,7 +284,7 @@ def pnd_element(state: TwoModeGaussianState, n1: int, n2: int,
 def modified_pnd_table(state: TwoModeGaussianState, n_max1: int,
                        n_max2: int) -> np.ndarray:
     """Table of factorial-scaled probabilities n1! n2! p(n1, n2) / p(0, 0)."""
-    return _table(q_polynomial(state).coeffs, "p",
+    return _table(_q(state), "p",
                   _checked("n_max1", n_max1), _checked("n_max2", n_max2))
 
 
@@ -291,7 +299,7 @@ def marginal_pnd_table(state: TwoModeGaussianState, mode: int,
                        n_max: int) -> np.ndarray:
     """Marginal probabilities p_mode(n) for n <= n_max, from the exact
     single-mode reduction (no joint table is formed)."""
-    return _table(q_polynomial(state).coeffs, f"P{_checked('mode', mode)}",
+    return _table(_q(state), f"P{_checked('mode', mode)}",
                   _checked("n_max", n_max))
 
 
@@ -305,7 +313,7 @@ def marginal_pnd(state: TwoModeGaussianState, mode: int, n: int,
 
 def marginal_modified_pnd_table(state: TwoModeGaussianState, mode: int,
                                 n_max: int) -> np.ndarray:
-    return _table(q_polynomial(state).coeffs, f"p{_checked('mode', mode)}",
+    return _table(_q(state), f"p{_checked('mode', mode)}",
                   _checked("n_max", n_max))
 
 
@@ -365,15 +373,19 @@ def photon_number_distribution(state: TwoModeGaussianState,
     together drop below the tolerance; only then is the joint table built.
     The union bound tail(n1_max, n2_max) <= tail_1 + tail_2 makes the
     reported tail_mass trustworthy without summing anything infinite.
+    Cutoffs start at max(4, n_start) and double up to n_cap; a start above
+    n_cap raises ParameterError, a need above it TruncationError.
     """
     tail_tol = _checked("tail_tol", tail_tol)
     if not 0.0 < tail_tol < 1.0:
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    n_start = _checked("n_start", n_start)
+    n_first = max(4, _checked("n_start", n_start))
     n_cap = _checked("n_cap", n_cap)
+    if n_first > n_cap:
+        raise ParameterError(f"first cutoff {n_first} exceeds n_cap {n_cap}")
     cutoffs = []
     for mode in (1, 2):
-        n = max(4, n_start)
+        n = n_first
         # the exact marginal's mass beyond n, without a joint table
         while (1.0 - float(marginal_pnd_table(state, mode, n).sum())
                > tail_tol / 2.0):

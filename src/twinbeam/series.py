@@ -174,6 +174,8 @@ class BivariateSeries:
         The target orders may exceed the polynomial degree of ``self`` (the
         higher coefficients are taken as zero).  For batched coefficients,
         lanes whose constant term is not positive come back as NaN.
+        Unbatched, the rows that hold one number (the first row, and every
+        row of a one-column table) are computed on Python floats.
         """
         o1 = self.order1 if order1 is None else _checked("order1", order1)
         o2 = self.order2 if order2 is None else _checked("order2", order2)
@@ -189,8 +191,9 @@ class BivariateSeries:
                 raise EvaluationError(
                     "generating polynomial is not positive at the expansion "
                     f"point (constant term {q00!r})")
-            inv_q00 = 1.0 / q00
-            s00 = 1.0 / np.sqrt(q00)
+            q = q.tolist()
+            inv_q00 = float(1.0 / q00)
+            s00 = float(1.0 / np.sqrt(q00))
         else:
             valid = np.isfinite(q00) & (q00 > 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -199,25 +202,34 @@ class BivariateSeries:
                 s00 = np.where(valid, 1.0 / np.sqrt(np.where(valid, q00, 1.0)),
                                np.nan)
 
-        s = np.zeros((o1 + 1, o2 + 1) + batch, dtype=float)
-        s[0, 0] = s00
-
         # first row: within-row recurrence with order-dependent weights
+        row = [s00]
         for j in range(1, o2 + 1):
             acc = 0.0
             for b in range(1, min(j, dq2) + 1):
-                acc = acc + (2 * j - b) * q[0, b] * s[0, j - b]
-            s[0, j] = -acc * inv_q00 / (2 * j)
+                acc = acc + (2 * j - b) * q[0][b] * row[j - b]
+            row.append(-acc * inv_q00 / (2 * j))
+        if scalar and o2 == 0:
+            for i in range(1, o1 + 1):
+                acc = 0.0
+                for a in range(1, min(i, dq1) + 1):
+                    if q[a][0] != 0.0:
+                        acc = acc + ((2 * i - a) * q[a][0]) * row[i - a]
+                row.append(acc * (-inv_q00 / (2 * i)))
+            return BivariateSeries(np.reshape(row, (o1 + 1, 1)), self.point)
+        s = np.zeros((o1 + 1, o2 + 1) + batch, dtype=float)
+        s[0] = row
 
         # remaining rows: cross-row terms feed a constant-coefficient
         # within-row recurrence of depth dq2
-        taps = [q[0, b] * inv_q00 for b in range(1, dq2 + 1)]
+        taps = [q[0][b] * inv_q00 for b in range(1, dq2 + 1)]
+        den = np.concatenate(([1.0], taps)) if scalar else None
         for i in range(1, o1 + 1):
             base = np.zeros((o2 + 1,) + batch, dtype=float)
             for a in range(1, min(i, dq1) + 1):
                 w = 2 * i - a
                 for b in range(dq2 + 1):
-                    qab = q[a, b]
+                    qab = q[a][b]
                     if scalar and qab == 0.0:
                         continue
                     base[b:] += (w * qab) * s[i - a, : o2 + 1 - b]
@@ -227,8 +239,8 @@ class BivariateSeries:
             elif scalar:
                 # both branches stay: a numpy-only single path (the
                 # recurrence swept along anti-diagonals) matched to 2.2e-16
-                # but ran 3x slower on 4097^2 tables and 2x on (4, 4) ones
-                den = np.concatenate(([1.0], taps))
+                # but ran 3x slower on 4097^2 tables and 2x on (4, 4) ones;
+                # one-number rows run on floats, as NumPy calls cost more
                 s[i] = lfilter([1.0], den, base, axis=0)
             else:
                 row = s[i]

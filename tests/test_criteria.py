@@ -312,8 +312,8 @@ def test_a_catalog_builds_one_q_and_22_tables_per_state(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(criteria, "_q_coeff_array",
-                        counted("q", criteria._q_coeff_array))
+    monkeypatch.setattr(moments, "_q_coeff_array",
+                        counted("q", moments._q_coeff_array))
     monkeypatch.setattr(criteria, "_table", counted("table", criteria._table))
     state = random_physical_state(np.random.default_rng(5))
     for cid in criteria.default_catalog():

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_physical_state
 from twinbeam import moments, states
-from twinbeam.errors import EvaluationError, OrderLimitError, TruncationError
+from twinbeam.errors import (EvaluationError, OrderLimitError, ParameterError,
+                             TruncationError)
 
 
 def _characteristic_quadrature(state, lam1, lam2, nodes=48):
@@ -287,6 +288,34 @@ def test_adaptive_pnd_reaches_requested_tail(tail_tol):
 def test_adaptive_pnd_respects_cap():
     with pytest.raises(TruncationError):
         moments.photon_number_distribution(states.twin_beam(50.0), n_cap=32)
+
+
+@pytest.mark.parametrize("n_start,n_cap", [(64, 32), (16, 8), (1, 3)])
+def test_adaptive_pnd_rejects_a_first_cutoff_above_the_cap(monkeypatch,
+                                                           n_start, n_cap):
+    """The first cutoff is max(4, n_start); above n_cap no table is built."""
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(moments, "_table", no_table)
+    with pytest.raises(ParameterError, match="n_cap"):
+        moments.photon_number_distribution(states.twin_beam(0.5),
+                                           n_start=n_start, n_cap=n_cap)
+
+
+def test_adaptive_pnd_builds_q_once_per_state(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return q_coeff_array(*args)
+
+    q_coeff_array = moments._q_coeff_array
+    monkeypatch.setattr(moments, "_q_coeff_array", counted)
+    st = states.twin_beam(1.0)
+    pnd = moments.photon_number_distribution(st)
+    assert (pnd.n_max1, pnd.n_max2) == (64, 64)
+    assert len(calls) == 1
 
 
 def test_order_limit_is_enforced():

@@ -121,6 +121,25 @@ def test_batched_rsqrt_matches_scalar_slices():
         )
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_scalar_float_recurrences_match_batched_lanes_bit_for_bit(seed):
+    """Unbatched, the first row and one-column tables run on Python floats;
+    each must equal its lane of the batched NumPy recurrence exactly, signs
+    of zero included."""
+    rng = np.random.default_rng(seed)
+    batch = _random_positive_series(rng, 2, 2, batch=(5,))
+    batch.coeffs[1:, 0, 0] = 0.0    # exact-zero q[a, 0]: the skipped terms
+    batch.coeffs[0, 1:, 1] = 0.0    # a first row of signed zeros
+    for o1, o2 in [(29, 29)] + [(order, 0) for order in range(41)]:
+        lanes = batch.rsqrt(o1, o2).coeffs
+        rows = 1 if o2 else o1 + 1
+        for k in range(5):
+            lane = BivariateSeries(batch.coeffs[..., k]).rsqrt(o1, o2).coeffs
+            got, want = lane[:rows], lanes[:rows, ..., k]
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("c00", [0.0, -1.0])
 def test_rsqrt_requires_positive_constant_term(c00):
     coeffs = np.array([[c00, 1.0], [1.0, 0.0]])
