@@ -18,27 +18,31 @@ from .errors import (ConfigError, EvaluationError, OrderLimitError,
                      ParameterError, PhysicalityError, TruncationError,
                      TwinbeamError)
 from .moments import (DEFAULT_MAX_ORDER, KMatrix, PhotonNumberDistribution,
-                      build_k_matrix, intensity_moment, marginal_modified_pnd,
-                      marginal_pnd, modified_pnd_element, moment_table,
+                      build_k_matrix, intensity_moment,
+                      marginal_intensity_moment, marginal_modified_pnd,
+                      marginal_modified_pnd_table, marginal_pnd,
+                      marginal_pnd_table, modified_pnd_element,
+                      modified_pnd_table, moment_table,
                       photon_number_distribution, pnd_element, pnd_table,
                       q_polynomial, twin_beam_pnd_closed_form)
 from .oracle import (BsCoefficientTable, FactorialMomentEstimate,
                      bernoulli_downsample, bs_transform_pnd,
                      factorial_moment_from_pnd)
-from .quantifiers import (NonclassicalityReport, classify, local_quantifier,
-                          negativity)
-from .scan import (AxisSpec, ScanResult, ScanSpec, TargetSpec, run_scan,
-                   write_boundaries_json, write_csv)
+from .quantifiers import (ZERO_TOL, NonclassicalityReport, classify,
+                          local_quantifier, negativity)
+from .scan import (AXIS_NAMES, AxisSpec, ScanResult, ScanSpec, TargetSpec,
+                   run_scan, write_boundaries_json, write_csv)
 from .series import BivariateSeries
 from .states import (BeamSplitterParams, CovarianceMatrixN, TwinBeamParams,
                      TwoModeGaussianState, attenuate, beam_splitter,
-                     bs_unitary, covariance_n, quadrature_covariance,
-                     symplectic_eigenvalues, twin_beam)
+                     bs_unitary, covariance_n, is_physical_params,
+                     quadrature_covariance, symplectic_eigenvalues, twin_beam)
 from .svg import render_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "AXIS_NAMES",
     "AxisSpec",
     "BeamSplitterParams",
     "BivariateSeries",
@@ -64,6 +68,7 @@ __all__ = [
     "TwinBeamParams",
     "TwinbeamError",
     "TwoModeGaussianState",
+    "ZERO_TOL",
     "attenuate",
     "beam_splitter",
     "bernoulli_downsample",
@@ -87,10 +92,15 @@ __all__ = [
     "evaluate",
     "factorial_moment_from_pnd",
     "intensity_moment",
+    "is_physical_params",
     "local_quantifier",
+    "marginal_intensity_moment",
     "marginal_modified_pnd",
+    "marginal_modified_pnd_table",
     "marginal_pnd",
+    "marginal_pnd_table",
     "modified_pnd_element",
+    "modified_pnd_table",
     "moment_table",
     "negativity",
     "photon_number_distribution",

@@ -100,7 +100,8 @@ def _add_state_args(parser, require_bp=True):
 
 
 def _state_from_args(args):
-    _checked("phi", args.phi, ConfigError)
+    if _checked("phi", args.phi, ConfigError) and args.t is None:
+        raise ConfigError("--phi needs --t as well")
     state = twin_beam(TwinBeamParams(args.bp, args.bs, args.bi))
     if args.t is not None:
         state = beam_splitter(state, BeamSplitterParams(args.t, args.phi))

@@ -10,8 +10,8 @@ number probabilities, which stay finite for strong fields and are directly
 accessible from photocounting records.
 
 Every criterion reads its table from moments._table and passes the
-max_order guard of the moments module.  A state's Q coefficients and
-tables are built once and shared by every evaluate on it.  The
+max_order guard of the moments module; evaluate reads a state's tables
+from its memo, held by moments._held, so every evaluate shares them.  The
 identifiers, closed forms and boundaries check their arguments against
 the range table of the states module.
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .moments import _check_order, _q, _table
+from .moments import _check_order, _held, _table
 from .states import TwoModeGaussianState, _checked
 
 __all__ = [
@@ -145,9 +145,9 @@ class CriterionResult:
 # -- the shared engine ------------------------------------------------------
 #
 # Every criterion is read off one table that moments._table builds from the
-# Q coefficients.  The functions below take coefficient arrays with any
-# trailing batch axes, so a single state (a batch of one) and a scan grid
-# share them.
+# Q coefficients.  _value takes tables with any trailing batch axes, so a
+# state's held table in evaluate and the batch tables of _judge on a scan
+# grid share it.
 
 def _need(cid: CriterionId):
     """Table kind, table orders and derivative order of a criterion.
@@ -166,49 +166,33 @@ def _need(cid: CriterionId):
 
 
 def _value(cid: CriterionId, table: np.ndarray):
-    """Criterion value and the size of its largest term."""
+    """Criterion value and tol, RELATIVE_TOL times its largest term."""
     if cid.family[0] == "E":
         a = table[cid.k1 + 2, cid.k2]
         b = table[cid.k1, cid.k2 + 2]
         c = 2.0 * table[cid.k1 + 1, cid.k2 + 1]
-        return a + b - c, np.maximum(np.maximum(np.abs(a), np.abs(b)),
-                                     np.abs(c))
-    if cid.family[0] == "M":
+        value = a + b - c
+        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+    elif cid.family[0] == "M":
         a, b, c = table[2, 0], table[0, 2], table[1, 1]
-        return a * b - c * c, np.maximum(np.abs(a * b), c * c)
-    a = table[cid.k1 + 1] * table[cid.k2 - 1]
-    b = table[cid.k1] * table[cid.k2]
-    return a - b, np.maximum(np.abs(a), np.abs(b))
+        value, scale = a * b - c * c, np.maximum(np.abs(a * b), c * c)
+    else:
+        a = table[cid.k1 + 1] * table[cid.k2 - 1]
+        b = table[cid.k1] * table[cid.k2]
+        value, scale = a - b, np.maximum(np.abs(a), np.abs(b))
+    return value, RELATIVE_TOL * scale
 
 
-def _judge(ids, coeffs: np.ndarray, memo: dict | None = None) -> list:
-    """(value, tol) of each criterion on the Q coefficients ``coeffs``.
-
-    Each table kind is built once, at the largest orders the criteria ask
-    for.  A state's ``memo`` keeps each kind's table, read-only, at the
-    largest orders asked so far: its prefix equals a smaller table bit for
-    bit, so it serves every smaller request and is rebuilt at the
-    elementwise max of both orders for a larger one.  A criterion
-    certifies non-classicality where value < -tol.
-    """
+def _judge(ids, coeffs: np.ndarray) -> list:
+    """(value, tol) of each criterion on the Q coefficients ``coeffs``;
+    each table kind is built once, at the largest orders asked for."""
     needs = [_need(cid) for cid in ids]
     orders = {}
     for kind, (o1, o2), _ in needs:
         c1, c2 = orders.get(kind, (0, 0))
         orders[kind] = (max(c1, o1), max(c2, o2))
-    tables = {} if memo is None else memo
-    for kind, (o1, o2) in orders.items():
-        # held table's sizes, a marginal's padded with a 1; (0, 1) if none
-        h1, h2 = (*np.shape(tables.get(kind, ())), 1)[:2]
-        if o1 >= h1 or o2 >= h2:
-            tables[kind] = _table(coeffs, kind, max(o1, h1 - 1),
-                                  max(o2, h2 - 1))
-            tables[kind].flags.writeable = False
-    out = []
-    for cid, (kind, _, _) in zip(ids, needs):
-        value, scale = _value(cid, tables[kind])
-        out.append((value, RELATIVE_TOL * scale))
-    return out
+    tables = {kind: _table(coeffs, kind, *o) for kind, o in orders.items()}
+    return [_value(cid, tables[kind]) for cid, (kind, _, _) in zip(ids, needs)]
 
 
 def evaluate(state: TwoModeGaussianState, cid: CriterionId,
@@ -216,9 +200,9 @@ def evaluate(state: TwoModeGaussianState, cid: CriterionId,
     """Evaluate any criterion by its identifier or its label text."""
     if not isinstance(cid, CriterionId):
         cid = CriterionId.parse(str(cid))
-    order = _need(cid)[2]
+    kind, orders, order = _need(cid)
     _check_order(order, max_order)
-    ((value, tol),) = _judge([cid], _q(state), state._memo)
+    value, tol = _value(cid, _held(state, kind, *orders))
     return CriterionResult(id=cid, value=float(value),
                            nonclassical=bool(value < -tol),
                            tol=float(tol), max_order_used=order)

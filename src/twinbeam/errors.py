@@ -1,5 +1,15 @@
 """Exception hierarchy shared by all twinbeam modules."""
 
+__all__ = [
+    "TwinbeamError",
+    "ParameterError",
+    "PhysicalityError",
+    "OrderLimitError",
+    "TruncationError",
+    "EvaluationError",
+    "ConfigError",
+]
+
 
 class TwinbeamError(Exception):
     """Base class for all errors raised by this package."""

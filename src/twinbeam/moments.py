@@ -13,7 +13,8 @@ One private function, _table, maps Q coefficients (of one state or a scan
 grid) to every table, joint or marginal, for the public functions and the
 criteria alike.  It holds the one rule for negative probabilities: below
 -1e-12 it raises EvaluationError, above that it clamps to zero, so an
-element raises exactly when the table it is read from does.
+element raises exactly when the table it is read from does.  A state's
+memo is read and written only by _q (its Q) and _held (criterion tables).
 
 Marginal quantities use the exact single-mode reduction of Q rather than
 summing the joint distribution, so marginal tails can be bounded without
@@ -38,13 +39,16 @@ __all__ = [
     "build_k_matrix",
     "q_polynomial",
     "intensity_moment",
+    "marginal_intensity_moment",
     "moment_table",
     "pnd_element",
     "pnd_table",
     "modified_pnd_element",
     "modified_pnd_table",
     "marginal_pnd",
+    "marginal_pnd_table",
     "marginal_modified_pnd",
+    "marginal_modified_pnd_table",
     "photon_number_distribution",
     "twin_beam_pnd_closed_form",
 ]
@@ -164,7 +168,7 @@ def build_k_matrix(state: TwoModeGaussianState) -> KMatrix:
 
 def q_polynomial(state: TwoModeGaussianState) -> BivariateSeries:
     """Q as an exact bivariate polynomial about the origin."""
-    return BivariateSeries(_q_coeff_array(*state.params()), point=(0.0, 0.0))
+    return BivariateSeries(_q(state).copy())
 
 
 def _q(state: TwoModeGaussianState) -> np.ndarray:
@@ -173,6 +177,21 @@ def _q(state: TwoModeGaussianState) -> np.ndarray:
         state._memo["Q"] = q = _q_coeff_array(*state.params())
         q.flags.writeable = False
     return state._memo["Q"]
+
+
+def _held(state: TwoModeGaussianState, kind: str, o1: int,
+          o2: int = 0) -> np.ndarray:
+    """The state's read-only ``kind`` table at orders >= (o1, o2), kept in
+    its memo at the largest orders asked so far: its prefix equals a smaller
+    table bit for bit, so it serves every smaller request and is rebuilt at
+    the elementwise max of both orders for a larger one."""
+    # held table's sizes, a marginal's padded with a 1; (0, 1) if none
+    h1, h2 = (*np.shape(state._memo.get(kind, ())), 1)[:2]
+    if o1 >= h1 or o2 >= h2:
+        state._memo[kind] = t = _table(_q(state), kind, max(o1, h1 - 1),
+                                       max(o2, h2 - 1))
+        t.flags.writeable = False
+    return state._memo[kind]
 
 
 # -- tables from Q coefficients --------------------------------------------

@@ -169,6 +169,9 @@ class ScanSpec:
             raise ConfigError(f"axis names must be unique, got {names}")
         if not targets:
             raise ConfigError("a scan needs at least one target")
+        labels = [t.label() for t in targets]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"target labels must be unique, got {labels}")
         if self.noise_mode not in NOISE_MODES:
             raise ConfigError(
                 f"unknown noise_mode {self.noise_mode!r}; expected one of "
@@ -180,6 +183,8 @@ class ScanSpec:
                 raise ConfigError(
                     f"{key!r} cannot be both an axis and a fixed parameter")
             self.fixed[key] = _checked(key, value, ConfigError)
+        if "phi" in self.fixed and "t" not in names and "t" not in self.fixed:
+            raise ConfigError("a fixed phi needs t as an axis or fixed value")
         if self.noise_mode in ("balanced", "unbalanced"):
             if "bi" in names or "bi" in self.fixed:
                 raise ConfigError(

@@ -1,5 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
+import importlib
+import inspect
 import io
 import json
 import re
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import twinbeam
 from twinbeam import cli, criteria, moments, scan, states
 from twinbeam.cli import main
 from twinbeam.scan import AxisSpec, ScanSpec, TargetSpec
@@ -199,6 +203,27 @@ def test_scan_file_outputs(capsys, tmp_path):
     assert root.tag.endswith("svg")
 
 
+def _package_modules():
+    """The modules twinbeam/__init__.py imports its names from."""
+    tree = ast.parse(inspect.getsource(twinbeam))
+    return [importlib.import_module(f"twinbeam.{node.module}")
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1]
+
+
+@pytest.mark.parametrize("module", _package_modules(),
+                         ids=lambda module: module.__name__)
+def test_package_exports_every_public_name(module):
+    defined = {name for name, obj in vars(module).items()
+               if not name.startswith("_")
+               and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == module.__name__}
+    assert defined <= set(module.__all__)
+    for name in module.__all__:
+        assert name in twinbeam.__all__
+        assert getattr(twinbeam, name) is getattr(module, name)
+
+
 def test_selftest_passes(capsys):
     rc, out, _ = run_cli(capsys, "selftest")
     assert rc == 0
@@ -284,6 +309,12 @@ _AXIS_BP = "[axis:bp]\nmin = 0.1\nmax = 1\n"
     # l > k certifies the thermal state: R_W:1:3:1 read -2.0 there
     (["crit", "--bp", "0", "--bs", "1", "--bi", "1", "--family", "R_W",
       "--k1", "1", "--k2", "3"], "ParameterError"),
+    # a phase without a beam splitter would be dropped silently
+    (["crit", "--bp", "1", "--family", "E_p", "--phi", "0.5"], "ConfigError"),
+    (["scan", "--fixed", "phi=0.5", "--axis", "bp:0.1:1:2",
+      "--target", "E_p:0:0"], "ConfigError"),
+    (["boundary", "--family", "E_p", "--axis", "bp", "--phi", "0.5"],
+     "ConfigError"),
 ])
 def test_failures_report_json_and_exit_nonzero(capsys, tmp_path, argv,
                                                error):

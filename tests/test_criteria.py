@@ -314,11 +314,24 @@ def test_a_catalog_builds_one_q_and_22_tables_per_state(monkeypatch):
 
     monkeypatch.setattr(moments, "_q_coeff_array",
                         counted("q", moments._q_coeff_array))
-    monkeypatch.setattr(criteria, "_table", counted("table", criteria._table))
+    monkeypatch.setattr(moments, "_table", counted("table", moments._table))
     state = random_physical_state(np.random.default_rng(5))
     for cid in criteria.default_catalog():
         criteria.evaluate(state, cid)
     assert calls == {"q": 1, "table": 22}
+
+
+@pytest.mark.parametrize("params", _ORDER_PARAMS)
+def test_evaluate_matches_the_batch_judge_bit_for_bit(params):
+    """evaluate reads a state's held tables and _judge builds a batch of
+    its own; both end in _value, and their (value, tol) must agree to the
+    bit, signed zeros included."""
+    catalog = criteria.default_catalog()
+    state = states.TwoModeGaussianState(*params)
+    judged = criteria._judge(catalog, moments._q(state))
+    results = [criteria.evaluate(state, cid) for cid in catalog]
+    assert [(np.float64(v).tobytes(), np.float64(t).tobytes())
+            for v, t in judged] == [b[:2] for b in _bits(results)]
 
 
 def test_verdict_tolerance_scales_with_magnitude():

@@ -333,6 +333,12 @@ def test_target_labels_round_trip():
                      targets=[TargetSpec.parse("negativity")], threads=1.5),
     lambda: TargetSpec("local", mode=1.5),
     lambda: TargetSpec("local", mode=3),
+    lambda: ScanSpec(axes=[AxisSpec("bp", 0.0, 1.0, 3)],
+                     targets=[TargetSpec.parse("negativity")],
+                     fixed={"phi": 0.5}),
+    lambda: ScanSpec(axes=[AxisSpec("bp", 0.0, 1.0, 3)],
+                     targets=[TargetSpec.parse("R_p:2:2"),
+                              TargetSpec.parse("R_p:2:2:1")]),
 ])
 def test_invalid_configurations_are_rejected(build):
     with pytest.raises(ConfigError):
