@@ -11,9 +11,11 @@ accessible from photocounting records.
 
 Every criterion reads its table from moments._table and passes the
 max_order guard of the moments module; evaluate reads a state's tables
-from its memo, held by moments._held, so every evaluate shares them.  The
-identifiers, closed forms and boundaries check their arguments against
-the range table of the states module.
+from its memo, held by moments._held, so every evaluate shares them.  A
+kind's first held table covers the orders the default catalog reads, so
+the catalog, in any order, builds each of its six table kinds once per
+state.  The identifiers, closed forms and boundaries check their
+arguments against the range table of the states module.
 
 A criterion certifies non-classicality only when its value is below -tol,
 where tol is 1e-12 times the largest of its constituent terms.  This
@@ -183,16 +185,22 @@ def _value(cid: CriterionId, table: np.ndarray):
     return value, RELATIVE_TOL * scale
 
 
+def _orders(ids) -> dict:
+    """Each table kind the criteria ``ids`` read, at the largest orders any
+    of them asks for."""
+    orders = {}
+    for cid in ids:
+        kind, (o1, o2), _ = _need(cid)
+        c1, c2 = orders.get(kind, (0, 0))
+        orders[kind] = (max(c1, o1), max(c2, o2))
+    return orders
+
+
 def _judge(ids, coeffs: np.ndarray) -> list:
     """(value, tol) of each criterion on the Q coefficients ``coeffs``;
     each table kind is built once, at the largest orders asked for."""
-    needs = [_need(cid) for cid in ids]
-    orders = {}
-    for kind, (o1, o2), _ in needs:
-        c1, c2 = orders.get(kind, (0, 0))
-        orders[kind] = (max(c1, o1), max(c2, o2))
-    tables = {kind: _table(coeffs, kind, *o) for kind, o in orders.items()}
-    return [_value(cid, tables[kind]) for cid, (kind, _, _) in zip(ids, needs)]
+    tables = {kind: _table(coeffs, kind, *o) for kind, o in _orders(ids).items()}
+    return [_value(cid, tables[_need(cid)[0]]) for cid in ids]
 
 
 def evaluate(state: TwoModeGaussianState, cid: CriterionId,
@@ -202,7 +210,8 @@ def evaluate(state: TwoModeGaussianState, cid: CriterionId,
         cid = CriterionId.parse(str(cid))
     kind, orders, order = _need(cid)
     _check_order(order, max_order)
-    value, tol = _value(cid, _held(state, kind, *orders))
+    value, tol = _value(cid, _held(state, kind, *orders,
+                                   floor=_CATALOG_ORDERS[kind]))
     return CriterionResult(id=cid, value=float(value),
                            nonclassical=bool(value < -tol),
                            tol=float(tol), max_order_used=order)
@@ -258,6 +267,10 @@ def default_catalog() -> tuple:
             for mode in (1, 2):
                 ids.append(CriterionId(family, k, k, mode))
     return tuple(ids)
+
+
+# the floor of a state's first table of each kind in evaluate
+_CATALOG_ORDERS = _orders(default_catalog())
 
 
 # -- closed forms for the noiseless twin beam -------------------------------

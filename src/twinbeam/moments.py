@@ -14,7 +14,12 @@ grid) to every table, joint or marginal, for the public functions and the
 criteria alike.  It holds the one rule for negative probabilities: below
 -1e-12 it raises EvaluationError, above that it clamps to zero, so an
 element raises exactly when the table it is read from does.  A state's
-memo is read and written only by _q (its Q) and _held (criterion tables).
+memo is read and written only by _q (its Q) and _held, which holds each
+moment and scaled-probability kind, joint or marginal, for the criteria
+and the element functions at the largest orders asked so far; a kind's
+first table is built at least at the orders its caller names as a floor
+(evaluate names the default catalog's), unless that table would raise a
+floating-point error.  Probability elements keep a table of their own.
 
 Marginal quantities use the exact single-mode reduction of Q rather than
 summing the joint distribution, so marginal tails can be bounded without
@@ -179,19 +184,29 @@ def _q(state: TwoModeGaussianState) -> np.ndarray:
     return state._memo["Q"]
 
 
-def _held(state: TwoModeGaussianState, kind: str, o1: int,
-          o2: int = 0) -> np.ndarray:
+def _held(state: TwoModeGaussianState, kind: str, o1: int, o2: int = 0,
+          *, floor: tuple = (0, 0)) -> np.ndarray:
     """The state's read-only ``kind`` table at orders >= (o1, o2), kept in
     its memo at the largest orders asked so far: its prefix equals a smaller
     table bit for bit, so it serves every smaller request and is rebuilt at
-    the elementwise max of both orders for a larger one."""
+    the elementwise max of both orders for a larger one.  A kind's first
+    table covers ``floor`` as well.  Entries beyond the request are never
+    read, so where that larger table raises a floating-point error the
+    requested orders alone are built, warning as they do on their own."""
     # held table's sizes, a marginal's padded with a 1; (0, 1) if none
     h1, h2 = (*np.shape(state._memo.get(kind, ())), 1)[:2]
-    if o1 >= h1 or o2 >= h2:
-        state._memo[kind] = t = _table(_q(state), kind, max(o1, h1 - 1),
-                                       max(o2, h2 - 1))
-        t.flags.writeable = False
-    return state._memo[kind]
+    if o1 < h1 and o2 < h2:
+        return state._memo[kind]
+    f1, f2 = (0, 0) if kind in state._memo else floor
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            t = _table(_q(state), kind, max(o1, h1 - 1, f1),
+                       max(o2, h2 - 1, f2))
+    except FloatingPointError:
+        t = _table(_q(state), kind, o1, o2)
+    t.flags.writeable = False
+    state._memo[kind] = t
+    return t
 
 
 # -- tables from Q coefficients --------------------------------------------
@@ -249,9 +264,13 @@ def _check_order(total: int, max_order: int | None) -> None:
 
 def _element(state: TwoModeGaussianState, kind: str, index: tuple,
              max_order: int | None) -> float:
-    """Entry ``index`` of the smallest table of ``kind`` that holds it."""
+    """Entry ``index`` of the state's held table of ``kind``; probabilities
+    come from the smallest table that holds them."""
     _check_order(sum(index), max_order)
-    return float(_table(_q(state), kind, *index)[index])
+    if kind[0] == "P":
+        # a P table grown to cover two requests can raise where neither does
+        return float(_table(_q(state), kind, *index)[index])
+    return float(_held(state, kind, *index)[index])
 
 
 # -- intensity moments -----------------------------------------------------

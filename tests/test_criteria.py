@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -301,9 +302,8 @@ def test_photon_number_tables_stay_out_of_the_memo():
     assert all(state._memo[key] is held[key] for key in held)
 
 
-def test_a_catalog_builds_one_q_and_22_tables_per_state(monkeypatch):
-    """Each kind's table grows to the elementwise max of the orders asked
-    so far: 5 builds for each E kind, 3 for each marginal, none for M."""
+def _counted_builds(monkeypatch):
+    """Counts of Q builds and table builds from here on."""
     calls = {"q": 0, "table": 0}
 
     def counted(name, fn):
@@ -315,10 +315,67 @@ def test_a_catalog_builds_one_q_and_22_tables_per_state(monkeypatch):
     monkeypatch.setattr(moments, "_q_coeff_array",
                         counted("q", moments._q_coeff_array))
     monkeypatch.setattr(moments, "_table", counted("table", moments._table))
+    return calls
+
+
+def test_a_catalog_builds_one_q_and_6_tables_per_state(monkeypatch):
+    """A kind's first table covers the orders the whole catalog reads, so
+    each of the six kinds is built once and M reads the E tables."""
+    calls = _counted_builds(monkeypatch)
     state = random_physical_state(np.random.default_rng(5))
     for cid in criteria.default_catalog():
         criteria.evaluate(state, cid)
-    assert calls == {"q": 1, "table": 22}
+    assert calls == {"q": 1, "table": 6}
+
+
+@pytest.mark.parametrize("params", _ORDER_PARAMS)
+def test_a_catalog_in_any_order_builds_6_tables_with_the_same_bits(
+        monkeypatch, params):
+    catalog = criteria.default_catalog()
+    shuffled = [catalog[i]
+                for i in np.random.default_rng(7).permutation(len(catalog))]
+    runs = []
+    for ids in (catalog, catalog[::-1], shuffled):
+        state = states.TwoModeGaussianState(*params)
+        calls = _counted_builds(monkeypatch)
+        results = {cid: criteria.evaluate(state, cid) for cid in ids}
+        assert calls == {"q": 1, "table": 6}
+        runs.append(_bits([results[cid] for cid in catalog]))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_ids_beyond_the_catalog_grow_the_held_tables(monkeypatch):
+    """Past the catalog's orders a held table grows to the elementwise max
+    of the orders asked so far, one build per growing id."""
+    ids = [*criteria.default_catalog(),
+           *map(CriterionId.parse, ("E_W:3:3", "E_p:4:1", "R_p:8:8:2"))]
+    state = random_physical_state(np.random.default_rng(11))
+    calls = _counted_builds(monkeypatch)
+    results = [criteria.evaluate(state, cid) for cid in ids]
+    assert calls == {"q": 1, "table": 9}
+    assert {kind: table.shape for kind, table in state._memo.items()} == {
+        "Q": (3, 3), "W": (6, 6), "p": (7, 5),
+        "W1": (8,), "W2": (8,), "p1": (8,), "p2": (10,)}
+    judged = criteria._judge(ids, moments._q(state))
+    assert [(np.float64(v).tobytes(), np.float64(t).tobytes())
+            for v, t in judged] == [b[:2] for b in _bits(results)]
+
+
+@pytest.mark.parametrize("bp", [1e40, 1e60])
+@pytest.mark.parametrize("label", ["E_W:0:0", "R_W:2:2:1"])
+def test_a_lone_request_on_a_bright_beam_stays_silent_and_exact(bp, label):
+    """On these beams the catalog-sized tables overflow float64 where the
+    requested ones do not; entries beyond the request are never read, so
+    their overflow must neither warn nor move a bit of the result."""
+    cid = CriterionId.parse(label)
+    state = states.twin_beam(bp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = criteria.evaluate(state, cid)
+        [(value, tol)] = criteria._judge([cid], moments._q(state))
+    assert math.isfinite(result.value)
+    assert _bits([result])[0][:2] == (np.float64(value).tobytes(),
+                                      np.float64(tol).tobytes())
 
 
 @pytest.mark.parametrize("params", _ORDER_PARAMS)

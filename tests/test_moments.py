@@ -232,6 +232,31 @@ def test_probability_elements_are_their_table_entries():
             assert got == want and not np.signbit(got)
 
 
+def test_elements_are_their_table_entries_and_share_the_memo():
+    """Moment and scaled-probability elements read the state's held tables,
+    growing them request by request; every element still equals the entry
+    of its own smallest table bit for bit."""
+    st = random_physical_state(np.random.default_rng(21))
+    q = moments._q_coeff_array(*st.params())
+
+    def same(got, want):
+        return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    for k1, k2 in [(2, 1), (0, 0), (1, 3), (3, 3), (4, 0)]:
+        for fn, kind in ((moments.intensity_moment, "W"),
+                         (moments.modified_pnd_element, "p"),
+                         (moments.pnd_element, "P")):
+            assert same(fn(st, k1, k2), moments._table(q, kind, k1, k2)[k1, k2])
+    for mode in (1, 2):
+        for k in (3, 0, 6, 2):
+            for fn, kind in ((moments.marginal_intensity_moment, "W"),
+                             (moments.marginal_modified_pnd, "p"),
+                             (moments.marginal_pnd, "P")):
+                want = moments._table(q, f"{kind}{mode}", k)[k]
+                assert same(fn(st, mode, k), want)
+    assert set(st._memo) == {"Q", "W", "p", "W1", "W2", "p1", "p2"}
+
+
 def test_modified_elements_follow_definition():
     st = states.twin_beam(0.8, bs=0.4, bi=0.15)
     p00 = moments.pnd_element(st, 0, 0)
