@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import dataclasses
 import functools
 import json
 import re
@@ -32,7 +33,7 @@ import numpy as np
 from . import selftest as selftest_module
 from .criteria import FAMILIES, CriterionId, evaluate
 from .errors import ConfigError, OrderLimitError, ParameterError, TwinbeamError
-from .moments import (build_k_matrix, photon_number_distribution, pnd_table)
+from .moments import build_k_matrix, photon_number_distribution, pnd_table
 from .quantifiers import classify
 from .scan import (AXIS_NAMES, NOISE_MODES, AxisSpec, ScanSpec, TargetSpec,
                    _Pipeline, _refine_edges, _write_rows, run_scan,
@@ -127,7 +128,6 @@ def _criterion_from_args(args) -> CriterionId:
 
 def _cmd_state(args) -> int:
     state = _state_from_args(args)
-    km = build_k_matrix(state)
     report = classify(state)
     nu = symplectic_eigenvalues(state)
     nu_pt = symplectic_eigenvalues(state, partial_transpose=True)
@@ -142,8 +142,7 @@ def _cmd_state(args) -> int:
         "entangled": report.entangled,
         "i_ncl": [report.i_ncl_1, report.i_ncl_2],
         "locally_nonclassical": list(report.locally_nonclassical),
-        "k_matrix": {name: getattr(km, name) for name in
-                     ("k12", "k13", "k14", "k22", "k24", "k33", "k34", "k44")},
+        "k_matrix": dataclasses.asdict(build_k_matrix(state)),
         "covariance_n": covariance_n(state).entries,
     }
     _print_json(payload)

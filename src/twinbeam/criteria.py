@@ -32,7 +32,7 @@ and the twin-beam entanglement thresholds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -66,13 +66,18 @@ RELATIVE_TOL = 1e-12
 _SQRT33 = math.sqrt(33.0)
 
 
+# the fields a label writes after the family, by the family's letter
+_LABEL_FIELDS = {"E": ("k1", "k2"), "M": (), "R": ("k1", "k2", "mode")}
+
+
 @dataclass(frozen=True)
 class CriterionId:
     """Identifier of one criterion: family, indices, and for the single-mode
     R family which mode is probed.  For R the indices are (k, l) with
     1 <= l <= k: the moments T of a classical field are log-convex
     (Lyapunov's inequality), so T[k+1] T[l-1] - T[k] T[l] >= 0 there, while
-    for l > k it is <= 0 on classical fields and certifies nothing."""
+    for l > k it is <= 0 on classical fields and certifies nothing.  A
+    field the family's label leaves out keeps its default."""
 
     family: str
     k1: int = 0
@@ -84,52 +89,42 @@ class CriterionId:
             raise ParameterError(
                 f"unknown criterion family {self.family!r}; "
                 f"expected one of {', '.join(FAMILIES)}")
-        for name in ("k1", "k2", "mode"):
-            object.__setattr__(self, name, _checked(name, getattr(self, name)))
+        labelled = _LABEL_FIELDS[self.family[0]]
+        for field in fields(self)[1:]:
+            value = _checked(field.name, getattr(self, field.name))
+            if field.name not in labelled and value != field.default:
+                raise ParameterError(
+                    f"the {self.family} family takes no {field.name}, "
+                    f"got {field.name}={value}")
+            object.__setattr__(self, field.name, value)
         if self.family in ("R_W", "R_p") and not 1 <= self.k2 <= self.k1:
             raise ParameterError(
                 f"the R family needs 1 <= l <= k, got ({self.k1}, {self.k2})")
 
     def label(self) -> str:
-        if self.family in ("M_W", "M_p"):
-            return self.family
-        if self.family in ("R_W", "R_p"):
-            return f"{self.family}:{self.k1}:{self.k2}:{self.mode}"
-        return f"{self.family}:{self.k1}:{self.k2}"
+        return ":".join([self.family, *(str(getattr(self, name)) for name
+                                        in _LABEL_FIELDS[self.family[0]])])
 
     def __str__(self) -> str:
         return self.label()
 
     @classmethod
     def parse(cls, text: str) -> "CriterionId":
-        parts = text.strip().split(":")
-        family = parts[0]
+        family, *parts = text.strip().split(":")
         if family not in FAMILIES:
             raise ParameterError(
                 f"unknown criterion family {family!r} in {text!r}")
         try:
-            numbers = [int(p) for p in parts[1:]]
+            numbers = [int(p) for p in parts]
         except ValueError:
             raise ParameterError(
                 f"criterion indices in {text!r} must be integers") from None
-        if family in ("M_W", "M_p"):
-            if numbers:
-                raise ParameterError(
-                    f"the M families take no indices, got {text!r}")
-            return cls(family)
-        if family in ("R_W", "R_p"):
-            if len(numbers) == 2:
-                k, l = numbers
-                return cls(family, k, l)
-            if len(numbers) == 3:
-                k, l, mode = numbers
-                return cls(family, k, l, mode)
-            raise ParameterError(
-                f"the R families need k:l or k:l:mode, got {text!r}")
-        if len(numbers) != 2:
-            raise ParameterError(
-                f"the E families need exactly k1:k2, got {text!r}")
-        return cls(family, numbers[0], numbers[1])
+        names = _LABEL_FIELDS[family[0]]
+        # a label may leave out its mode, which then defaults to 1
+        if not len(names) - ("mode" in names) <= len(numbers) <= len(names):
+            form = ":".join([family, *names]).replace(":mode", "[:mode]")
+            raise ParameterError(f"expected {form}, got {text!r}")
+        return cls(family, *numbers)
 
 
 @dataclass(frozen=True)

@@ -80,11 +80,11 @@ def _fact_grid(s: np.ndarray) -> np.ndarray:
 
 # -- the Q polynomial ------------------------------------------------------
 
-def _k_entries(b1, b2, c1, c2, d12, dbar12):
-    """Coefficients of Q(l1, l2) from raw state parameters (array friendly).
+def _q_coeff_array(b1, b2, c1, c2, d12, dbar12) -> np.ndarray:
+    """Coefficients of Q(l1, l2) from raw state parameters (array friendly):
+    a (3, 3, *batch) array with entry [i, j] multiplying l1**i * l2**j.
 
-    Returns (k12, k13, k14, k22, k24, k33, k34, k44); the constant term is 1
-    and the remaining entries of the symmetric layout vanish.
+    The constant term is 1; _K_INDEX names the other eight entries.
     """
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
@@ -104,40 +104,27 @@ def _k_entries(b1, b2, c1, c2, d12, dbar12):
     h1 = np.real(c1 * c2 * np.conj(d) ** 2)
     h2 = np.real(c1 * np.conj(c2) * e ** 2)
 
-    k12 = 2.0 * b1
-    k13 = 2.0 * b2
-    k14 = 4.0 * b1 * b2 - 2.0 * ad2 - 2.0 * ae2
-    k22 = b1 * b1 - ac1
-    k24 = (2.0 * b1 * b1 * b2 - 2.0 * b1 * cross
-           - 2.0 * b2 * ac1 - 4.0 * g1)
-    k33 = b2 * b2 - ac2
-    k34 = (2.0 * b1 * b2 * b2 - 2.0 * b2 * cross
-           - 2.0 * b1 * ac2 - 4.0 * g2)
-    k44 = (b1 * b1 * b2 * b2 + ad2 * ad2 + ae2 * ae2 + ac1 * ac2
-           - b1 * b1 * ac2 - b2 * b2 * ac1
-           - 2.0 * b1 * b2 * cross - 2.0 * ad2 * ae2
-           - 4.0 * b1 * g2 - 4.0 * b2 * g1 - 2.0 * h1 - 2.0 * h2)
-    return k12, k13, k14, k22, k24, k33, k34, k44
+    q = np.zeros((3, 3) + np.broadcast(b1, b2, c1, c2, d, e).shape)
+    q[0, 0] = 1.0
+    q[1, 0] = 2.0 * b1
+    q[0, 1] = 2.0 * b2
+    q[1, 1] = 4.0 * b1 * b2 - 2.0 * ad2 - 2.0 * ae2
+    q[2, 0] = b1 * b1 - ac1
+    q[2, 1] = (2.0 * b1 * b1 * b2 - 2.0 * b1 * cross
+               - 2.0 * b2 * ac1 - 4.0 * g1)
+    q[0, 2] = b2 * b2 - ac2
+    q[1, 2] = (2.0 * b1 * b2 * b2 - 2.0 * b2 * cross
+               - 2.0 * b1 * ac2 - 4.0 * g2)
+    q[2, 2] = (b1 * b1 * b2 * b2 + ad2 * ad2 + ae2 * ae2 + ac1 * ac2
+               - b1 * b1 * ac2 - b2 * b2 * ac1
+               - 2.0 * b1 * b2 * cross - 2.0 * ad2 * ae2
+               - 4.0 * b1 * g2 - 4.0 * b2 * g1 - 2.0 * h1 - 2.0 * h2)
+    return q
 
 
-def _q_grid(k12, k13, k14, k22, k24, k33, k34, k44) -> np.ndarray:
-    """(3, 3, *batch) array with entry [i, j] multiplying l1**i * l2**j;
-    k44 depends on all six state parameters, so it carries the batch."""
-    coeffs = np.zeros((3, 3) + np.shape(k44), dtype=float)
-    coeffs[0, 0] = 1.0
-    coeffs[0, 1] = k13
-    coeffs[0, 2] = k33
-    coeffs[1, 0] = k12
-    coeffs[1, 1] = k14
-    coeffs[1, 2] = k34
-    coeffs[2, 0] = k22
-    coeffs[2, 1] = k24
-    coeffs[2, 2] = k44
-    return coeffs
-
-
-def _q_coeff_array(b1, b2, c1, c2, d12, dbar12) -> np.ndarray:
-    return _q_grid(*_k_entries(b1, b2, c1, c2, d12, dbar12))
+# the entry [i, j] of Q's coefficients that each KMatrix field names
+_K_INDEX = {"k12": (1, 0), "k13": (0, 1), "k14": (1, 1), "k22": (2, 0),
+            "k24": (2, 1), "k33": (0, 2), "k34": (1, 2), "k44": (2, 2)}
 
 
 @dataclass(frozen=True)
@@ -155,8 +142,11 @@ class KMatrix:
 
     def coefficient_grid(self) -> np.ndarray:
         """(3, 3) array with entry [i, j] multiplying l1**i * l2**j."""
-        return _q_grid(self.k12, self.k13, self.k14, self.k22, self.k24,
-                       self.k33, self.k34, self.k44)
+        grid = np.zeros((3, 3))
+        grid[0, 0] = 1.0
+        for name, index in _K_INDEX.items():
+            grid[index] = getattr(self, name)
+        return grid
 
     def q_value(self, l1: float, l2: float) -> float:
         grid = self.coefficient_grid()
@@ -167,8 +157,9 @@ class KMatrix:
 
 def build_k_matrix(state: TwoModeGaussianState) -> KMatrix:
     """Q-polynomial coefficients of the state."""
-    k = _k_entries(*state.params())
-    return KMatrix(*(float(v) for v in k))
+    q = _q(state)
+    return KMatrix(**{name: float(q[index])
+                      for name, index in _K_INDEX.items()})
 
 
 def q_polynomial(state: TwoModeGaussianState) -> BivariateSeries:

@@ -164,8 +164,9 @@ def _checks():
 def run(stream=None) -> int:
     """Run every check; print one line per check with its wall time;
     return the failure count."""
-    failures = 0
+    failures = total = 0
     for name, check in _checks():
+        total += 1
         start = time.perf_counter()
         try:
             problem = check()
@@ -180,6 +181,5 @@ def run(stream=None) -> int:
         if stream is not None:
             stream.write(line + "\n")
     if stream is not None:
-        total = sum(1 for _ in _checks())
         stream.write(f"{total - failures} of {total} checks passed\n")
     return failures

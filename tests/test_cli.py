@@ -224,6 +224,12 @@ def test_package_exports_every_public_name(module):
         assert getattr(twinbeam, name) is getattr(module, name)
 
 
+def test_package_names_are_sorted_and_unique():
+    """A name two modules export would be shadowed by the later star
+    import without an error."""
+    assert twinbeam.__all__ == sorted(set(twinbeam.__all__))
+
+
 def test_selftest_passes(capsys):
     rc, out, _ = run_cli(capsys, "selftest")
     assert rc == 0
@@ -315,6 +321,11 @@ _AXIS_BP = "[axis:bp]\nmin = 0.1\nmax = 1\n"
       "--target", "E_p:0:0"], "ConfigError"),
     (["boundary", "--family", "E_p", "--axis", "bp", "--phi", "0.5"],
      "ConfigError"),
+    # flags the criterion's label leaves out would be dropped silently
+    (["crit", "--bp", "1", "--family", "M_W", "--k1", "3", "--k2", "4"],
+     "ParameterError"),
+    (["crit", "--bp", "1", "--family", "E_W", "--mode", "2"],
+     "ParameterError"),
 ])
 def test_failures_report_json_and_exit_nonzero(capsys, tmp_path, argv,
                                                error):

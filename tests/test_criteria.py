@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from conftest import random_physical_state
@@ -42,6 +42,24 @@ def test_label_parse_round_trip():
 def test_parse_rejects_malformed_labels(text):
     with pytest.raises(ParameterError):
         CriterionId.parse(text)
+
+
+def _or_default(default, values):
+    return st.one_of(st.just(default), values)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(family=st.sampled_from(criteria.FAMILIES),
+       k1=_or_default(0, st.integers(0, 8)),
+       k2=_or_default(0, st.integers(0, 8)),
+       mode=_or_default(1, st.sampled_from((1, 2))))
+def test_every_accepted_id_round_trips_through_its_label(family, k1, k2,
+                                                         mode):
+    try:
+        cid = CriterionId(family, k1, k2, mode)
+    except ParameterError:
+        assume(False)
+    assert CriterionId.parse(cid.label()) == cid
 
 
 @pytest.mark.parametrize("bp", [0.3, 1.0, 2.0])
@@ -121,6 +139,10 @@ def test_evaluate_dispatches_to_family_functions():
         np.eye(3) / 3.0).marginal(0),
     lambda: quantifiers.local_quantifier(states.twin_beam(1.0), 1.5),
     lambda: CriterionId("E_p", None, 0),
+    # fields a label leaves out: each would print as the label of another id
+    lambda: CriterionId("M_W", 3, 4),
+    lambda: CriterionId("M_p", mode=2),
+    lambda: CriterionId("E_p", 1, 1, mode=2),
 ])
 def test_parameter_validation(call):
     with pytest.raises(ParameterError):

@@ -1,5 +1,6 @@
 """Tests for the moment/PND engine and its generating-function core."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -363,6 +364,30 @@ def test_q_polynomial_evaluates_like_k_matrix():
     for _ in range(5):
         l1, l2 = rng.uniform(0.0, 1.5, size=2)
         assert poly.eval(l1, l2) == pytest.approx(km.q_value(l1, l2), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_k_matrix_names_the_entries_of_q(seed):
+    st = random_physical_state(np.random.default_rng(seed))
+    q = moments.q_polynomial(st).coeffs
+    km = moments.build_k_matrix(st)
+    for field in dataclasses.fields(km):
+        value = getattr(km, field.name)
+        assert value.hex() == q[moments._K_INDEX[field.name]].hex()
+    assert km.coefficient_grid().tobytes() == q.tobytes()
+
+
+def test_k_matrix_names_the_powers_of_a_noisy_twin_beam():
+    """Without squeezing in either mode, Q = ((1 + b1 l1)(1 + b2 l2)
+    - |d12|**2 l1 l2)**2, which ties each name to its power of l1 and l2."""
+    st = states.twin_beam(0.7, bs=0.3, bi=0.1)
+    b1, b2 = st.b1, st.b2
+    m = b1 * b2 - abs(st.d12) ** 2
+    want = {"k12": 2 * b1, "k13": 2 * b2, "k14": 2 * (b1 * b2 + m),
+            "k22": b1 * b1, "k24": 2 * b1 * m, "k33": b2 * b2,
+            "k34": 2 * b2 * m, "k44": m * m}
+    got = dataclasses.asdict(moments.build_k_matrix(st))
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
