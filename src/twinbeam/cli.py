@@ -182,6 +182,15 @@ def _cmd_pnd(args) -> int:
 
 
 def _boundary_target(args) -> TargetSpec:
+    # a criterion flag that the target does not read would be dropped
+    reads = {"negativity": (), "i_ncl": ("mode",)}.get(args.family)
+    if reads is not None:
+        unread = [f"--{name} {getattr(args, name)}"
+                  for name, default in (("k1", 0), ("k2", 0), ("mode", 1))
+                  if name not in reads and getattr(args, name) != default]
+        if unread:
+            raise ConfigError(f"the {args.family} target takes no "
+                              + ", ".join(unread))
     if args.family == "negativity":
         return TargetSpec("negativity")
     if args.family == "i_ncl":

@@ -444,13 +444,88 @@ def bs_unitary(t, phi=0.0) -> np.ndarray:
     return u
 
 
+def _lane(x, dtype):
+    """``x`` as a ``dtype`` array, or as a numpy scalar when it holds one
+    number (numpy's scalar arithmetic is several times cheaper)."""
+    a = np.asarray(x, dtype=dtype)
+    return a[(0,) * a.ndim] if a.size == 1 else a
+
+
+def _times(x, y):
+    """Product of two complex numbers held as (real, imag) pairs, rounded
+    as numpy's complex multiply without FMA rounds it."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _plus(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _scaled(r, x):
+    return r * x[0], r * x[1]
+
+
 def _bs_transform_arrays(b1, b2, c1, c2, d12, dbar12, t, phi=0.0):
-    """Beam-splitter congruence on raw parameter arrays; t and phi are
-    taken at the parameters' precision."""
-    a = _an_matrix(b1, b2, c1, c2, d12, dbar12)
-    real = np.finfo(a.dtype).dtype
-    u = bs_unitary(np.asarray(t, dtype=real), np.asarray(phi, dtype=real))
-    return _params_from_an(np.conj(np.swapaxes(u, -1, -2)) @ a @ u)
+    """Beam-splitter congruence G = conj(U)^T A U on raw parameter arrays,
+    with A the normal-ordered covariance of _an_matrix and U of bs_unitary;
+    t and phi are taken at the parameters' precision.
+
+    With e = dbar12, A has rows (-b1, c1, e*, d12), (c1*, -b1, d12*, e),
+    (e, d12, -b2, c2), (d12*, e*, c2*, -b2); with r = sqrt(t) and
+    w = sqrt(1 - t) e^(i phi), U has rows (r, 0, -w, 0), (0, r, 0, -w*),
+    (w*, 0, r, 0), (0, w, 0, r).  Only the six entries of G that hold the
+    parameters are formed, in real arithmetic on (real, imag) pairs: each
+    entry of F = conj(U)^T A and of G = F U is the sum of its two nonzero
+    terms, rounded as the matrix product rounds them, and zeros come out
+    +0 as the product's sums do.  So extended precision gives the matrix
+    product's bits.  Apart from the exact 1j * phi, no step is a complex
+    multiply, whose array loop may use FMA where numpy's scalar one does
+    not; so one state and the same lane of a grid get the same bits in
+    either precision.
+    """
+    cplx = np.result_type(b1, b2, c1, c2, d12, dbar12, 1j)
+    real = np.finfo(cplx).dtype
+    shape = np.broadcast(b1, b2, c1, c2, d12, dbar12, t, phi).shape
+    b1, b2, t, phi = (_lane(x, real) for x in (b1, b2, t, phi))
+    c1, c2, d, e = ((z.real, z.imag) for z in (
+        _lane(x, cplx) for x in (c1, c2, d12, dbar12)))
+    r = np.sqrt(t)
+    rr = np.sqrt(1.0 - t)
+    ph = np.exp(1j * phi)
+    w = (rr * ph.real, rr * ph.imag)
+    w_neg, w_conj, w_conj_neg = (-w[0], -w[1]), (w[0], -w[1]), (-w[0], w[1])
+
+    # rows 0 and 2 of F in the columns G reads; row 1 is needed only in
+    # columns 1 and 3, where it is the conjugate of row 0 in columns 0, 2
+    we = _times(w, e)
+    f00 = (we[0] - r * b1, we[1])
+    f01 = _plus(_scaled(r, c1), _times(w, d))
+    f02 = (r * e[0] - w[0] * b2, -(r * e[1]) - w[1] * b2)
+    f03 = _plus(_scaled(r, d), _times(w, c2))
+    f20 = (w[0] * b1 + r * e[0], r * e[1] - w[1] * b1)
+    f21 = _plus(_times(w_conj_neg, c1), _scaled(r, d))
+    f22_real = -we[0] - r * b2
+    f23 = _plus(_times(w_conj_neg, d), _scaled(r, c2))
+
+    means = np.empty((2,) + shape, real)
+    means[0] = r * f00[0] + _times(f02, w_conj)[0]
+    means[1] = _times(f20, w_neg)[0] + r * f22_real
+    g13_conj = _plus(_times(f00, w_neg), _scaled(r, f02))
+    fields = np.empty((4,) + shape, cplx)
+    for k, (re, im) in enumerate((
+            _plus(_scaled(r, f01), _times(f03, w)),               # G01 = c1
+            _plus(_times(f21, w_conj_neg), _scaled(r, f23)),      # G23 = c2
+            _plus(_times(f01, w_conj_neg), _scaled(r, f03)),      # G03 = d12
+            (g13_conj[0], -g13_conj[1]))):                        # G13 = dbar12
+        fields.real[k], fields.imag[k] = re, im
+    # the product's sums start at +0, so its zeros are +0
+    means += 0.0
+    fields += 0.0
+    np.negative(means, out=means)  # b1 = -G00, b2 = -G22
+    # clamp photon numbers that are negative only by rounding
+    tiny = 1e-9 * (1.0 + np.abs(means[0]) + np.abs(means[1]))
+    means[(means < 0.0) & (means > -tiny)] = 0.0
+    return (means[0, ...], means[1, ...], *(g[...] for g in fields))
 
 
 def beam_splitter(state: TwoModeGaussianState, bs,

@@ -326,6 +326,10 @@ _AXIS_BP = "[axis:bp]\nmin = 0.1\nmax = 1\n"
      "ParameterError"),
     (["crit", "--bp", "1", "--family", "E_W", "--mode", "2"],
      "ParameterError"),
+    (["boundary", "--family", "negativity", "--axis", "bs", "--noise-mode",
+      "balanced", "--bp", "1", "--k1", "3", "--mode", "2"], "ConfigError"),
+    (["boundary", "--family", "i_ncl", "--axis", "t", "--bp", "1",
+      "--k1", "3", "--k2", "5"], "ConfigError"),
 ])
 def test_failures_report_json_and_exit_nonzero(capsys, tmp_path, argv,
                                                error):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -378,11 +379,37 @@ def _same_bits(a, b):
             and np.array_equal(np.signbit(np.imag(a)), np.signbit(np.imag(b))))
 
 
+FIELDS = ("b1", "b2", "c1", "c2", "d12", "dbar12")
+
+
+def _mpmath_congruence(b1, b2, c1, c2, d12, dbar12, t, phi):
+    """The six fields of conj(U)^T A U for one float64 lane, in mpmath at
+    its working precision."""
+    b1, b2, t, phi = (mpmath.mpf(float(x)) for x in (b1, b2, t, phi))
+    c1, c2, d, e = (mpmath.mpc(complex(x)) for x in (c1, c2, d12, dbar12))
+    cj = mpmath.conj
+    a = [[-b1, c1, cj(e), d], [cj(c1), -b1, cj(d), e],
+         [e, d, -b2, c2], [cj(d), cj(e), cj(c2), -b2]]
+    r, w = mpmath.sqrt(t), mpmath.sqrt(1 - t) * mpmath.expj(phi)
+    u = [[r, 0, -w, 0], [0, r, 0, -cj(w)], [cj(w), 0, r, 0], [0, w, 0, r]]
+    rows = ((0, 2), (1, 3), (0, 2), (1, 3))  # nonzero rows of U's columns
+
+    def g(m, p):
+        return mpmath.fsum(cj(u[k][m]) * a[k][n] * u[n][p]
+                           for k in rows[m] for n in rows[p])
+
+    return -g(0, 0).real, -g(2, 2).real, g(0, 1), g(2, 3), g(0, 3), g(1, 3)
+
+
 @pytest.mark.parametrize("real", [np.float64, np.longdouble])
 @pytest.mark.parametrize("lanes", [None, 1, 400, 5000])
 def test_congruence_matches_the_einsum_reference(real, lanes):
-    """The matmul congruence gives the einsum's bits at either precision,
-    for one state and for stacks of them."""
+    """In extended precision the congruence gives the einsum's bits, for
+    one state and for stacks of them.  In float64 the einsum's matrix
+    products go through BLAS, whose rounding no elementwise formula
+    reproduces; there every field, and the einsum's too, lies within
+    4 eps (1 + b1 + b2 + |c1| + |c2| + |d12| + |dbar12|) of a 50-digit
+    mpmath congruence."""
     rng = np.random.default_rng(23)
     size = () if lanes is None else (lanes,)
     cplx = np.result_type(real, 1j)
@@ -399,6 +426,84 @@ def test_congruence_matches_the_einsum_reference(real, lanes):
     want = _einsum_congruence(*params, t, phi)
     assert np.asarray(got[0]).dtype == real
     assert np.asarray(got[2]).dtype == cplx
-    for name, g, w in zip(("b1", "b2", "c1", "c2", "d12", "dbar12"),
-                          got, want):
+    if real is np.longdouble:
+        for name, g, w in zip(FIELDS, got, want):
+            assert _same_bits(g, w), name
+        return
+
+    scale = 1.0 + params[0] + params[1] + sum(np.abs(x) for x in params[2:])
+    bound = np.atleast_1d(4.0 * np.finfo(np.float64).eps * scale)
+    lanes_in = zip(*(np.atleast_1d(x) for x in (*params, t, phi)))
+    with mpmath.workdps(50):
+        exact = [_mpmath_congruence(*lane) for lane in lanes_in]
+        for result in (got, want):
+            for j, name in enumerate(FIELDS):
+                error = [float(abs(mpmath.mpmathify(complex(v)) - x[j]))
+                         for v, x in zip(np.atleast_1d(result[j]), exact)]
+                assert np.all(np.array(error) <= bound), name
+
+
+@pytest.mark.parametrize("bp", [0.0, 0.3, 2.0])
+def test_congruence_keeps_the_einsum_zeros(bp):
+    """A noiseless twin beam has exact zeros in c1, c2, dbar12 and in the
+    real part of d12, and equal means; t = 0 and t = 1 put exact zeros
+    into the splitter.  In extended precision every field, signs of zero
+    included, is the einsum's, for single states and for lanes."""
+    tb = states._twin_beam_arrays(
+        *(np.asarray(x, dtype=np.longdouble) for x in (bp, 0.0, 0.0)))
+    t, phi = (x.ravel() for x in np.meshgrid([0.0, 1.0, 0.37],
+                                             [0.0, -1.49, 2.0]))
+    got = states._bs_transform_arrays(*tb, t, phi)
+    for name, g, w in zip(FIELDS, got, _einsum_congruence(*tb, t, phi)):
         assert _same_bits(g, w), name
+    for k in range(t.size):
+        got = states._bs_transform_arrays(*tb, t[k], phi[k])
+        want = _einsum_congruence(*tb, t[k], phi[k])
+        for name, g, w in zip(FIELDS, got, want):
+            assert _same_bits(g, w), (t[k], phi[k], name)
+
+
+@pytest.mark.parametrize("real", [np.float64, np.longdouble])
+def test_full_transmission_returns_the_input_fields(real):
+    """At t = 1 the splitter is the identity: positive means, twin-beam
+    zeros and random fields all come back bit for bit, at any phase."""
+    rng = np.random.default_rng(31)
+    n = 200
+    cplx = np.result_type(real, 1j)
+
+    def draw_complex():
+        return (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(cplx)
+
+    drawn = (np.asarray(rng.uniform(0.1, 5.0, n), dtype=real),
+             np.asarray(rng.uniform(0.1, 5.0, n), dtype=real),
+             draw_complex(), draw_complex(), draw_complex(), draw_complex())
+    twin = states._twin_beam_arrays(
+        *(np.asarray(rng.uniform(0.1, 5.0, n), dtype=real) for _ in range(3)))
+    for params in (drawn, twin):
+        got = states._bs_transform_arrays(*params, 1.0,
+                                          rng.uniform(-7.0, 7.0, n))
+        for name, g, x in zip(FIELDS, got, params):
+            assert _same_bits(g, x), name
+
+
+def test_scalar_congruence_returns_zero_dimensional_arrays():
+    """One state in gives six 0-d arrays out, in its precision."""
+    fields = states.twin_beam(1.3, bs=0.2, bi=0.1).params()
+    for params, real in ((fields, np.float64),
+                         (states._promoted(*fields), np.longdouble)):
+        got = states._bs_transform_arrays(*params, 0.3, 0.2)
+        cplx = np.result_type(real, 1j)
+        assert [type(x) for x in got] == [np.ndarray] * 6
+        assert [x.shape for x in got] == [()] * 6
+        assert [x.dtype for x in got] == [real] * 2 + [cplx] * 4
+
+
+def test_a_mean_negative_only_by_rounding_is_clamped_to_zero():
+    """A balanced splitter and its inverse send a thermal mode back into
+    one mode; the other mode's mean comes out about -3e-17, and the map
+    clamps it to 0 rather than building an unphysical state."""
+    thermal = states.TwoModeGaussianState(1.0, 0.0)
+    split = states.beam_splitter(thermal, 0.5, phi=0.4)
+    out = states.beam_splitter(split, 0.5, phi=0.4 + math.pi)
+    assert out.b2 == 0.0
+    assert out.b1 == pytest.approx(1.0, rel=1e-15)
