@@ -10,10 +10,19 @@ recurrence obtained from 2*Q*S' = -Q'*S for S = Q**-1/2.
 Coefficient tables may carry trailing batch axes, so a whole parameter grid
 can be pushed through the same recurrence at once; invalid batch lanes (a
 nonpositive constant term) yield NaN coefficients instead of raising.
+
+An unbatched table of at most _FLOAT_COLUMNS columns runs on Python floats,
+where NumPy's per-call cost would outweigh the work, in the order of
+operations of the NumPy slice adds and scipy lfilter rows that wider tables
+use, and so with their bits.  Python floats set no floating-point flags, so
+a float table with a non-finite entry is rebuilt on the NumPy rows, which
+warn, or raise under np.errstate, as every table does.  Underflow leaves no
+mark on a table, so where np.errstate asks to hear of it, tables wider than
+one column run on the NumPy rows.
 """
 from __future__ import annotations
 
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 from scipy.signal import lfilter
@@ -22,6 +31,13 @@ from .errors import EvaluationError
 from .states import _checked
 
 __all__ = ["BivariateSeries"]
+
+# the widest unbatched table, in columns, whose rows run on Python floats.
+# On square tables of a rebased twin-beam Q (timeit, a loaded 2-core x86
+# host) they take 0.3-0.71 of the time of the NumPy + lfilter rows at 2-16
+# columns, 0.66-0.96 at 17-24 and 1.06-1.53 at 28-40; wider tables keep
+# lfilter
+_FLOAT_COLUMNS = 16
 
 
 class BivariateSeries:
@@ -174,8 +190,9 @@ class BivariateSeries:
         The target orders may exceed the polynomial degree of ``self`` (the
         higher coefficients are taken as zero).  For batched coefficients,
         lanes whose constant term is not positive come back as NaN.
-        Unbatched, the rows that hold one number (the first row, and every
-        row of a one-column table) are computed on Python floats.
+        Unbatched, the first row and every table of at most _FLOAT_COLUMNS
+        columns are computed on Python floats, with the bits of the NumPy
+        rows (see the module docstring).
         """
         o1 = self.order1 if order1 is None else _checked("order1", order1)
         o2 = self.order2 if order2 is None else _checked("order2", order2)
@@ -209,20 +226,32 @@ class BivariateSeries:
             for b in range(1, min(j, dq2) + 1):
                 acc = acc + (2 * j - b) * q[0][b] * row[j - b]
             row.append(-acc * inv_q00 / (2 * j))
-        if scalar and o2 == 0:
-            for i in range(1, o1 + 1):
-                acc = 0.0
-                for a in range(1, min(i, dq1) + 1):
-                    if q[a][0] != 0.0:
-                        acc = acc + ((2 * i - a) * q[a][0]) * row[i - a]
-                row.append(acc * (-inv_q00 / (2 * i)))
-            return BivariateSeries(np.reshape(row, (o1 + 1, 1)), self.point)
+        taps = [q[0][b] * inv_q00 for b in range(1, dq2 + 1)]
+        # floats set no floating-point flags, so where NumPy is told to
+        # report underflow, tables wider than one column run on NumPy rows
+        if scalar and (o2 == 0 or (o2 < _FLOAT_COLUMNS
+                                   and np.geterr()["under"] == "ignore")):
+            if o2 == 0:
+                for i in range(1, o1 + 1):
+                    acc = 0.0
+                    for a in range(1, min(i, dq1) + 1):
+                        if q[a][0] != 0.0:
+                            acc = acc + ((2 * i - a) * q[a][0]) * row[i - a]
+                    row.append(acc * (-inv_q00 / (2 * i)))
+                rows = [row]
+            else:
+                rows = _float_rows(q, row, taps, o1, dq1, inv_q00)
+            # and an overflowed table, whose sum is not finite, is rebuilt
+            # there, to warn or raise
+            if isfinite(sum(map(sum, rows))):
+                return BivariateSeries(
+                    np.array(rows).reshape(o1 + 1, o2 + 1), self.point)
+            row = row[: o2 + 1]
         s = np.zeros((o1 + 1, o2 + 1) + batch, dtype=float)
         s[0] = row
 
         # remaining rows: cross-row terms feed a constant-coefficient
         # within-row recurrence of depth dq2
-        taps = [q[0][b] * inv_q00 for b in range(1, dq2 + 1)]
         den = np.concatenate(([1.0], taps)) if scalar else None
         for i in range(1, o1 + 1):
             base = np.zeros((o2 + 1,) + batch, dtype=float)
@@ -240,7 +269,8 @@ class BivariateSeries:
                 # both branches stay: a numpy-only single path (the
                 # recurrence swept along anti-diagonals) matched to 2.2e-16
                 # but ran 3x slower on 4097^2 tables and 2x on (4, 4) ones;
-                # one-number rows run on floats, as NumPy calls cost more
+                # tables of at most _FLOAT_COLUMNS columns run on floats,
+                # as NumPy calls cost more there than they save
                 s[i] = lfilter([1.0], den, base, axis=0)
             else:
                 row = s[i]
@@ -252,3 +282,41 @@ class BivariateSeries:
                         acc = acc - c * row[j - b]
                     row[j] = acc
         return BivariateSeries(s, self.point)
+
+
+def _float_rows(q, row, taps, o1, dq1, inv_q00):
+    """Rows 0..o1 of an unbatched table whose first row is ``row``, on
+    Python floats with the bits of the NumPy rows: the cross-row terms are
+    summed in the order of their slice adds, and the within-row recurrence
+    is lfilter([1.0], [1.0, *taps]) in scipy's transposed direct form II,
+    term for term (b = [1.0, 0.0, ...] after division by a[0] = 1.0)."""
+    width = len(row)
+    last = len(taps) - 1
+    rows = [row]
+    for i in range(1, o1 + 1):
+        base = [0.0] * width
+        for a in range(1, min(i, dq1) + 1):
+            w = 2 * i - a
+            prev = rows[i - a]
+            for b in range(len(taps) + 1):
+                qab = q[a][b]
+                if qab == 0.0:
+                    continue
+                c = w * qab
+                for j in range(b, width):
+                    base[j] = base[j] + c * prev[j - b]
+        scale = -inv_q00 / (2 * i)
+        if not taps:
+            rows.append([x * scale for x in base])
+            continue
+        z = [0.0] * len(taps)
+        out = []
+        for x in base:
+            x = x * scale
+            y = z[0] + 1.0 * x
+            for k in range(last):
+                z[k] = z[k + 1] + x * 0.0 - y * taps[k]
+            z[last] = x * 0.0 - y * taps[last]
+            out.append(y)
+        rows.append(out)
+    return rows

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,9 +58,12 @@ PHYSICALITY_TOL = 1e-9
 # splitter, the detection efficiencies and tolerances, and, with integer
 # bounds, the integer arguments: indices, orders, photon numbers and
 # cutoffs, the counts, and the probed mode.  _checked is the only place
-# they are compared; bs_unitary, which takes arrays, checks its own.
+# they are compared; bs_unitary, which takes arrays, checks its own.  A pair
+# mean stops where bp * (bp + 1), the twin beam's squared cross term, still
+# fits in a float64.
 _PARAM_RANGES = {
-    **dict.fromkeys(("bp", "bs", "bi", "b1", "b2"), (0.0, math.inf)),
+    "bp": (0.0, math.sqrt(sys.float_info.max)),
+    **dict.fromkeys(("bs", "bi", "b1", "b2"), (0.0, math.inf)),
     **dict.fromkeys(("t", "eta", "eta1", "eta2"), (0.0, 1.0)),
     "phi": (-math.inf, math.inf),
     "tol": (0.0, math.inf),

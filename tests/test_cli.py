@@ -330,6 +330,9 @@ _AXIS_BP = "[axis:bp]\nmin = 0.1\nmax = 1\n"
       "balanced", "--bp", "1", "--k1", "3", "--mode", "2"], "ConfigError"),
     (["boundary", "--family", "i_ncl", "--axis", "t", "--bp", "1",
       "--k1", "3", "--k2", "5"], "ConfigError"),
+    # bp * (bp + 1) overflows: the message used to blame d12
+    (["crit", "--bp", "1e300", "--family", "E_W", "--k1", "0", "--k2", "0"],
+     "ParameterError"),
 ])
 def test_failures_report_json_and_exit_nonzero(capsys, tmp_path, argv,
                                                error):

@@ -400,6 +400,31 @@ def test_a_lone_request_on_a_bright_beam_stays_silent_and_exact(bp, label):
                                       np.float64(tol).tobytes())
 
 
+@pytest.mark.parametrize("bp,errstate", [
+    (1e60, {"all": "raise", "under": "ignore"}),
+    (1e-60, {"under": "raise"}),
+], ids=["overflow", "underflow"])
+def test_a_narrow_joint_table_raises_where_numpy_is_told_to(bp, errstate):
+    """Narrow tables run on Python floats, which set no floating-point
+    flags; one must still raise where NumPy is told to, as the held tables
+    rely on that to fall back to the requested orders."""
+    with np.errstate(**errstate):
+        with pytest.raises(FloatingPointError):
+            moments.moment_table(states.twin_beam(bp), 4, 4, max_order=8)
+
+
+@pytest.mark.parametrize("read", [
+    lambda state: criteria.evaluate(state, "R_W:6:6:1").value,
+    lambda state: moments.marginal_intensity_moment(state, 1, 7),
+], ids=["R_W:6:6:1", "marginal_intensity_moment"])
+def test_an_overflowing_marginal_warns_as_a_joint_table_does(read):
+    """A one-column table that overflows float64 is NaN, and says so with
+    NumPy's RuntimeWarning as E_W:2:2 on the same beam does."""
+    with pytest.warns(RuntimeWarning):
+        value = read(states.twin_beam(1e60))
+    assert math.isnan(value)
+
+
 @pytest.mark.parametrize("params", _ORDER_PARAMS)
 def test_evaluate_matches_the_batch_judge_bit_for_bit(params):
     """evaluate reads a state's held tables and _judge builds a batch of

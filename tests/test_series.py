@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import binom
 
+from conftest import random_physical_state
+from twinbeam import criteria, moments, series, states
 from twinbeam.errors import EvaluationError
 from twinbeam.series import BivariateSeries
 
@@ -138,6 +140,54 @@ def test_scalar_float_recurrences_match_batched_lanes_bit_for_bit(seed):
             got, want = lane[:rows], lanes[:rows, ..., k]
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_narrow_float_tables_match_lfilter_bit_for_bit(monkeypatch, seed):
+    """Tables of up to _FLOAT_COLUMNS columns run on Python floats; they
+    must equal the NumPy + lfilter rows, forced by a cutoff of zero
+    columns, exactly, signs of zero included, on Q tables with exact zeros
+    in the first row and column, on a rebased twin-beam Q and on a
+    one-column Q, whose rows have no within-row recurrence."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for zeros in ((0, slice(1, None)), (slice(1, None), 0), ()):
+        q = _random_positive_series(rng, 2, 2).coeffs
+        if zeros:
+            q[zeros] = 0.0
+        tables.append(BivariateSeries(q))
+    twin = moments.q_polynomial(states.twin_beam(rng.uniform(0.1, 3.0)))
+    tables.append(twin.rebased(1.0, 1.0))
+    tables.append(_random_positive_series(rng, 2, 0))   # no taps
+    cases = [(q, int(rng.integers(0, 13)), width - 1)
+             for width in range(2, series._FLOAT_COLUMNS + 1)
+             for q in tables]
+    floats = [q.rsqrt(o1, o2).coeffs for q, o1, o2 in cases]
+    monkeypatch.setattr(series, "_FLOAT_COLUMNS", 0)
+    for (q, o1, o2), got in zip(cases, floats):
+        want = q.rsqrt(o1, o2).coeffs
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_catalog_tables_run_on_floats_and_ladder_tables_on_lfilter(
+        monkeypatch):
+    """The catalog's tables are narrower than the cutoff and never call
+    lfilter; a 17-column photon-number table calls it once per row."""
+    calls = []
+    lfilter = series.lfilter
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lfilter(*args, **kwargs)
+
+    monkeypatch.setattr(series, "lfilter", counted)
+    state = random_physical_state(np.random.default_rng(3))
+    for cid in criteria.default_catalog():
+        criteria.evaluate(state, cid)
+    assert len(calls) == 0
+    moments.pnd_table(states.twin_beam(0.3), 16, 16)
+    assert len(calls) == 16
 
 
 @pytest.mark.parametrize("c00", [0.0, -1.0])

@@ -1,6 +1,7 @@
 """Tests for state construction, transformations and physicality checks."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -76,11 +77,23 @@ def test_beam_splitter_accepts_params_object():
                                                    tail_tol=0.0),
         lambda: moments.photon_number_distribution(states.twin_beam(0.5),
                                                    tail_tol=1.0),
+        # bp * (bp + 1) overflows: the state used to blame d12
+        lambda: states.twin_beam(1.35e154),
     ],
 )
 def test_parameter_validation(build):
     with pytest.raises(ParameterError):
         build()
+
+
+def test_the_largest_pair_mean_is_the_last_whose_cross_term_fits():
+    """d12 = i sqrt(bp (bp + 1)) is finite up to sqrt of the largest
+    float; one step beyond, the error names bp and its limit."""
+    limit = math.sqrt(sys.float_info.max)
+    assert math.isfinite(abs(states.twin_beam(limit).d12))
+    with pytest.raises(ParameterError,
+                       match=r"^bp must be in \[0, 1\.34078e\+154\], got"):
+        states.twin_beam(math.nextafter(limit, math.inf))
 
 
 _STATE = states.beam_splitter(states.twin_beam(0.8, bs=0.2, bi=0.1), 0.7)
