@@ -32,7 +32,8 @@ import numpy as np
 
 from . import selftest as selftest_module
 from .criteria import FAMILIES, CriterionId, evaluate
-from .errors import ConfigError, OrderLimitError, ParameterError, TwinbeamError
+from .errors import (ConfigError, EvaluationError, OrderLimitError,
+                     ParameterError, TwinbeamError)
 from .moments import build_k_matrix, photon_number_distribution, pnd_table
 from .quantifiers import classify
 from .scan import (AXIS_NAMES, NOISE_MODES, AxisSpec, ScanSpec, TargetSpec,
@@ -153,6 +154,9 @@ def _cmd_crit(args) -> int:
     state = _state_from_args(args)
     cid = _criterion_from_args(args)
     result = evaluate(state, cid, max_order=args.max_order)
+    if not np.isfinite([result.value, result.tol]).all():
+        raise EvaluationError(f"{cid.label()} is not finite on this state "
+                              f"(value {result.value}, tol {result.tol})")
     _print_json({
         "criterion": cid.label(),
         "value": result.value,

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (TwoModeGaussianState, _checked, _covariance_invariants,
-                     _symplectic_pair)
+from .states import TwoModeGaussianState, _checked, _spectrum
 
 __all__ = [
     "ZERO_TOL",
@@ -60,9 +59,7 @@ def local_quantifier(state: TwoModeGaussianState, mode: int) -> float:
 def _negativity_arrays(b1, b2, c1, c2, d12, dbar12):
     """Negativity and the smaller partially transposed symplectic eigenvalue
     from raw parameters; array friendly, extended precision."""
-    nu_m, _ = _symplectic_pair(
-        *_covariance_invariants(b1, b2, c1, c2, d12, dbar12),
-        partial_transpose=True)
+    nu_m = _spectrum(b1, b2, c1, c2, d12, dbar12, partial_transpose=True)[0]
     safe = np.maximum(nu_m, np.longdouble(1e-300))
     n = (1.0 - 2.0 * safe) / (4.0 * safe)
     return np.maximum(n, np.longdouble(0.0)), nu_m
@@ -78,8 +75,7 @@ def classify(state: TwoModeGaussianState,
     """Full report: local quantifiers for both modes, the negativity, and
     Boolean verdicts using an absolute tolerance around zero."""
     tol = _checked("tol", tol)
-    i1 = local_quantifier(state, 1)
-    i2 = local_quantifier(state, 2)
+    i1, i2 = map(float, _local_values(state.b1, state.b2, state.c1, state.c2))
     n = negativity(state)
     return NonclassicalityReport(
         i_ncl_1=i1,

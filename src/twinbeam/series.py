@@ -95,31 +95,6 @@ class BivariateSeries:
             raise ValueError(
                 f"expansion points differ: {self.point} vs {other.point}")
 
-    def __add__(self, other):
-        if isinstance(other, BivariateSeries):
-            self._check_point(other)
-            o1 = max(self.order1, other.order1)
-            o2 = max(self.order2, other.order2)
-            a = self.padded(o1, o2).coeffs
-            b = other.padded(o1, o2).coeffs
-            return BivariateSeries(a + b, self.point)
-        out = self.coeffs.copy()
-        out[0, 0] = out[0, 0] + other
-        return BivariateSeries(out, self.point)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BivariateSeries(-self.coeffs, self.point)
-
-    def __sub__(self, other):
-        if isinstance(other, BivariateSeries):
-            return self.__add__(other.__neg__())
-        return self.__add__(-other)
-
-    def __rsub__(self, other):
-        return self.__neg__().__add__(other)
-
     def __mul__(self, other):
         if not isinstance(other, BivariateSeries):
             return BivariateSeries(self.coeffs * other, self.point)

@@ -145,10 +145,16 @@ def _sigma_entries(b1, b2, c1, c2, d12, dbar12, real):
             -d.real - e.real)
 
 
-def _covariance_invariants(b1, b2, c1, c2, d12, dbar12):
-    """det of the two single-mode blocks, the correlation block, and the
-    full quadrature covariance, in extended precision; inputs may be
-    arrays."""
+def _spectrum(b1, b2, c1, c2, d12, dbar12, partial_transpose=False):
+    """(nu_minus, nu_plus, det_a, det_b): the smaller and larger symplectic
+    eigenvalue of the quadrature covariance, or of its partial transpose,
+    and the determinants of its two single-mode blocks, in extended
+    precision; inputs may be arrays.
+
+    The smaller eigenvalue is computed through the product form
+    nu_minus**2 = det(sigma) / nu_plus**2 so that no subtractive
+    cancellation of the large invariants occurs.
+    """
     a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = _sigma_entries(
         b1, b2, c1, c2, d12, dbar12, np.longdouble)
 
@@ -171,17 +177,7 @@ def _covariance_invariants(b1, b2, c1, c2, d12, dbar12):
         m10 = b01 - n10
         m11 = b11 - n11
         det_sigma = det_a * (m00 * m11 - m01 * m10)
-    return det_a, det_b, det_c, det_sigma
 
-
-def _symplectic_pair(det_a, det_b, det_c, det_sigma, partial_transpose=False):
-    """Smaller and larger symplectic eigenvalue from the four invariants of
-    _covariance_invariants, extended precision.
-
-    The smaller one is computed through the product form
-    nu_minus**2 = det(sigma) / nu_plus**2 so that no subtractive
-    cancellation of the large invariants occurs.
-    """
     if partial_transpose:
         det_c = -det_c
     delta = det_a + det_b + 2.0 * det_c
@@ -194,37 +190,29 @@ def _symplectic_pair(det_a, det_b, det_c, det_sigma, partial_transpose=False):
         nu_m2 = np.where(np.isfinite(nu_m2), nu_m2, 0.0)
         nu_m2 = np.maximum(nu_m2, np.longdouble(0.0))
         nu_p2 = np.maximum(nu_p2, np.longdouble(0.0))
-        return np.sqrt(nu_m2), np.sqrt(nu_p2)
-
-
-def _physicality_margin(det_a, det_b, tol):
-    """Effective slack below the vacuum level 1/2.
-
-    For a state at the physical edge the two symplectic eigenvalues
-    coincide, so their splitting comes from the square root of a vanishing
-    discriminant and rounding noise of size eps * det blows up to
-    sqrt(eps * det).  The tolerance therefore cannot be a constant: it gets
-    a floor that grows with the covariance magnitude, otherwise strongly
-    squeezed pure states would be rejected as unphysical.
-    """
-    magnitude = np.maximum(np.maximum(det_a, det_b), np.longdouble(1.0))
-    floor = 16.0 * np.sqrt(np.longdouble(2.3e-16) * magnitude)
-    return np.maximum(np.longdouble(tol), floor)
+        return np.sqrt(nu_m2), np.sqrt(nu_p2), det_a, det_b
 
 
 def is_physical_params(b1, b2, c1, c2, d12, dbar12,
                        tol: float = PHYSICALITY_TOL):
-    """Uncertainty-relation check on raw parameters; array friendly."""
-    invariants = _covariance_invariants(b1, b2, c1, c2, d12, dbar12)
-    det_a, det_b = invariants[:2]
-    nu_m, _ = _symplectic_pair(*invariants)
-    margin = _physicality_margin(det_a, det_b, tol)
+    """Uncertainty-relation check on raw parameters; array friendly.
+
+    The smaller symplectic eigenvalue may sit below the vacuum level 1/2 by
+    a margin of at least ``tol``.  For a state at the physical edge the two
+    eigenvalues coincide, so their splitting comes from the square root of
+    a vanishing discriminant and rounding noise of size eps * det blows up
+    to sqrt(eps * det).  The margin therefore cannot be a constant: it gets
+    a floor that grows with the covariance magnitude, otherwise strongly
+    squeezed pure states would be rejected as unphysical.
+    """
+    nu_m, _, det_a, det_b = _spectrum(b1, b2, c1, c2, d12, dbar12)
+    magnitude = np.maximum(np.maximum(det_a, det_b), np.longdouble(1.0))
+    floor = 16.0 * np.sqrt(np.longdouble(2.3e-16) * magnitude)
+    margin = np.maximum(np.longdouble(tol), floor)
     ok = ((np.asarray(b1) >= -tol) & (np.asarray(b2) >= -tol)
           & (det_a > 0.0) & (det_b > 0.0)
           & (nu_m >= np.longdouble(0.5) - margin))
-    if ok.ndim == 0:
-        return bool(ok)
-    return np.asarray(ok, dtype=bool)
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 @dataclass(frozen=True)
@@ -260,7 +248,7 @@ class TwoModeGaussianState:
         object.__setattr__(self, "_extended", _promoted(*self.params()))
         object.__setattr__(self, "_memo", {})
         if not is_physical_params(*self.params()):
-            nu_m, _ = _symplectic_pair(*_covariance_invariants(*self.params()))
+            nu_m = _spectrum(*self.params())[0]
             raise PhysicalityError(
                 "parameters violate the uncertainty relation "
                 f"(smaller symplectic eigenvalue {float(nu_m):.6g} < 1/2)")
@@ -285,9 +273,7 @@ def _promoted(b1, b2, c1, c2, d12, dbar12) -> tuple:
 def symplectic_eigenvalues(state: TwoModeGaussianState,
                            partial_transpose: bool = False):
     """(smaller, larger) symplectic eigenvalue of the quadrature covariance."""
-    nu_m, nu_p = _symplectic_pair(
-        *_covariance_invariants(*state._extended),
-        partial_transpose=partial_transpose)
+    nu_m, nu_p, _, _ = _spectrum(*state._extended, partial_transpose)
     return float(nu_m), float(nu_p)
 
 

@@ -38,7 +38,6 @@ class _AxisMap:
         self.lo, self.hi = lo, hi
         self.px_lo, self.px_hi = px_lo, px_hi
         self.flip = flip
-        self.nodes = pts
         # cell edges halfway between nodes, clamped to the data range
         if len(pts) > 1:
             mids = 0.5 * (pts[:-1] + pts[1:])

@@ -81,6 +81,46 @@ def test_pnd_table_output(capsys):
     assert float(tail_line.split(",")[1]) == pytest.approx(ratio**4, rel=1e-9)
 
 
+def test_crit_reports_a_non_finite_criterion_as_a_numerical_failure(capsys):
+    """Q overflows at bp = 1e100, so E_W:2:2 is NaN: exit 2 with one JSON
+    error line, not a success that prints NaN."""
+    with pytest.warns(RuntimeWarning):
+        rc, out, err = run_cli(capsys, "crit", "--bp", "1e100",
+                               "--family", "E_W", "--k1", "2", "--k2", "2")
+    assert rc == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "EvaluationError"
+    assert "E_W:2:2" in payload["message"]
+
+
+def test_pnd_without_nmax_stops_at_the_tail_tolerance(capsys):
+    rc, out, _ = run_cli(capsys, "pnd", "--bp", "0.5")
+    assert rc == 0
+    lines = out.splitlines()
+    dist = moments.photon_number_distribution(states.twin_beam(0.5))
+    assert len(lines) == dist.p.shape[0] + 2
+    assert len(lines[0].split(",")) == dist.p.shape[1] + 1
+    tail_tol = cli._build_parser().parse_args(["pnd", "--bp", "0.5"]).tail_tol
+    tail_line = lines[-1]
+    assert tail_line.startswith("# tail_mass,")
+    assert float(tail_line.split(",")[1]) <= tail_tol
+
+
+def test_scan_reports_failed_cells_and_exits_zero(capsys):
+    """E_W:2:2 is NaN at bp = 1e100: its verdict is -1 and stderr names
+    the failed cell, while the scan itself succeeds."""
+    rc, out, err = run_cli(capsys, "scan", "--axis", "bp:1:1e100:3:log",
+                           "--target", "E_W:2:2,negativity")
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines()]
+    assert rows[0][:3] == ["bp", "E_W:2:2", "E_W:2:2:nonclassical"]
+    assert [rows[1][2], rows[3][2]] == ["1", "-1"]
+    payload = json.loads(err)
+    assert payload["error"] == "EvaluationError"
+    assert payload["message"].startswith("1 grid cells failed")
+
+
 def test_boundary_balanced_noise(capsys):
     """The separability threshold in bs at unit pump is sqrt(2) - 1."""
     rc, out, _ = run_cli(capsys, "boundary", "--family", "negativity",
@@ -94,6 +134,19 @@ def test_boundary_balanced_noise(capsys):
     crossing = payload["crossings"][0]
     assert crossing["x"] == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-6)
     assert abs(crossing["value"]) < 1e-6
+
+
+def test_boundary_of_a_local_quantifier_names_its_mode(capsys):
+    """i_ncl of mode 2 after the splitter switches on where E_p:0:0 switches
+    off, at t = (1 + 1/sqrt(2))/2."""
+    rc, out, _ = run_cli(capsys, "boundary", "--family", "i_ncl",
+                         "--mode", "2", "--axis", "t", "--bp", "1")
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["target"] == "i_ncl:2"
+    assert len(payload["crossings"]) == 1
+    want = (1.0 + 1.0 / np.sqrt(2.0)) / 2.0
+    assert payload["crossings"][0]["x"] == pytest.approx(want, abs=1e-6)
 
 
 def test_boundary_transmissivity_endpoint(capsys):
@@ -333,6 +386,8 @@ _AXIS_BP = "[axis:bp]\nmin = 0.1\nmax = 1\n"
     # bp * (bp + 1) overflows: the message used to blame d12
     (["crit", "--bp", "1e300", "--family", "E_W", "--k1", "0", "--k2", "0"],
      "ParameterError"),
+    (["state", "--bp", "1", "--eta2", "0.5"], "ConfigError"),
+    (["boundary", "--family", "E_p", "--axis", "t"], "ConfigError"),
 ])
 def test_failures_report_json_and_exit_nonzero(capsys, tmp_path, argv,
                                                error):

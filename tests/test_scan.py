@@ -24,6 +24,20 @@ def _negativity_spec(count, threads=None):
     )
 
 
+def test_a_non_finite_cell_gets_verdict_minus_one_and_an_error_record():
+    """Q overflows at bp = 1e100, so E_W:2:2 is NaN there; the cell is
+    recorded by its index, and the other cells and targets stand."""
+    res = scan.run_scan(ScanSpec(
+        axes=[AxisSpec("bp", 1.0, 1e100, 3, "log")],
+        targets=[TargetSpec.parse("E_W:2:2"), TargetSpec.parse("negativity")]))
+    assert math.isnan(res.values["E_W:2:2"][2])
+    assert res.verdicts["E_W:2:2"][[0, 2]].tolist() == [1, -1]
+    assert np.isfinite(res.values["negativity"]).all()
+    assert res.errors == [{
+        "target": "E_W:2:2", "index": [2], "params": {"bp": 1e100},
+        "message": "evaluation produced a non-finite value"}]
+
+
 def test_scan_is_deterministic_across_thread_counts():
     """Byte-identical CSV and JSON no matter how the grid is chunked."""
     res1 = scan.run_scan(_negativity_spec(13, threads=1))
