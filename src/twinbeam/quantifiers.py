@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import EvaluationError
 from .states import TwoModeGaussianState, _checked, _spectrum
 
 __all__ = [
@@ -58,22 +59,36 @@ def local_quantifier(state: TwoModeGaussianState, mode: int) -> float:
 
 def _negativity_arrays(b1, b2, c1, c2, d12, dbar12):
     """Negativity and the smaller partially transposed symplectic eigenvalue
-    from raw parameters; array friendly, extended precision."""
+    from raw parameters; array friendly, extended precision.
+
+    A physical state has det(sigma) >= 1/16, so an eigenvalue below 1e-300
+    (in practice 0) means that every digit cancelled: both come back NaN.
+    """
     nu_m = _spectrum(b1, b2, c1, c2, d12, dbar12, partial_transpose=True)[0]
-    safe = np.maximum(nu_m, np.longdouble(1e-300))
-    n = (1.0 - 2.0 * safe) / (4.0 * safe)
+    nu_m = np.where(nu_m >= 1e-300, nu_m, np.longdouble(np.nan))
+    n = (1.0 - 2.0 * nu_m) / (4.0 * nu_m)
     return np.maximum(n, np.longdouble(0.0)), nu_m
 
 
 def negativity(state: TwoModeGaussianState) -> float:
-    """Entanglement negativity of the state; zero for separable states."""
-    return float(_negativity_arrays(*state._extended)[0])
+    """Entanglement negativity of the state; zero for separable states.
+
+    Raises EvaluationError where the partially transposed spectrum lost
+    every digit (twin beams from bp of about 1e10 on).
+    """
+    n = float(_negativity_arrays(*state._extended)[0])
+    if np.isnan(n):
+        raise EvaluationError(
+            "the partially transposed symplectic spectrum cancelled to zero; "
+            "the negativity of this state is out of reach")
+    return n
 
 
 def classify(state: TwoModeGaussianState,
              tol: float = ZERO_TOL) -> NonclassicalityReport:
     """Full report: local quantifiers for both modes, the negativity, and
-    Boolean verdicts using an absolute tolerance around zero."""
+    Boolean verdicts using an absolute tolerance around zero.  Raises
+    EvaluationError where negativity does."""
     tol = _checked("tol", tol)
     i1, i2 = map(float, _local_values(state.b1, state.b2, state.c1, state.c2))
     n = negativity(state)

@@ -14,11 +14,15 @@ nonpositive constant term) yield NaN coefficients instead of raising.
 An unbatched table of at most _FLOAT_COLUMNS columns runs on Python floats,
 where NumPy's per-call cost would outweigh the work, in the order of
 operations of the NumPy slice adds and scipy lfilter rows that wider tables
-use, and so with their bits.  Python floats set no floating-point flags, so
-a float table with a non-finite entry is rebuilt on the NumPy rows, which
-warn, or raise under np.errstate, as every table does.  Underflow leaves no
-mark on a table, so where np.errstate asks to hear of it, tables wider than
-one column run on the NumPy rows.
+use, and so with their bits.  A batch of one lane, as each refinement step
+of a boundary evaluates, runs on Python floats too, at any width and in the
+order of operations of the batch loop, so it has the bits of the same lane
+in a wider batch; rebasing such a table is the unbatched float sum.  Python
+floats set no floating-point flags, so a float table with a non-finite
+entry is rebuilt on the NumPy rows, which warn, or raise under np.errstate,
+as every table does.  Underflow leaves no mark on a table, so where
+np.errstate asks to hear of it, one-lane batches and unbatched tables
+wider than one column run on the NumPy rows.
 """
 from __future__ import annotations
 
@@ -130,11 +134,14 @@ class BivariateSeries:
         """
         dx = x0 - self.point[0]
         dy = y0 - self.point[1]
-        # unbatched tables are summed as Python floats: same rounding,
-        # without a NumPy scalar per term
-        c = self.coeffs if self.batch_shape else self.coeffs.tolist()
+        # tables of one number per coefficient (unbatched, or a batch of
+        # one lane) are summed as Python floats: same rounding, without a
+        # NumPy scalar per term
         o1, o2 = self.order1, self.order2
-        out = np.zeros_like(self.coeffs)
+        lane = self.coeffs[0, 0].size == 1
+        c = (self.coeffs.reshape(o1 + 1, o2 + 1).tolist() if lane
+             else self.coeffs)
+        out = np.zeros((o1 + 1, o2 + 1) if lane else self.coeffs.shape)
         for a in range(o1 + 1):
             for b in range(o2 + 1):
                 acc = 0.0
@@ -143,7 +150,7 @@ class BivariateSeries:
                     for j in range(b, o2 + 1):
                         acc = acc + wi * comb(j, b) * dy ** (j - b) * c[i][j]
                 out[a, b] = acc
-        return BivariateSeries(out, (x0, y0))
+        return BivariateSeries(out.reshape(self.coeffs.shape), (x0, y0))
 
     def eval(self, x, y):
         """Evaluate the truncated polynomial by Horner recursion."""
@@ -166,8 +173,8 @@ class BivariateSeries:
         higher coefficients are taken as zero).  For batched coefficients,
         lanes whose constant term is not positive come back as NaN.
         Unbatched, the first row and every table of at most _FLOAT_COLUMNS
-        columns are computed on Python floats, with the bits of the NumPy
-        rows (see the module docstring).
+        columns, and a batch of one lane, are computed on Python floats,
+        with the bits of the NumPy rows (see the module docstring).
         """
         o1 = self.order1 if order1 is None else _checked("order1", order1)
         o2 = self.order2 if order2 is None else _checked("order2", order2)
@@ -178,50 +185,54 @@ class BivariateSeries:
         scalar = (len(batch) == 0)
 
         q00 = q[0, 0]
-        if scalar:
-            if not np.isfinite(q00) or q00 <= 0.0:
-                raise EvaluationError(
-                    "generating polynomial is not positive at the expansion "
-                    f"point (constant term {q00!r})")
-            q = q.tolist()
-            inv_q00 = float(1.0 / q00)
-            s00 = float(1.0 / np.sqrt(q00))
-        else:
+        if scalar and (not np.isfinite(q00) or q00 <= 0.0):
+            raise EvaluationError(
+                "generating polynomial is not positive at the expansion "
+                f"point (constant term {q00!r})")
+        # floats set no floating-point flags, so where NumPy is told to
+        # report underflow, only unbatched first rows and one-column tables
+        # run on them
+        quiet = np.geterr()["under"] == "ignore"
+        if scalar or (q00.size == 1 and quiet):
+            q = q.reshape(q.shape[:2]).tolist()
+            q00 = q[0][0]
+            if not (isfinite(q00) and q00 > 0.0):
+                return BivariateSeries(
+                    np.full((o1 + 1, o2 + 1) + batch, np.nan), self.point)
+            inv_q00 = 1.0 / q00
+            row, taps = _first_row(q, o2, dq2, inv_q00,
+                                   float(1.0 / np.sqrt(q00)))
+            if not scalar or o2 == 0 or (o2 < _FLOAT_COLUMNS and quiet):
+                if o2 == 0:
+                    for i in range(1, o1 + 1):
+                        acc = 0.0
+                        for a in range(1, min(i, dq1) + 1):
+                            if q[a][0] != 0.0:
+                                acc = acc + (((2 * i - a) * q[a][0])
+                                             * row[i - a])
+                        row.append(acc * (-inv_q00 / (2 * i)))
+                    rows = [row]
+                else:
+                    rows = _float_rows(q, row, taps, o1, dq1, inv_q00, scalar)
+                # and an overflowed table, whose sum is not finite, is
+                # rebuilt there, to warn or raise
+                if isfinite(sum(map(sum, rows))):
+                    return BivariateSeries(
+                        np.array(rows).reshape((o1 + 1, o2 + 1) + batch),
+                        self.point)
+                row = row[: o2 + 1]
+        if not scalar:
+            # NumPy lanes: every wider batch, and a one-lane table that
+            # fell through, from its first row on
+            q = self.coeffs
+            q00 = q[0, 0]
             valid = np.isfinite(q00) & (q00 > 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 inv_q00 = np.where(valid, 1.0 / np.where(valid, q00, 1.0),
                                    np.nan)
                 s00 = np.where(valid, 1.0 / np.sqrt(np.where(valid, q00, 1.0)),
                                np.nan)
-
-        # first row: within-row recurrence with order-dependent weights
-        row = [s00]
-        for j in range(1, o2 + 1):
-            acc = 0.0
-            for b in range(1, min(j, dq2) + 1):
-                acc = acc + (2 * j - b) * q[0][b] * row[j - b]
-            row.append(-acc * inv_q00 / (2 * j))
-        taps = [q[0][b] * inv_q00 for b in range(1, dq2 + 1)]
-        # floats set no floating-point flags, so where NumPy is told to
-        # report underflow, tables wider than one column run on NumPy rows
-        if scalar and (o2 == 0 or (o2 < _FLOAT_COLUMNS
-                                   and np.geterr()["under"] == "ignore")):
-            if o2 == 0:
-                for i in range(1, o1 + 1):
-                    acc = 0.0
-                    for a in range(1, min(i, dq1) + 1):
-                        if q[a][0] != 0.0:
-                            acc = acc + ((2 * i - a) * q[a][0]) * row[i - a]
-                    row.append(acc * (-inv_q00 / (2 * i)))
-                rows = [row]
-            else:
-                rows = _float_rows(q, row, taps, o1, dq1, inv_q00)
-            # and an overflowed table, whose sum is not finite, is rebuilt
-            # there, to warn or raise
-            if isfinite(sum(map(sum, rows))):
-                return BivariateSeries(
-                    np.array(rows).reshape(o1 + 1, o2 + 1), self.point)
-            row = row[: o2 + 1]
+            row, taps = _first_row(q, o2, dq2, inv_q00, s00)
         s = np.zeros((o1 + 1, o2 + 1) + batch, dtype=float)
         s[0] = row
 
@@ -259,12 +270,27 @@ class BivariateSeries:
         return BivariateSeries(s, self.point)
 
 
-def _float_rows(q, row, taps, o1, dq1, inv_q00):
-    """Rows 0..o1 of an unbatched table whose first row is ``row``, on
-    Python floats with the bits of the NumPy rows: the cross-row terms are
-    summed in the order of their slice adds, and the within-row recurrence
-    is lfilter([1.0], [1.0, *taps]) in scipy's transposed direct form II,
-    term for term (b = [1.0, 0.0, ...] after division by a[0] = 1.0)."""
+def _first_row(q, o2, dq2, inv_q00, s00):
+    """Row 0 of S, by the within-row recurrence with order-dependent
+    weights, and the taps q[0][b] / q00 of the later rows' recurrence; on
+    Python floats or on batch arrays alike."""
+    row = [s00]
+    for j in range(1, o2 + 1):
+        acc = 0.0
+        for b in range(1, min(j, dq2) + 1):
+            acc = acc + (2 * j - b) * q[0][b] * row[j - b]
+        row.append(-acc * inv_q00 / (2 * j))
+    return row, [q[0][b] * inv_q00 for b in range(1, dq2 + 1)]
+
+
+def _float_rows(q, row, taps, o1, dq1, inv_q00, filtered):
+    """Rows 0..o1 of a table of one number per coefficient whose first row
+    is ``row``, on Python floats with the bits of the NumPy rows: the
+    cross-row terms are summed in the order of their slice adds, and the
+    within-row recurrence runs, when ``filtered``, as lfilter([1.0],
+    [1.0, *taps]) in scipy's transposed direct form II, term for term
+    (b = [1.0, 0.0, ...] after division by a[0] = 1.0), and otherwise in
+    the order of the batch loop."""
     width = len(row)
     last = len(taps) - 1
     rows = [row]
@@ -281,17 +307,23 @@ def _float_rows(q, row, taps, o1, dq1, inv_q00):
                 for j in range(b, width):
                     base[j] = base[j] + c * prev[j - b]
         scale = -inv_q00 / (2 * i)
-        if not taps:
-            rows.append([x * scale for x in base])
-            continue
-        z = [0.0] * len(taps)
         out = []
-        for x in base:
-            x = x * scale
-            y = z[0] + 1.0 * x
-            for k in range(last):
-                z[k] = z[k + 1] + x * 0.0 - y * taps[k]
-            z[last] = x * 0.0 - y * taps[last]
-            out.append(y)
+        if not taps:
+            out = [x * scale for x in base]
+        elif filtered:
+            z = [0.0] * len(taps)
+            for x in base:
+                x = x * scale
+                y = z[0] + 1.0 * x
+                for k in range(last):
+                    z[k] = z[k + 1] + x * 0.0 - y * taps[k]
+                z[last] = x * 0.0 - y * taps[last]
+                out.append(y)
+        else:
+            for j, x in enumerate(base):
+                acc = x * scale
+                for b in range(1, min(j, last + 1) + 1):
+                    acc = acc - taps[b - 1] * out[j - b]
+                out.append(acc)
         rows.append(out)
     return rows

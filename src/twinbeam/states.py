@@ -134,10 +134,11 @@ def _sigma_entries(b1, b2, c1, c2, d12, dbar12, real):
     """The ten entries of the symmetric-ordered quadrature covariance
     (vacuum level 1/2) in the real type ``real``: the single-mode blocks
     a00, a01, a11 and b00, b01, b11 and the correlation block c00, c01,
-    c10, c11.  Inputs may be arrays."""
-    b1, b2 = np.asarray(b1, dtype=real), np.asarray(b2, dtype=real)
+    c10, c11.  Inputs may be arrays; one that holds one number is taken
+    as a numpy scalar."""
+    b1, b2 = _lane(b1, real), _lane(b2, real)
     cplx = np.result_type(real, 1j)
-    c1, c2, d, e = [np.asarray(x, dtype=cplx) for x in (c1, c2, d12, dbar12)]
+    c1, c2, d, e = [_lane(x, cplx) for x in (c1, c2, d12, dbar12)]
     half = real(0.5)
     return (b1 + half + c1.real, c1.imag, b1 + half - c1.real,
             b2 + half + c2.real, c2.imag, b2 + half - c2.real,
@@ -149,7 +150,8 @@ def _spectrum(b1, b2, c1, c2, d12, dbar12, partial_transpose=False):
     """(nu_minus, nu_plus, det_a, det_b): the smaller and larger symplectic
     eigenvalue of the quadrature covariance, or of its partial transpose,
     and the determinants of its two single-mode blocks, in extended
-    precision; inputs may be arrays.
+    precision; inputs may be arrays.  Inputs that hold one number in all
+    run on numpy scalars, and the outputs take the inputs' shape again.
 
     The smaller eigenvalue is computed through the product form
     nu_minus**2 = det(sigma) / nu_plus**2 so that no subtractive
@@ -190,7 +192,11 @@ def _spectrum(b1, b2, c1, c2, d12, dbar12, partial_transpose=False):
         nu_m2 = np.where(np.isfinite(nu_m2), nu_m2, 0.0)
         nu_m2 = np.maximum(nu_m2, np.longdouble(0.0))
         nu_p2 = np.maximum(nu_p2, np.longdouble(0.0))
-        return np.sqrt(nu_m2), np.sqrt(nu_p2), det_a, det_b
+        spectrum = np.sqrt(nu_m2), np.sqrt(nu_p2), det_a, det_b
+    if np.ndim(spectrum[0]):
+        return spectrum
+    shape = np.broadcast(b1, b2, c1, c2, d12, dbar12).shape
+    return tuple(np.reshape(x, shape) for x in spectrum) if shape else spectrum
 
 
 def is_physical_params(b1, b2, c1, c2, d12, dbar12,

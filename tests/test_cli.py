@@ -108,17 +108,30 @@ def test_pnd_without_nmax_stops_at_the_tail_tolerance(capsys):
 
 
 def test_scan_reports_failed_cells_and_exits_zero(capsys):
-    """E_W:2:2 is NaN at bp = 1e100: its verdict is -1 and stderr names
-    the failed cell, while the scan itself succeeds."""
+    """E_W:2:2 is NaN at bp = 1e100, and the negativity, whose spectrum
+    cancels, at bp = 1e50 and 1e100: their verdicts are -1 and stderr
+    counts the failed cells, while the scan itself succeeds."""
     rc, out, err = run_cli(capsys, "scan", "--axis", "bp:1:1e100:3:log",
                            "--target", "E_W:2:2,negativity")
     assert rc == 0
     rows = [line.split(",") for line in out.splitlines()]
-    assert rows[0][:3] == ["bp", "E_W:2:2", "E_W:2:2:nonclassical"]
+    assert rows[0] == ["bp", "E_W:2:2", "E_W:2:2:nonclassical",
+                       "negativity", "negativity:nonclassical"]
     assert [rows[1][2], rows[3][2]] == ["1", "-1"]
+    assert [row[4] for row in rows[1:]] == ["1", "-1", "-1"]
     payload = json.loads(err)
     assert payload["error"] == "EvaluationError"
-    assert payload["message"].startswith("1 grid cells failed")
+    assert payload["message"].startswith("3 grid cells failed")
+
+
+def test_state_reports_a_cancelled_negativity_as_a_numerical_failure(
+        capsys):
+    """At bp = 1e10 the partially transposed spectrum cancels to zero:
+    exit 2 with one JSON error line, not a negativity of 2.5e299."""
+    rc, out, err = run_cli(capsys, "state", "--bp", "1e10")
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "EvaluationError"
 
 
 def test_boundary_balanced_noise(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from twinbeam import quantifiers, states
+from twinbeam.errors import EvaluationError
 
 
 def _noise_boundary_by_bisection(bp, balanced, iterations=60):
@@ -50,6 +51,21 @@ def test_negativity_is_exact_for_the_stored_state():
     # state's exact negativity at this pump level
     ref = math.sqrt(bp * (bp + 1.0)) + bp
     assert float(abs(n_true - Fraction(ref)) / n_true) > 1e-10
+
+
+@pytest.mark.parametrize("bp", [1e10, 1e20])
+def test_a_cancelled_negativity_raises_instead_of_reading_a_floor(bp):
+    """From bp of about 1e10 on, the partially transposed nu_minus of a
+    twin beam cancels to 0; a physical state has det(sigma) >= 1/16, so
+    no digit is left.  negativity read 2.5e299 off a 1e-300 floor there,
+    and classify called the state entangled; both must raise."""
+    state = states.twin_beam(bp)
+    n, nu_m = quantifiers._negativity_arrays(*state._extended)
+    assert np.isnan(n) and np.isnan(nu_m)
+    with pytest.raises(EvaluationError):
+        quantifiers.negativity(state)
+    with pytest.raises(EvaluationError):
+        quantifiers.classify(state)
 
 
 def test_twin_beam_keeps_its_float64_fields():

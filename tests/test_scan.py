@@ -25,17 +25,26 @@ def _negativity_spec(count, threads=None):
 
 
 def test_a_non_finite_cell_gets_verdict_minus_one_and_an_error_record():
-    """Q overflows at bp = 1e100, so E_W:2:2 is NaN there; the cell is
-    recorded by its index, and the other cells and targets stand."""
+    """Q overflows at bp = 1e100, so E_W:2:2 is NaN there, and the
+    partially transposed spectrum cancels to zero at bp = 1e50 and 1e100,
+    so the negativity is NaN there; each cell is recorded by its index, and
+    the other cells stand."""
     res = scan.run_scan(ScanSpec(
         axes=[AxisSpec("bp", 1.0, 1e100, 3, "log")],
         targets=[TargetSpec.parse("E_W:2:2"), TargetSpec.parse("negativity")]))
     assert math.isnan(res.values["E_W:2:2"][2])
     assert res.verdicts["E_W:2:2"][[0, 2]].tolist() == [1, -1]
-    assert np.isfinite(res.values["negativity"]).all()
-    assert res.errors == [{
-        "target": "E_W:2:2", "index": [2], "params": {"bp": 1e100},
-        "message": "evaluation produced a non-finite value"}]
+    assert res.values["negativity"][0] == pytest.approx(1.0 + math.sqrt(2.0))
+    assert np.isnan(res.values["negativity"][1:]).all()
+    assert res.verdicts["negativity"].tolist() == [1, -1, -1]
+    message = "evaluation produced a non-finite value"
+    assert res.errors == [
+        {"target": "E_W:2:2", "index": [2], "params": {"bp": 1e100},
+         "message": message},
+        {"target": "negativity", "index": [1], "params": {"bp": 1e50},
+         "message": message},
+        {"target": "negativity", "index": [2], "params": {"bp": 1e100},
+         "message": message}]
 
 
 def test_scan_is_deterministic_across_thread_counts():
@@ -53,6 +62,29 @@ def test_scan_is_deterministic_across_thread_counts():
     scan.write_boundaries_json(res1, js1)
     scan.write_boundaries_json(res3, js3)
     assert js1.getvalue() == js3.getvalue()
+
+
+def test_one_lane_chunks_give_the_bytes_of_wider_chunks():
+    """At threads=3 a 3x3 grid runs as nine one-lane chunks, and every ITP
+    step evaluates one lane, on the Python-float and numpy-scalar paths of
+    rebased, rsqrt and _spectrum; at threads=1 its chunks hold 2-3 lanes.
+    Each table kind (W, p, W2, p1) and both quantifiers must give the same
+    CSV and JSON bytes either way."""
+    targets = tuple(TargetSpec.parse(label) for label in (
+        "E_W:1:1", "E_p:2:2", "R_W:2:2:2", "R_p:2:2", "negativity",
+        "i_ncl:1"))
+    texts = []
+    for threads in (1, 3):
+        res = scan.run_scan(ScanSpec(
+            axes=[AxisSpec("bp", 0.1, 5.0, 3), AxisSpec("t", 0.5, 1.0, 3)],
+            targets=targets, fixed={"bs": 0.1}, threads=threads))
+        assert not res.errors
+        assert sum(map(len, res.boundaries.values())) >= 5
+        out, js = io.StringIO(), io.StringIO()
+        scan.write_csv(res, out)
+        scan.write_boundaries_json(res, js)
+        texts.append((out.getvalue(), js.getvalue()))
+    assert texts[0] == texts[1]
 
 
 def test_csv_layout():

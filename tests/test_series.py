@@ -195,3 +195,74 @@ def test_rsqrt_requires_positive_constant_term(c00):
     coeffs = np.array([[c00, 1.0], [1.0, 0.0]])
     with pytest.raises(EvaluationError):
         BivariateSeries(coeffs).rsqrt()
+
+
+def _assert_same_bits(got, want):
+    """Equal shape and values, signs of zero included; NaN matches NaN."""
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    known = ~np.isnan(want)
+    np.testing.assert_array_equal(np.signbit(got[known]),
+                                  np.signbit(want[known]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_lane_batches_match_their_lane_of_two_bit_for_bit(seed):
+    """A batch of one lane runs rebased and rsqrt on Python floats; each
+    table must equal that lane of a two-lane batch exactly, signs of zero
+    included: with exact zeros in Q, with one-column Q tables and tables,
+    at widths up to 30, on rebased twin-beam tables, and on an invalid lane,
+    which comes back all NaN."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for zeros in ((0, slice(1, None)), (slice(1, None), 0), (1, 1), ()):
+        q = _random_positive_series(rng, 2, 2, batch=(2,)).coeffs
+        if zeros:
+            q[zeros] = 0.0
+        tables.append(q)
+    tables.append(_random_positive_series(rng, 2, 0, batch=(2,)).coeffs)
+    invalid = _random_positive_series(rng, 2, 2, batch=(2,)).coeffs
+    invalid[0, 0, 1] = -1.0
+    tables.append(invalid)
+    pair = [states.beam_splitter(states.twin_beam(bp, bs=0.2), t)
+            for bp, t in rng.uniform(0.1, 3.0, size=(2, 2)) / (1.0, 3.0)]
+    tables.append(np.stack([moments._q(state) for state in pair], axis=-1))
+    orders = [(int(rng.integers(0, 13)), width - 1)
+              for width in (1, 2, 3, 5, 9, 17, 30)] + [(29, 0)]
+    for q in tables:
+        for two in (BivariateSeries(q), BivariateSeries(q).rebased(1.0, 1.0)):
+            lanes = [BivariateSeries(two.coeffs[..., k:k + 1], two.point)
+                     for k in range(2)]
+            moved = two.rebased(0.5, 1.5).coeffs
+            for k, lane in enumerate(lanes):
+                _assert_same_bits(lane.rebased(0.5, 1.5).coeffs,
+                                  moved[..., k:k + 1])
+            for o1, o2 in orders:
+                want = two.rsqrt(o1, o2).coeffs
+                for k, lane in enumerate(lanes):
+                    _assert_same_bits(lane.rsqrt(o1, o2).coeffs,
+                                      want[..., k:k + 1])
+    assert np.isnan(BivariateSeries(invalid[..., 1:]).rsqrt(4, 4).coeffs).all()
+
+
+def test_an_overflowing_one_lane_table_warns_as_the_batch_loop_does():
+    """A one-lane table that overflows float64 is rebuilt by the batch
+    loop, which warns (and so raises under an error filter), and gets that
+    loop's result."""
+    q = moments._q(states.twin_beam(1e60))[..., None]
+    with np.errstate(all="ignore"):
+        want = BivariateSeries(np.concatenate([q, q], axis=-1)).rsqrt(4, 4)
+    with pytest.warns(RuntimeWarning):
+        got = BivariateSeries(q).rsqrt(4, 4)
+    assert not np.isfinite(got.coeffs).all()
+    _assert_same_bits(got.coeffs, want.coeffs[..., :1])
+
+
+def test_a_one_lane_table_raises_on_underflow_where_numpy_is_told_to():
+    """Floats set no flags, so under np.errstate(under="raise") a one-lane
+    batch runs the NumPy loop and raises as a batch of two does."""
+    q = moments._q(states.twin_beam(1e-60))[..., None]
+    for lanes in (q, np.concatenate([q, q], axis=-1)):
+        with np.errstate(under="raise"):
+            with pytest.raises(FloatingPointError):
+                BivariateSeries(lanes).rsqrt(4, 4)

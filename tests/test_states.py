@@ -366,6 +366,34 @@ def test_is_physical_params_vectorizes():
     assert ok.tolist() == [True, True, False]
 
 
+def test_one_number_spectra_keep_their_shape_and_the_batch_bits():
+    """_spectrum and is_physical_params run one number on numpy scalars:
+    0-d inputs give scalars and a bool, (1,) and (1, 1) inputs arrays of
+    that shape, each with the bits of its lane in a batch of two."""
+    one = states.beam_splitter(states.twin_beam(1.3, bs=0.2, bi=0.1), 0.3,
+                               phi=0.2)
+    other = states.twin_beam(0.7)
+    for fields in ((one._extended, other._extended),
+                   (one.params(), other.params())):
+        pair = [np.array(x) for x in zip(*fields)]
+        for shape in ((), (1,), (1, 1)):
+            lane = [np.reshape(x, shape) for x in fields[0]]
+            for transpose in (False, True):
+                want = states._spectrum(*pair, transpose)
+                got = states._spectrum(*lane, transpose)
+                for g, w in zip(got, want):
+                    assert np.shape(g) == shape
+                    assert g.dtype == np.longdouble
+                    assert np.all(g == w[0])
+                    assert np.all(np.signbit(g) == np.signbit(w[0]))
+            ok = states.is_physical_params(*lane)
+            if shape:
+                assert ok.shape == shape and ok.all()
+            else:
+                assert ok is True
+    assert type(states._spectrum(*one._extended)[0]) is np.longdouble
+
+
 def test_bs_unitary_is_unitary():
     rng = np.random.default_rng(1)
     for _ in range(5):
