@@ -13,6 +13,9 @@ The beam splitter conserves total photon number, so its Fock coefficients
 block into shells of fixed n1 + n2, and each shell gives a column-stochastic
 probability matrix.  Phases drop out of these squared coefficients, which is
 why the transform here needs only the transmissivity.
+
+Detection loss takes its binomial weights from scipy.stats.binom, imported
+in _loss_matrix, so only bernoulli_downsample loads scipy.
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import EvaluationError, ParameterError
 from .moments import PhotonNumberDistribution
@@ -151,6 +153,8 @@ def bs_transform_pnd(pnd: PhotonNumberDistribution,
 
 def _loss_matrix(n_max: int, eta: float) -> np.ndarray:
     """Entry [m, n]: probability that n photons yield m detections."""
+    from scipy.stats import binom
+
     m_grid, n_grid = np.meshgrid(np.arange(n_max + 1), np.arange(n_max + 1),
                                  indexing="ij")
     return binom.pmf(m_grid, n_grid, eta)

@@ -14,22 +14,23 @@ nonpositive constant term) yield NaN coefficients instead of raising.
 An unbatched table of at most _FLOAT_COLUMNS columns runs on Python floats,
 where NumPy's per-call cost would outweigh the work, in the order of
 operations of the NumPy slice adds and scipy lfilter rows that wider tables
-use, and so with their bits.  A batch of one lane, as each refinement step
-of a boundary evaluates, runs on Python floats too, at any width and in the
-order of operations of the batch loop, so it has the bits of the same lane
-in a wider batch; rebasing such a table is the unbatched float sum.  Python
-floats set no floating-point flags, so a float table with a non-finite
-entry is rebuilt on the NumPy rows, which warn, or raise under np.errstate,
-as every table does.  Underflow leaves no mark on a table, so where
-np.errstate asks to hear of it, one-lane batches and unbatched tables
-wider than one column run on the NumPy rows.
+use, and so with their bits.  Only those wider rows call scipy, and they
+import lfilter where they call it, once per table, so the catalog,
+classify, scans and boundaries never load scipy.  A batch of one lane, as
+each refinement step of a boundary evaluates, runs on Python floats too,
+at any width and in the order of operations of the batch loop, so it has
+the bits of the same lane in a wider batch; rebasing such a table is the
+unbatched float sum.  Python floats set no floating-point flags, so a
+float table with a non-finite entry is rebuilt on the NumPy rows, which
+warn, or raise under np.errstate, as every table does.  Underflow leaves
+no mark on a table, so where np.errstate asks to hear of it, one-lane
+batches and unbatched tables wider than one column run on the NumPy rows.
 """
 from __future__ import annotations
 
 from math import comb, isfinite
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import EvaluationError
 from .states import _checked
@@ -238,7 +239,11 @@ class BivariateSeries:
 
         # remaining rows: cross-row terms feed a constant-coefficient
         # within-row recurrence of depth dq2
-        den = np.concatenate(([1.0], taps)) if scalar else None
+        if scalar and taps:
+            # once per table, not per row: narrow tables and batches never
+            # get here, so they load no scipy
+            from scipy.signal import lfilter
+            den = np.concatenate(([1.0], taps))
         for i in range(1, o1 + 1):
             base = np.zeros((o2 + 1,) + batch, dtype=float)
             for a in range(1, min(i, dq1) + 1):
@@ -256,7 +261,8 @@ class BivariateSeries:
                 # recurrence swept along anti-diagonals) matched to 2.2e-16
                 # but ran 3x slower on 4097^2 tables and 2x on (4, 4) ones;
                 # tables of at most _FLOAT_COLUMNS columns run on floats,
-                # as NumPy calls cost more there than they save
+                # as NumPy calls cost more there than they save, and only
+                # the wider tables import scipy
                 s[i] = lfilter([1.0], den, base, axis=0)
             else:
                 row = s[i]

@@ -44,7 +44,6 @@ __all__ = [
     "beam_splitter",
     "attenuate",
     "covariance_n",
-    "bs_unitary",
     "quadrature_covariance",
     "symplectic_eigenvalues",
     "is_physical_params",
@@ -58,9 +57,8 @@ PHYSICALITY_TOL = 1e-9
 # splitter, the detection efficiencies and tolerances, and, with integer
 # bounds, the integer arguments: indices, orders, photon numbers and
 # cutoffs, the counts, and the probed mode.  _checked is the only place
-# they are compared; bs_unitary, which takes arrays, checks its own.  A pair
-# mean stops where bp * (bp + 1), the twin beam's squared cross term, still
-# fits in a float64.
+# they are compared.  A pair mean stops where bp * (bp + 1), the twin
+# beam's squared cross term, still fits in a float64.
 _PARAM_RANGES = {
     "bp": (0.0, math.sqrt(sys.float_info.max)),
     **dict.fromkeys(("bs", "bi", "b1", "b2"), (0.0, math.inf)),
@@ -413,33 +411,6 @@ def _apply(fmap, params, extended, *args) -> TwoModeGaussianState:
     return state
 
 
-def bs_unitary(t, phi=0.0) -> np.ndarray:
-    """Mode-transformation matrix of a beam splitter in the field pairing
-    (a1, a1+, a2, a2+); batch friendly in t and phi, and computed in their
-    precision (complex128 for Python floats)."""
-    real = np.result_type(t, phi, 1.0)
-    t = np.asarray(t, dtype=real)
-    phi = np.asarray(phi, dtype=real)
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(phi))):
-        raise ParameterError("transmissivity and phase must be finite")
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise ParameterError("transmissivity must lie in [0, 1]")
-    rt = np.sqrt(t)
-    rr = np.sqrt(1.0 - t)
-    ph = np.exp(1j * phi)
-    shape = np.broadcast_shapes(t.shape, phi.shape)
-    u = np.zeros(shape + (4, 4), dtype=np.result_type(real, 1j))
-    u[..., 0, 0] = rt
-    u[..., 0, 2] = -rr * ph
-    u[..., 1, 1] = rt
-    u[..., 1, 3] = -rr * np.conj(ph)
-    u[..., 2, 0] = rr * np.conj(ph)
-    u[..., 2, 2] = rt
-    u[..., 3, 1] = rr * ph
-    u[..., 3, 3] = rt
-    return u
-
-
 def _lane(x, dtype):
     """``x`` as a ``dtype`` array, or as a numpy scalar when it holds one
     number (numpy's scalar arithmetic is several times cheaper)."""
@@ -463,8 +434,9 @@ def _scaled(r, x):
 
 def _bs_transform_arrays(b1, b2, c1, c2, d12, dbar12, t, phi=0.0):
     """Beam-splitter congruence G = conj(U)^T A U on raw parameter arrays,
-    with A the normal-ordered covariance of _an_matrix and U of bs_unitary;
-    t and phi are taken at the parameters' precision.
+    with A the normal-ordered covariance of _an_matrix and U the splitter's
+    mode matrix (rows below); t and phi are taken at the parameters'
+    precision.
 
     With e = dbar12, A has rows (-b1, c1, e*, d12), (c1*, -b1, d12*, e),
     (e, d12, -b2, c2), (d12*, e*, c2*, -b2); with r = sqrt(t) and

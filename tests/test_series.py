@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.signal
 from scipy.special import binom
 
 from conftest import random_physical_state
@@ -173,15 +174,16 @@ def test_narrow_float_tables_match_lfilter_bit_for_bit(monkeypatch, seed):
 def test_catalog_tables_run_on_floats_and_ladder_tables_on_lfilter(
         monkeypatch):
     """The catalog's tables are narrower than the cutoff and never call
-    lfilter; a 17-column photon-number table calls it once per row."""
+    lfilter; a 17-column photon-number table calls it once per row.  rsqrt
+    imports lfilter when it calls it, so the patch on scipy.signal holds."""
     calls = []
-    lfilter = series.lfilter
+    lfilter = scipy.signal.lfilter
 
     def counted(*args, **kwargs):
         calls.append(1)
         return lfilter(*args, **kwargs)
 
-    monkeypatch.setattr(series, "lfilter", counted)
+    monkeypatch.setattr(scipy.signal, "lfilter", counted)
     state = random_physical_state(np.random.default_rng(3))
     for cid in criteria.default_catalog():
         criteria.evaluate(state, cid)

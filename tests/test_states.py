@@ -44,11 +44,6 @@ def test_beam_splitter_accepts_params_object():
         lambda: states.beam_splitter(states.twin_beam(1.0), -0.01),
         lambda: states.attenuate(states.twin_beam(1.0), 1.1),
         lambda: states.attenuate(states.twin_beam(1.0), 0.5, -0.5),
-        lambda: states.bs_unitary(math.nan),
-        lambda: states.bs_unitary(math.inf),
-        lambda: states.bs_unitary(0.5, math.nan),
-        lambda: states.bs_unitary(0.5, -math.inf),
-        lambda: states.bs_unitary(np.array([0.5, math.nan])),
         lambda: states.twin_beam(math.inf),
         lambda: states.attenuate(states.twin_beam(1.0), math.nan),
         lambda: states.BeamSplitterParams(0.5, math.inf),
@@ -394,10 +389,32 @@ def test_one_number_spectra_keep_their_shape_and_the_batch_bits():
     assert type(states._spectrum(*one._extended)[0]) is np.longdouble
 
 
+def bs_unitary(t, phi=0.0):
+    """Mode-transformation matrix of a beam splitter in the field pairing
+    (a1, a1+, a2, a2+); batch friendly in t and phi, and computed in their
+    precision (complex128 for Python floats).  The reference the library's
+    explicit product terms are checked against."""
+    real = np.result_type(t, phi, 1.0)
+    rt = np.sqrt(np.asarray(t, dtype=real))
+    rr = np.sqrt(1.0 - np.asarray(t, dtype=real))
+    ph = np.exp(1j * np.asarray(phi, dtype=real))
+    shape = np.broadcast_shapes(rt.shape, ph.shape)
+    u = np.zeros(shape + (4, 4), dtype=np.result_type(real, 1j))
+    u[..., 0, 0] = rt
+    u[..., 0, 2] = -rr * ph
+    u[..., 1, 1] = rt
+    u[..., 1, 3] = -rr * np.conj(ph)
+    u[..., 2, 0] = rr * np.conj(ph)
+    u[..., 2, 2] = rt
+    u[..., 3, 1] = rr * ph
+    u[..., 3, 3] = rt
+    return u
+
+
 def test_bs_unitary_is_unitary():
     rng = np.random.default_rng(1)
     for _ in range(5):
-        u = states.bs_unitary(rng.uniform(0, 1), rng.uniform(-np.pi, np.pi))
+        u = bs_unitary(rng.uniform(0, 1), rng.uniform(-np.pi, np.pi))
         np.testing.assert_allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=1e-14)
 
 
@@ -405,8 +422,7 @@ def _einsum_congruence(b1, b2, c1, c2, d12, dbar12, t, phi):
     """The beam-splitter congruence as an einsum, kept as the reference."""
     a = states._an_matrix(b1, b2, c1, c2, d12, dbar12)
     real = np.finfo(a.dtype).dtype
-    u = states.bs_unitary(np.asarray(t, dtype=real),
-                          np.asarray(phi, dtype=real))
+    u = bs_unitary(np.asarray(t, dtype=real), np.asarray(phi, dtype=real))
     out = np.einsum("...ji,...jk,...kl->...il", np.conj(u), a, u,
                     optimize=True)
     return states._params_from_an(out)
