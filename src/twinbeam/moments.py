@@ -16,10 +16,12 @@ criteria alike.  It holds the one rule for negative probabilities: below
 element raises exactly when the table it is read from does.  A state's
 memo is read and written only by _q (its Q) and _held, which holds each
 moment and scaled-probability kind, joint or marginal, for the criteria
-and the element functions at the largest orders asked so far; a kind's
-first table is built at least at the orders its caller names as a floor
-(evaluate names the default catalog's), unless that table would raise a
-floating-point error.  Probability elements keep a table of their own.
+and the element functions at the largest orders asked so far, up to
+series._FLOAT_COLUMNS columns; a kind's first table is built at least at
+the orders its caller names as a floor (evaluate names the default
+catalog's), unless that table would raise a floating-point error.
+Probability elements, and tables wider than that, are built for their
+request alone.
 
 Marginal quantities use the exact single-mode reduction of Q rather than
 summing the joint distribution, so marginal tails can be bounded without
@@ -34,8 +36,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EvaluationError, OrderLimitError, ParameterError, TruncationError
-from .series import BivariateSeries
-from .states import TwinBeamParams, TwoModeGaussianState, _checked
+from .series import _FLOAT_COLUMNS, BivariateSeries
+from .states import (TwinBeamParams, TwoModeGaussianState, _checked,
+                     _lane, _times)
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
@@ -84,27 +87,28 @@ def _q_coeff_array(b1, b2, c1, c2, d12, dbar12) -> np.ndarray:
     """Coefficients of Q(l1, l2) from raw state parameters (array friendly):
     a (3, 3, *batch) array with entry [i, j] multiplying l1**i * l2**j.
 
-    The constant term is 1; _K_INDEX names the other eight entries.
+    The constant term is 1; _K_INDEX names the other eight entries.  The
+    complex parameters are taken as (real, imag) pairs, in real arithmetic
+    as in the beam-splitter map: numpy's complex multiply may use FMA in
+    its array loop where its scalar one does not, so only real multiplies
+    and adds give one state the bits of its lane of a grid.
     """
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    c1 = np.asarray(c1, dtype=complex)
-    c2 = np.asarray(c2, dtype=complex)
-    d = np.asarray(d12, dtype=complex)
-    e = np.asarray(dbar12, dtype=complex)
+    shape = np.broadcast(b1, b2, c1, c2, d12, dbar12).shape
+    b1, b2 = _lane(b1, float), _lane(b2, float)
+    c1, c2, d, e = ((z.real, z.imag) for z in (
+        _lane(x, complex) for x in (c1, c2, d12, dbar12)))
+    c2_conj, d_conj, e_conj = ((x[0], -x[1]) for x in (c2, d, e))
 
-    ad2 = np.abs(d) ** 2
-    ae2 = np.abs(e) ** 2
-    ac1 = np.abs(c1) ** 2
-    ac2 = np.abs(c2) ** 2
+    ad2, ae2, ac1, ac2 = (x[0] * x[0] + x[1] * x[1] for x in (d, e, c1, c2))
     cross = ad2 + ae2
-    # mixed third- and fourth-order invariants
-    g1 = np.real(c1 * e * np.conj(d))
-    g2 = np.real(c2 * np.conj(e) * np.conj(d))
-    h1 = np.real(c1 * c2 * np.conj(d) ** 2)
-    h2 = np.real(c1 * np.conj(c2) * e ** 2)
+    # mixed third- and fourth-order invariants, the real parts of
+    # c1 e d*, c2 e* d*, c1 c2 d*^2 and c1 c2* e^2
+    g1 = _times(_times(c1, e), d_conj)[0]
+    g2 = _times(_times(c2, e_conj), d_conj)[0]
+    h1 = _times(_times(c1, c2), _times(d_conj, d_conj))[0]
+    h2 = _times(_times(c1, c2_conj), _times(e, e))[0]
 
-    q = np.zeros((3, 3) + np.broadcast(b1, b2, c1, c2, d, e).shape)
+    q = np.zeros((3, 3) + shape)
     q[0, 0] = 1.0
     q[1, 0] = 2.0 * b1
     q[0, 1] = 2.0 * b2
@@ -177,13 +181,18 @@ def _q(state: TwoModeGaussianState) -> np.ndarray:
 
 def _held(state: TwoModeGaussianState, kind: str, o1: int, o2: int = 0,
           *, floor: tuple = (0, 0)) -> np.ndarray:
-    """The state's read-only ``kind`` table at orders >= (o1, o2), kept in
-    its memo at the largest orders asked so far: its prefix equals a smaller
-    table bit for bit, so it serves every smaller request and is rebuilt at
-    the elementwise max of both orders for a larger one.  A kind's first
-    table covers ``floor`` as well.  Entries beyond the request are never
-    read, so where that larger table raises a floating-point error the
-    requested orders alone are built, warning as they do on their own."""
+    """The state's ``kind`` table at orders >= (o1, o2), kept read-only in
+    its memo at the largest orders asked so far.  Up to _FLOAT_COLUMNS
+    columns its prefix equals a smaller table bit for bit, so it serves
+    every smaller request and is rebuilt at the elementwise max of both
+    orders for a larger one.  A wider table filters its rows in another
+    order, so it is built for its request alone and the memo keeps the
+    narrower one.  A kind's first table covers ``floor`` as well.  Entries
+    beyond the request are never read, so where that larger table raises a
+    floating-point error the requested orders alone are built, warning as
+    they do on their own."""
+    if o2 >= _FLOAT_COLUMNS:
+        return _table(_q(state), kind, o1, o2)
     # held table's sizes, a marginal's padded with a 1; (0, 1) if none
     h1, h2 = (*np.shape(state._memo.get(kind, ())), 1)[:2]
     if o1 < h1 and o2 < h2:

@@ -11,20 +11,20 @@ Coefficient tables may carry trailing batch axes, so a whole parameter grid
 can be pushed through the same recurrence at once; invalid batch lanes (a
 nonpositive constant term) yield NaN coefficients instead of raising.
 
-An unbatched table of at most _FLOAT_COLUMNS columns runs on Python floats,
-where NumPy's per-call cost would outweigh the work, in the order of
-operations of the NumPy slice adds and scipy lfilter rows that wider tables
-use, and so with their bits.  Only those wider rows call scipy, and they
-import lfilter where they call it, once per table, so the catalog,
-classify, scans and boundaries never load scipy.  A batch of one lane, as
-each refinement step of a boundary evaluates, runs on Python floats too,
-at any width and in the order of operations of the batch loop, so it has
-the bits of the same lane in a wider batch; rebasing such a table is the
-unbatched float sum.  Python floats set no floating-point flags, so a
-float table with a non-finite entry is rebuilt on the NumPy rows, which
-warn, or raise under np.errstate, as every table does.  Underflow leaves
-no mark on a table, so where np.errstate asks to hear of it, one-lane
-batches and unbatched tables wider than one column run on the NumPy rows.
+Every table of at most _FLOAT_COLUMNS columns runs the within-row
+recurrence in the order of operations of the batch loop, so one state and
+its lane of any batch get the same bits.  Unbatched, such a table runs on
+Python floats, where NumPy's per-call cost would outweigh the work, and so
+does a batch of one lane, as each refinement step of a boundary evaluates,
+at any width; rebasing such a table is the unbatched float sum.  Only
+unbatched tables wider than _FLOAT_COLUMNS filter their rows with scipy
+lfilter, which they import where they call it, once per table, so the
+catalog, classify, scans and boundaries never load scipy.  Python floats
+set no floating-point flags, so a float table with a non-finite entry is
+rebuilt on the NumPy rows, which warn, or raise under np.errstate, as
+every table does.  Underflow leaves no mark on a table, so where
+np.errstate asks to hear of it, one-lane batches and unbatched tables
+wider than one column run on the NumPy rows.
 """
 from __future__ import annotations
 
@@ -174,8 +174,9 @@ class BivariateSeries:
         higher coefficients are taken as zero).  For batched coefficients,
         lanes whose constant term is not positive come back as NaN.
         Unbatched, the first row and every table of at most _FLOAT_COLUMNS
-        columns, and a batch of one lane, are computed on Python floats,
-        with the bits of the NumPy rows (see the module docstring).
+        columns, and a batch of one lane, are computed on Python floats;
+        every table of at most _FLOAT_COLUMNS columns has the bits of its
+        lane of the batch loop (see the module docstring).
         """
         o1 = self.order1 if order1 is None else _checked("order1", order1)
         o2 = self.order2 if order2 is None else _checked("order2", order2)
@@ -214,7 +215,7 @@ class BivariateSeries:
                         row.append(acc * (-inv_q00 / (2 * i)))
                     rows = [row]
                 else:
-                    rows = _float_rows(q, row, taps, o1, dq1, inv_q00, scalar)
+                    rows = _float_rows(q, row, taps, o1, dq1, inv_q00)
                 # and an overflowed table, whose sum is not finite, is
                 # rebuilt there, to warn or raise
                 if isfinite(sum(map(sum, rows))):
@@ -239,9 +240,10 @@ class BivariateSeries:
 
         # remaining rows: cross-row terms feed a constant-coefficient
         # within-row recurrence of depth dq2
-        if scalar and taps:
-            # once per table, not per row: narrow tables and batches never
-            # get here, so they load no scipy
+        filtered = scalar and bool(taps) and o2 >= _FLOAT_COLUMNS
+        if filtered:
+            # once per table, not per row; narrow tables and batches never
+            # filter, so they load no scipy
             from scipy.signal import lfilter
             den = np.concatenate(([1.0], taps))
         for i in range(1, o1 + 1):
@@ -256,13 +258,12 @@ class BivariateSeries:
             base *= -inv_q00 / (2 * i)
             if not taps:
                 s[i] = base
-            elif scalar:
+            elif filtered:
                 # both branches stay: a numpy-only single path (the
                 # recurrence swept along anti-diagonals) matched to 2.2e-16
                 # but ran 3x slower on 4097^2 tables and 2x on (4, 4) ones;
-                # tables of at most _FLOAT_COLUMNS columns run on floats,
-                # as NumPy calls cost more there than they save, and only
-                # the wider tables import scipy
+                # tables of at most _FLOAT_COLUMNS columns keep the batch
+                # loop's order, and only the wider tables import scipy
                 s[i] = lfilter([1.0], den, base, axis=0)
             else:
                 row = s[i]
@@ -289,16 +290,12 @@ def _first_row(q, o2, dq2, inv_q00, s00):
     return row, [q[0][b] * inv_q00 for b in range(1, dq2 + 1)]
 
 
-def _float_rows(q, row, taps, o1, dq1, inv_q00, filtered):
+def _float_rows(q, row, taps, o1, dq1, inv_q00):
     """Rows 0..o1 of a table of one number per coefficient whose first row
-    is ``row``, on Python floats with the bits of the NumPy rows: the
-    cross-row terms are summed in the order of their slice adds, and the
-    within-row recurrence runs, when ``filtered``, as lfilter([1.0],
-    [1.0, *taps]) in scipy's transposed direct form II, term for term
-    (b = [1.0, 0.0, ...] after division by a[0] = 1.0), and otherwise in
-    the order of the batch loop."""
+    is ``row``, on Python floats with the bits of its lane of the batch
+    loop: the cross-row terms are summed in the order of their slice adds,
+    and the within-row recurrence runs in the order of the batch loop."""
     width = len(row)
-    last = len(taps) - 1
     rows = [row]
     for i in range(1, o1 + 1):
         base = [0.0] * width
@@ -314,22 +311,10 @@ def _float_rows(q, row, taps, o1, dq1, inv_q00, filtered):
                     base[j] = base[j] + c * prev[j - b]
         scale = -inv_q00 / (2 * i)
         out = []
-        if not taps:
-            out = [x * scale for x in base]
-        elif filtered:
-            z = [0.0] * len(taps)
-            for x in base:
-                x = x * scale
-                y = z[0] + 1.0 * x
-                for k in range(last):
-                    z[k] = z[k + 1] + x * 0.0 - y * taps[k]
-                z[last] = x * 0.0 - y * taps[last]
-                out.append(y)
-        else:
-            for j, x in enumerate(base):
-                acc = x * scale
-                for b in range(1, min(j, last + 1) + 1):
-                    acc = acc - taps[b - 1] * out[j - b]
-                out.append(acc)
+        for j, x in enumerate(base):
+            acc = x * scale
+            for b in range(1, min(j, len(taps)) + 1):
+                acc = acc - taps[b - 1] * out[j - b]
+            out.append(acc)
         rows.append(out)
     return rows

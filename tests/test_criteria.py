@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from conftest import random_physical_state
-from twinbeam import criteria, moments, quantifiers, states
+from twinbeam import criteria, moments, quantifiers, series, states
 from twinbeam.criteria import CriterionId
 from twinbeam.errors import ConfigError, OrderLimitError, ParameterError
 from twinbeam.scan import TargetSpec
@@ -383,6 +383,20 @@ def test_ids_beyond_the_catalog_grow_the_held_tables(monkeypatch):
             for v, t in judged] == [b[:2] for b in _bits(results)]
 
 
+@pytest.mark.parametrize("params", _ORDER_PARAMS)
+def test_a_wide_request_leaves_the_held_table_narrow(params):
+    """A table wider than _FLOAT_COLUMNS columns filters its rows in
+    lfilter's order, so its corner is not the narrow table: it is built for
+    its request alone, and E_W:2:2 keeps a fresh state's bits after it."""
+    state = states.TwoModeGaussianState(*params)
+    results = [criteria.evaluate(state, "E_W:2:2"),
+               criteria.evaluate(state, "E_W:2:18", max_order=40),
+               criteria.evaluate(state, "E_W:2:2")]
+    fresh = criteria.evaluate(states.TwoModeGaussianState(*params), "E_W:2:2")
+    assert _bits(results[2:]) == _bits(results[:1]) == _bits([fresh])
+    assert state._memo["W"].shape[1] <= series._FLOAT_COLUMNS
+
+
 @pytest.mark.parametrize("bp", [1e40, 1e60])
 @pytest.mark.parametrize("label", ["E_W:0:0", "R_W:2:2:1"])
 def test_a_lone_request_on_a_bright_beam_stays_silent_and_exact(bp, label):
@@ -425,17 +439,53 @@ def test_an_overflowing_marginal_warns_as_a_joint_table_does(read):
     assert math.isnan(value)
 
 
+def _assert_state_is_its_lane(params, q, k):
+    """The state of ``params`` has lane k of the multi-lane Q build ``q``
+    as its Q, and evaluate gives every catalog id the (value, tol) of lane
+    k of _judge on ``q``, to the bit, signed zeros included."""
+    catalog = criteria.default_catalog()
+    state = states.TwoModeGaussianState(*params)
+    assert moments._q(state).tobytes() == q[..., k].tobytes()
+    results = [criteria.evaluate(state, cid) for cid in catalog]
+    assert [(v[k].tobytes(), t[k].tobytes())
+            for v, t in criteria._judge(catalog, q)] == [
+                b[:2] for b in _bits(results)]
+
+
 @pytest.mark.parametrize("params", _ORDER_PARAMS)
 def test_evaluate_matches_the_batch_judge_bit_for_bit(params):
     """evaluate reads a state's held tables and _judge builds a batch of
-    its own; both end in _value, and their (value, tol) must agree to the
-    bit, signed zeros included."""
-    catalog = criteria.default_catalog()
-    state = states.TwoModeGaussianState(*params)
-    judged = criteria._judge(catalog, moments._q(state))
-    results = [criteria.evaluate(state, cid) for cid in catalog]
-    assert [(np.float64(v).tobytes(), np.float64(t).tobytes())
-            for v, t in judged] == [b[:2] for b in _bits(results)]
+    its own, as a scan does; with the six order states stacked as lanes of
+    one batch, both must give every id the same bits."""
+    lanes = [np.array(field) for field in zip(*_ORDER_PARAMS)]
+    _assert_state_is_its_lane(params, moments._q_coeff_array(*lanes),
+                              _ORDER_PARAMS.index(params))
+
+
+_MEANS = st.floats(0.0, 3.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.lists(st.tuples(st.floats(0.01, 3.0),
+                          st.one_of(st.just(0.0), _MEANS),
+                          st.one_of(st.just(0.0), _MEANS),
+                          st.floats(0.0, 1.0), st.floats(-math.pi, math.pi),
+                          st.floats(0.3, 1.0), st.floats(0.3, 1.0)),
+                min_size=2, max_size=5))
+def test_a_state_and_its_lane_of_a_batch_agree_to_the_bit(draws):
+    """A twin beam, noisy in either mode or neither, sent through a
+    splitter and unbalanced loss: the scalar constructors give the state,
+    and the array maps, which a scan runs, give all the draws as lanes of
+    one batch."""
+    params = [states.attenuate(states.beam_splitter(
+        states.twin_beam(bp, bs=bs, bi=bi), t, phi=phi), eta1, eta2).params()
+        for bp, bs, bi, t, phi, eta1, eta2 in draws]
+    bp, bs, bi, t, phi, eta1, eta2 = map(np.array, zip(*draws))
+    q = moments._q_coeff_array(*states._attenuate_arrays(
+        *states._bs_transform_arrays(*states._twin_beam_arrays(bp, bs, bi),
+                                     t, phi), eta1, eta2))
+    for k, one in enumerate(params):
+        _assert_state_is_its_lane(one, q, k)
 
 
 def test_verdict_tolerance_scales_with_magnitude():

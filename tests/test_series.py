@@ -1,5 +1,7 @@
 """Tests for the truncated bivariate power-series arithmetic."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -124,51 +126,48 @@ def test_batched_rsqrt_matches_scalar_slices():
         )
 
 
+def _assert_same_bits(got, want):
+    """Equal shape and values, signs of zero included; NaN matches NaN."""
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    known = ~np.isnan(want)
+    np.testing.assert_array_equal(np.signbit(got[known]),
+                                  np.signbit(want[known]))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_scalar_float_recurrences_match_batched_lanes_bit_for_bit(seed):
-    """Unbatched, the first row and one-column tables run on Python floats;
-    each must equal its lane of the batched NumPy recurrence exactly, signs
-    of zero included."""
+    """Unbatched, the first row, one-column tables and every table of at
+    most _FLOAT_COLUMNS columns run on Python floats; each must equal its
+    lane of the batched NumPy recurrence exactly, all rows and signs of
+    zero included: on Q tables with exact zeros in the first row and
+    column, on a rebased twin-beam Q and on a one-column Q, whose rows have
+    no within-row recurrence.  Wider tables filter their later rows with
+    lfilter, so only their first row is compared."""
     rng = np.random.default_rng(seed)
-    batch = _random_positive_series(rng, 2, 2, batch=(5,))
-    batch.coeffs[1:, 0, 0] = 0.0    # exact-zero q[a, 0]: the skipped terms
-    batch.coeffs[0, 1:, 1] = 0.0    # a first row of signed zeros
-    for o1, o2 in [(29, 29)] + [(order, 0) for order in range(41)]:
-        lanes = batch.rsqrt(o1, o2).coeffs
-        rows = 1 if o2 else o1 + 1
-        for k in range(5):
-            lane = BivariateSeries(batch.coeffs[..., k]).rsqrt(o1, o2).coeffs
-            got, want = lane[:rows], lanes[:rows, ..., k]
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_narrow_float_tables_match_lfilter_bit_for_bit(monkeypatch, seed):
-    """Tables of up to _FLOAT_COLUMNS columns run on Python floats; they
-    must equal the NumPy + lfilter rows, forced by a cutoff of zero
-    columns, exactly, signs of zero included, on Q tables with exact zeros
-    in the first row and column, on a rebased twin-beam Q and on a
-    one-column Q, whose rows have no within-row recurrence."""
-    rng = np.random.default_rng(seed)
-    tables = []
+    lanes = []
     for zeros in ((0, slice(1, None)), (slice(1, None), 0), ()):
         q = _random_positive_series(rng, 2, 2).coeffs
         if zeros:
             q[zeros] = 0.0
-        tables.append(BivariateSeries(q))
+        lanes.append(q)
     twin = moments.q_polynomial(states.twin_beam(rng.uniform(0.1, 3.0)))
-    tables.append(twin.rebased(1.0, 1.0))
-    tables.append(_random_positive_series(rng, 2, 0))   # no taps
-    cases = [(q, int(rng.integers(0, 13)), width - 1)
-             for width in range(2, series._FLOAT_COLUMNS + 1)
-             for q in tables]
-    floats = [q.rsqrt(o1, o2).coeffs for q, o1, o2 in cases]
-    monkeypatch.setattr(series, "_FLOAT_COLUMNS", 0)
-    for (q, o1, o2), got in zip(cases, floats):
-        want = q.rsqrt(o1, o2).coeffs
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    lanes.append(twin.rebased(1.0, 1.0).coeffs)
+    batches = [BivariateSeries(np.stack(lanes, axis=-1)),
+               _random_positive_series(rng, 2, 0, batch=(3,))]   # no taps
+    orders = [(int(rng.integers(0, 13)), width - 1)
+              for width in range(1, series._FLOAT_COLUMNS + 1)]
+    orders += [(29, 29)] + [(order, 0) for order in range(41)]
+    # where np.errstate asks to hear of underflow (here, to call a no-op),
+    # the tables run on the NumPy rows instead, with the same bits
+    for batch, under in itertools.product(batches, ("ignore", "call")):
+        with np.errstate(under=under, call=lambda *args: None):
+            for o1, o2 in orders:
+                want = batch.rsqrt(o1, o2).coeffs
+                rows = 1 if o2 >= series._FLOAT_COLUMNS else o1 + 1
+                for k in range(batch.batch_shape[0]):
+                    got = BivariateSeries(batch.coeffs[..., k]).rsqrt(o1, o2)
+                    _assert_same_bits(got.coeffs[:rows], want[:rows, :, k])
 
 
 def test_catalog_tables_run_on_floats_and_ladder_tables_on_lfilter(
@@ -197,15 +196,6 @@ def test_rsqrt_requires_positive_constant_term(c00):
     coeffs = np.array([[c00, 1.0], [1.0, 0.0]])
     with pytest.raises(EvaluationError):
         BivariateSeries(coeffs).rsqrt()
-
-
-def _assert_same_bits(got, want):
-    """Equal shape and values, signs of zero included; NaN matches NaN."""
-    assert got.shape == want.shape
-    np.testing.assert_array_equal(got, want)
-    known = ~np.isnan(want)
-    np.testing.assert_array_equal(np.signbit(got[known]),
-                                  np.signbit(want[known]))
 
 
 @pytest.mark.parametrize("seed", range(4))
