@@ -144,7 +144,7 @@ def _cmd_state(args) -> int:
         "i_ncl": [report.i_ncl_1, report.i_ncl_2],
         "locally_nonclassical": list(report.locally_nonclassical),
         "k_matrix": dataclasses.asdict(build_k_matrix(state)),
-        "covariance_n": covariance_n(state).entries,
+        "covariance_n": covariance_n(state),
     }
     _print_json(payload)
     return 0
@@ -390,9 +390,10 @@ def _build_parser() -> _Parser:
 
     p_pnd = sub.add_parser("pnd", help="dump the photon-number distribution")
     _add_state_args(p_pnd)
-    p_pnd.add_argument("--nmax", type=int, default=None,
-                       help="per-mode cutoff (default: adaptive)")
-    p_pnd.add_argument("--tail-tol", type=float, default=1e-10)
+    cutoff = p_pnd.add_mutually_exclusive_group()
+    cutoff.add_argument("--nmax", type=int, default=None,
+                        help="per-mode cutoff (default: adaptive)")
+    cutoff.add_argument("--tail-tol", type=float, default=1e-10)
     p_pnd.set_defaults(func=_cmd_pnd)
 
     p_bound = sub.add_parser("boundary",

@@ -144,20 +144,6 @@ class KMatrix:
     k34: float
     k44: float
 
-    def coefficient_grid(self) -> np.ndarray:
-        """(3, 3) array with entry [i, j] multiplying l1**i * l2**j."""
-        grid = np.zeros((3, 3))
-        grid[0, 0] = 1.0
-        for name, index in _K_INDEX.items():
-            grid[index] = getattr(self, name)
-        return grid
-
-    def q_value(self, l1: float, l2: float) -> float:
-        grid = self.coefficient_grid()
-        powers1 = np.array([1.0, l1, l1 * l1])
-        powers2 = np.array([1.0, l2, l2 * l2])
-        return float(powers1 @ grid @ powers2)
-
 
 def build_k_matrix(state: TwoModeGaussianState) -> KMatrix:
     """Q-polynomial coefficients of the state."""

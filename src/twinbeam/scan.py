@@ -51,7 +51,6 @@ __all__ = [
 
 AXIS_NAMES = ("bp", "bs", "bi", "t", "eta")
 NOISE_MODES = ("independent", "balanced", "unbalanced")
-THREADS_ENV = "TWINBEAM_THREADS"
 
 BISECTION_MAX_ITER = 60
 BISECTION_REL_TOL = 1e-9
@@ -196,17 +195,6 @@ class ScanSpec:
             object.__setattr__(self, "threads",
                                _checked("threads", self.threads, ConfigError))
 
-    def resolve_threads(self) -> int:
-        if self.threads is not None:
-            return self.threads
-        env = os.environ.get(THREADS_ENV, "").strip()
-        if env:
-            try:
-                return _checked("threads", int(env), ConfigError)
-            except ValueError as exc:  # ConfigError included
-                raise ConfigError(f"{THREADS_ENV}: {exc}") from None
-        return min(os.cpu_count() or 1, 8)
-
 
 # -- evaluation pipeline ----------------------------------------------------
 
@@ -317,7 +305,7 @@ def run_scan(spec: ScanSpec) -> ScanResult:
     verdicts = {lab: np.full(n, -1, dtype=np.int8) for lab in labels}
     indicators = {lab: np.full(n, np.nan) for lab in labels}
 
-    threads = spec.resolve_threads()
+    threads = spec.threads or min(os.cpu_count() or 1, 8)
     n_chunks = max(1, min(n, threads * 4))
     bounds = np.linspace(0, n, n_chunks + 1).astype(int)
     slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])

@@ -39,7 +39,6 @@ __all__ = [
     "TwinBeamParams",
     "BeamSplitterParams",
     "TwoModeGaussianState",
-    "CovarianceMatrixN",
     "twin_beam",
     "beam_splitter",
     "attenuate",
@@ -121,10 +120,6 @@ class BeamSplitterParams:
         object.__setattr__(self, "t", _checked("t", self.t))
         object.__setattr__(self, "phi", _checked("phi", self.phi))
 
-    @property
-    def r(self) -> float:
-        return 1.0 - self.t
-
 
 # -- symplectic invariants (extended precision, batch friendly) ----------
 
@@ -197,23 +192,24 @@ def _spectrum(b1, b2, c1, c2, d12, dbar12, partial_transpose=False):
     return tuple(np.reshape(x, shape) for x in spectrum) if shape else spectrum
 
 
-def is_physical_params(b1, b2, c1, c2, d12, dbar12,
-                       tol: float = PHYSICALITY_TOL):
+def is_physical_params(b1, b2, c1, c2, d12, dbar12):
     """Uncertainty-relation check on raw parameters; array friendly.
 
     The smaller symplectic eigenvalue may sit below the vacuum level 1/2 by
-    a margin of at least ``tol``.  For a state at the physical edge the two
-    eigenvalues coincide, so their splitting comes from the square root of
-    a vanishing discriminant and rounding noise of size eps * det blows up
-    to sqrt(eps * det).  The margin therefore cannot be a constant: it gets
-    a floor that grows with the covariance magnitude, otherwise strongly
-    squeezed pure states would be rejected as unphysical.
+    a margin of at least PHYSICALITY_TOL.  For a state at the physical edge
+    the two eigenvalues coincide, so their splitting comes from the square
+    root of a vanishing discriminant and rounding noise of size eps * det
+    blows up to sqrt(eps * det).  The margin therefore cannot be a
+    constant: it gets a floor that grows with the covariance magnitude,
+    otherwise strongly squeezed pure states would be rejected as
+    unphysical.
     """
     nu_m, _, det_a, det_b = _spectrum(b1, b2, c1, c2, d12, dbar12)
     magnitude = np.maximum(np.maximum(det_a, det_b), np.longdouble(1.0))
     floor = 16.0 * np.sqrt(np.longdouble(2.3e-16) * magnitude)
-    margin = np.maximum(np.longdouble(tol), floor)
-    ok = ((np.asarray(b1) >= -tol) & (np.asarray(b2) >= -tol)
+    margin = np.maximum(np.longdouble(PHYSICALITY_TOL), floor)
+    ok = ((np.asarray(b1) >= -PHYSICALITY_TOL)
+          & (np.asarray(b2) >= -PHYSICALITY_TOL)
           & (det_a > 0.0) & (det_b > 0.0)
           & (nu_m >= np.longdouble(0.5) - margin))
     return bool(ok) if ok.ndim == 0 else ok
@@ -260,9 +256,8 @@ class TwoModeGaussianState:
     def __getstate__(self):
         return {**self.__dict__, "_memo": {}}
 
-    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
-        return is_physical_params(self.b1, self.b2, self.c1, self.c2,
-                                  self.d12, self.dbar12, tol)
+    def is_physical(self) -> bool:
+        return is_physical_params(*self.params())
 
     def params(self) -> tuple:
         return (self.b1, self.b2, self.c1, self.c2, self.d12, self.dbar12)
@@ -313,55 +308,9 @@ def _an_matrix(b1, b2, c1, c2, d12, dbar12):
     return out
 
 
-def _params_from_an(matrix):
-    """Inverse of _an_matrix; clamps rounding-level negative photon numbers."""
-    b1 = -np.real(matrix[..., 0, 0])
-    b2 = -np.real(matrix[..., 2, 2])
-    tiny = 1e-9 * (1.0 + np.abs(b1) + np.abs(b2))
-    b1 = np.where((b1 < 0.0) & (b1 > -tiny), 0.0, b1)
-    b2 = np.where((b2 < 0.0) & (b2 > -tiny), 0.0, b2)
-    return (b1, b2, matrix[..., 0, 1], matrix[..., 2, 3],
-            matrix[..., 0, 3], matrix[..., 1, 3])
-
-
-@dataclass(frozen=True)
-class CovarianceMatrixN:
-    """Normal-ordered 4x4 covariance matrix with its fixed block pattern."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (4, 4):
-            raise ParameterError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ParameterError("covariance entries must be finite")
-        object.__setattr__(self, "entries", m)
-        self.validate()
-
-    def validate(self, tol: float = 1e-9):
-        m = self.entries
-        bound = tol * max(1.0, float(np.max(np.abs(m))))
-        for k, name in ((0, "b1"), (2, "b2")):
-            if np.real(m[k, k]) > bound:
-                raise ParameterError(f"diagonal must hold -{name} <= 0")
-        off = np.abs(m - _an_matrix(*_params_from_an(m))) > bound
-        if off.any():
-            i, j = np.argwhere(off)[0]
-            raise ParameterError(f"covariance entry ({i},{j}) does not fit "
-                                 "the normal-ordered layout")
-
-    @classmethod
-    def from_state(cls, state: TwoModeGaussianState) -> "CovarianceMatrixN":
-        return cls(_an_matrix(*state.params()))
-
-    def to_state(self) -> TwoModeGaussianState:
-        return TwoModeGaussianState(*_params_from_an(self.entries))
-
-
-def covariance_n(state: TwoModeGaussianState) -> CovarianceMatrixN:
-    """Normal-ordered covariance matrix of the state."""
-    return CovarianceMatrixN.from_state(state)
+def covariance_n(state: TwoModeGaussianState) -> np.ndarray:
+    """Normal-ordered 4x4 covariance in the (a1, a1+, a2, a2+) pairing."""
+    return _an_matrix(*state.params())
 
 
 def quadrature_covariance(state: TwoModeGaussianState) -> np.ndarray:

@@ -37,6 +37,9 @@ def test_state_report(capsys):
     assert payload["locally_nonclassical"] == [False, False]
     nu = sorted(payload["symplectic"])
     assert nu[0] == pytest.approx(0.5, abs=1e-8)
+    matrix = states._an_matrix(*states.twin_beam(1.0).params())
+    assert payload["covariance_n"] == [[[z.real, z.imag] for z in row]
+                                       for row in matrix.tolist()]
 
 
 def test_crit_reference_value(capsys):
@@ -401,6 +404,8 @@ _AXIS_BP = "[axis:bp]\nmin = 0.1\nmax = 1\n"
      "ParameterError"),
     (["state", "--bp", "1", "--eta2", "0.5"], "ConfigError"),
     (["boundary", "--family", "E_p", "--axis", "t"], "ConfigError"),
+    # a fixed cutoff would drop the tail tolerance silently
+    (["pnd", "--bp", "1", "--nmax", "3", "--tail-tol", "0.5"], "ConfigError"),
 ])
 def test_failures_report_json_and_exit_nonzero(capsys, tmp_path, argv,
                                                error):

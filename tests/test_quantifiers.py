@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twinbeam import quantifiers, states
+from twinbeam import quantifiers, scan, states
 from twinbeam.errors import EvaluationError
+from twinbeam.scan import AxisSpec, ScanSpec, TargetSpec
 
 
 def _noise_boundary_by_bisection(bp, balanced, iterations=60):
@@ -159,6 +160,29 @@ def test_local_quantifier_reference_values(bp):
         assert quantifiers.local_quantifier(out, mode) == pytest.approx(
             bp, rel=1e-11
         )
+
+
+def test_a_state_and_its_scan_lane_agree_on_the_local_quantifiers():
+    """On 2,000 noisy splitter outputs, local_quantifier and classify give
+    the bits of the state's lane in one scan evaluation.  numpy's complex
+    abs rounded 2 of them apart in each mode."""
+    rng = np.random.default_rng(0)
+    n = 2000
+    coords = {"bp": rng.uniform(0.05, 3.0, n), "t": rng.uniform(0.0, 1.0, n),
+              "bs": rng.uniform(0.0, 1.0, n)}
+    spec = ScanSpec(axes=[AxisSpec(name, 0.0, 1.0, 2) for name in coords],
+                    targets=[TargetSpec.parse("i_ncl:1"),
+                             TargetSpec.parse("i_ncl:2")],
+                    noise_mode="balanced")
+    lanes = [value for value, _, _ in scan._Pipeline(spec).evaluate(coords)]
+    for k in range(n):
+        bp, t, bs = (float(coords[name][k]) for name in ("bp", "t", "bs"))
+        st = states.beam_splitter(states.twin_beam(bp, bs=bs, bi=bs), t)
+        report = quantifiers.classify(st)
+        for mode, reported in ((1, report.i_ncl_1), (2, report.i_ncl_2)):
+            want = float(lanes[mode - 1][k]).hex()
+            assert quantifiers.local_quantifier(st, mode).hex() == want
+            assert reported.hex() == want
 
 
 def test_classification_of_the_twin_beam():

@@ -129,17 +129,6 @@ def test_log_axis_boundary_follows_the_ratio_boundary():
     np.testing.assert_allclose(points[:, 0], want, rtol=1e-7, atol=0.0)
 
 
-@pytest.mark.parametrize("env", ["0", "-2"])
-def test_thread_count_from_the_environment_must_be_positive(monkeypatch,
-                                                             env):
-    spec = _negativity_spec(3)
-    monkeypatch.setenv(scan.THREADS_ENV, "3")
-    assert spec.resolve_threads() == 3
-    monkeypatch.setenv(scan.THREADS_ENV, env)
-    with pytest.raises(ConfigError):
-        spec.resolve_threads()
-
-
 def test_verdicts_flag_the_nonclassical_side():
     res = scan.run_scan(_negativity_spec(9))
     vals = res.values["negativity"]
