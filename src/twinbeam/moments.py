@@ -224,12 +224,15 @@ def _table(q: np.ndarray, kind: str, o1: int, o2: int = 0) -> np.ndarray:
     s = series.rsqrt(order1=o1, order2=o2).coeffs
     s[1::2] *= -1.0
     s[:, 1::2] *= -1.0
+    # scaled in place, so no table-sized temporary is made
     if kind[0] == "W":
-        s = _fact_grid(s) * s
+        s *= _fact_grid(s)
     elif kind[0] == "p":
-        s = _fact_grid(s) * (s / s[0, 0])
+        s /= s[0, 0].copy()
+        s *= _fact_grid(s)
     else:
-        if np.any(s < -1e-12):
+        # NaN-skipping like the elementwise test, without a boolean table
+        if np.fmin.reduce(s, axis=None) < -1e-12:
             raise EvaluationError(
                 "photon-number expansion produced a significantly negative "
                 "probability; the requested size exceeds the stable range")
@@ -397,8 +400,9 @@ def photon_number_distribution(state: TwoModeGaussianState,
     together drop below the tolerance; only then is the joint table built.
     The union bound tail(n1_max, n2_max) <= tail_1 + tail_2 makes the
     reported tail_mass trustworthy without summing anything infinite.
-    Cutoffs start at max(4, n_start) and double up to n_cap; a start above
-    n_cap raises ParameterError, a need above it TruncationError.
+    Cutoffs start at max(4, n_start) and double, the last step stopping
+    at n_cap; a start above n_cap raises ParameterError, and a tail that
+    still fails the tolerance at n_cap TruncationError.
     """
     tail_tol = _checked("tail_tol", tail_tol)
     if not 0.0 < tail_tol < 1.0:
@@ -413,11 +417,11 @@ def photon_number_distribution(state: TwoModeGaussianState,
         # the exact marginal's mass beyond n, without a joint table
         while (1.0 - float(marginal_pnd_table(state, mode, n).sum())
                > tail_tol / 2.0):
-            n *= 2
-            if n > n_cap:
+            if n == n_cap:
                 raise TruncationError(
                     f"mode {mode} needs more than {n_cap} photon-number "
                     f"terms to reach tail tolerance {tail_tol}")
+            n = min(2 * n, n_cap)
         cutoffs.append(n)
     n1, n2 = cutoffs
     p = pnd_table(state, n1, n2)

@@ -14,8 +14,8 @@ block into shells of fixed n1 + n2, and each shell gives a column-stochastic
 probability matrix.  Phases drop out of these squared coefficients, which is
 why the transform here needs only the transmissivity.
 
-Detection loss takes its binomial weights from scipy.stats.binom, imported
-in _loss_matrix, so only bernoulli_downsample loads scipy.
+Detection loss builds its binomial weights by Pascal's rule, so the oracle
+loads no scipy.
 """
 from __future__ import annotations
 
@@ -152,12 +152,20 @@ def bs_transform_pnd(pnd: PhotonNumberDistribution,
 
 
 def _loss_matrix(n_max: int, eta: float) -> np.ndarray:
-    """Entry [m, n]: probability that n photons yield m detections."""
-    from scipy.stats import binom
+    """Entry [m, n]: probability that n photons yield m detections.
 
-    m_grid, n_grid = np.meshgrid(np.arange(n_max + 1), np.arange(n_max + 1),
-                                 indexing="ij")
-    return binom.pmf(m_grid, n_grid, eta)
+    Built by Pascal's rule: column n is (1 - eta) times column n - 1 plus
+    eta times column n - 1 shifted down by one.  The rows of the transpose
+    are filled, so each step reads and writes contiguous memory."""
+    out = np.zeros((n_max + 1, n_max + 1))
+    out[0, 0] = 1.0
+    # deep binomial tails underflow to zero, as the exact weights round
+    with np.errstate(under="ignore"):
+        for n in range(1, n_max + 1):
+            prev = out[n - 1, :n]
+            np.multiply(prev, 1.0 - eta, out=out[n, :n])
+            out[n, 1:n + 1] += eta * prev
+    return out.T
 
 
 def bernoulli_downsample(pnd: PhotonNumberDistribution, eta1: float,

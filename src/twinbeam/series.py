@@ -17,9 +17,10 @@ its lane of any batch get the same bits.  Unbatched, such a table runs on
 Python floats, where NumPy's per-call cost would outweigh the work, and so
 does a batch of one lane, as each refinement step of a boundary evaluates,
 at any width; rebasing such a table is the unbatched float sum.  Only
-unbatched tables wider than _FLOAT_COLUMNS filter their rows with scipy
-lfilter, which they import where they call it, once per table, so the
-catalog, classify, scans and boundaries never load scipy.  Python floats
+unbatched tables wider than _FLOAT_COLUMNS solve their rows in place with
+BLAS's banded triangular solve, scipy.linalg.blas.dtbsv, which they import
+where they call it, once per table, so the catalog, classify, scans and
+boundaries never load scipy.  Python floats
 set no floating-point flags, so a float table with a non-finite entry is
 rebuilt on the NumPy rows, which warn, or raise under np.errstate, as
 every table does.  Underflow leaves no mark on a table, so where
@@ -37,11 +38,11 @@ from .states import _checked
 
 __all__ = ["BivariateSeries"]
 
-# the widest unbatched table, in columns, whose rows run on Python floats.
-# On square tables of a rebased twin-beam Q (timeit, a loaded 2-core x86
-# host) they take 0.3-0.71 of the time of the NumPy + lfilter rows at 2-16
-# columns, 0.66-0.96 at 17-24 and 1.06-1.53 at 28-40; wider tables keep
-# lfilter
+# the widest unbatched table, in columns, whose rows run on Python floats;
+# it also sets the bits of the tables moments holds.  On square tables of a
+# rebased twin-beam Q (timeit, a loaded 2-core x86 host) they take
+# 0.37-0.75 of the time of the NumPy + dtbsv rows at 2-8 columns, 0.83-1.21
+# at 12-16 and 1.18-2.5 at 17-40; wider tables solve their rows with dtbsv
 _FLOAT_COLUMNS = 16
 
 
@@ -238,42 +239,46 @@ class BivariateSeries:
         s = np.zeros((o1 + 1, o2 + 1) + batch, dtype=float)
         s[0] = row
 
-        # remaining rows: cross-row terms feed a constant-coefficient
-        # within-row recurrence of depth dq2
-        filtered = scalar and bool(taps) and o2 >= _FLOAT_COLUMNS
-        if filtered:
+        # remaining rows, each built in place: cross-row terms feed a
+        # constant-coefficient within-row recurrence of depth dq2
+        banded = scalar and bool(taps) and o2 >= _FLOAT_COLUMNS
+        if banded:
             # once per table, not per row; narrow tables and batches never
-            # filter, so they load no scipy
-            from scipy.signal import lfilter
-            den = np.concatenate(([1.0], taps))
+            # solve banded, so they load no scipy.  The recurrence is the
+            # unit lower-triangular banded system with the taps on its
+            # sub-diagonals, in BLAS band storage
+            from scipy.linalg.blas import dtbsv
+            band = np.zeros((len(taps) + 1, o2 + 1), order="F")
+            band[1:] = np.reshape(taps, (-1, 1))
         for i in range(1, o1 + 1):
-            base = np.zeros((o2 + 1,) + batch, dtype=float)
+            si = s[i]
             for a in range(1, min(i, dq1) + 1):
                 w = 2 * i - a
                 for b in range(dq2 + 1):
                     qab = q[a][b]
                     if scalar and qab == 0.0:
                         continue
-                    base[b:] += (w * qab) * s[i - a, : o2 + 1 - b]
-            base *= -inv_q00 / (2 * i)
-            if not taps:
-                s[i] = base
-            elif filtered:
+                    si[b:] += (w * qab) * s[i - a, : o2 + 1 - b]
+            si *= -inv_q00 / (2 * i)
+            if banded:
                 # both branches stay: a numpy-only single path (the
                 # recurrence swept along anti-diagonals) matched to 2.2e-16
-                # but ran 3x slower on 4097^2 tables and 2x on (4, 4) ones;
+                # but ran 3x slower than the lfilter rows these replaced
+                # on 4097^2 tables, and 2x on (4, 4) ones;
                 # tables of at most _FLOAT_COLUMNS columns keep the batch
-                # loop's order, and only the wider tables import scipy
-                s[i] = lfilter([1.0], den, base, axis=0)
-            else:
-                row = s[i]
+                # loop's order, and only the wider tables import scipy.
+                # The solve works in place; were f2py to copy the row, the
+                # assignment stores the copy
+                s[i] = dtbsv(len(taps), band, si, lower=1, diag=1,
+                             overwrite_x=1)
+            elif taps:
                 for j in range(o2 + 1):
-                    acc = base[j]
+                    acc = si[j]
                     for b, c in enumerate(taps, start=1):
                         if b > j:
                             break
-                        acc = acc - c * row[j - b]
-                    row[j] = acc
+                        acc = acc - c * si[j - b]
+                    si[j] = acc
         return BivariateSeries(s, self.point)
 
 

@@ -385,8 +385,8 @@ def test_ids_beyond_the_catalog_grow_the_held_tables(monkeypatch):
 
 @pytest.mark.parametrize("params", _ORDER_PARAMS)
 def test_a_wide_request_leaves_the_held_table_narrow(params):
-    """A table wider than _FLOAT_COLUMNS columns filters its rows in
-    lfilter's order, so its corner is not the narrow table: it is built for
+    """A table wider than _FLOAT_COLUMNS columns solves its rows in BLAS
+    dtbsv's order, so its corner is not the narrow table: it is built for
     its request alone, and E_W:2:2 keeps a fresh state's bits after it."""
     state = states.TwoModeGaussianState(*params)
     results = [criteria.evaluate(state, "E_W:2:2"),

@@ -316,6 +316,16 @@ def test_adaptive_pnd_respects_cap():
         moments.photon_number_distribution(states.twin_beam(50.0), n_cap=32)
 
 
+def test_adaptive_pnd_stops_its_doubling_at_the_cap():
+    """Doubling from 16 jumps from 512 past a cap of 1000, yet this
+    twin beam's marginal tails meet the tolerance from n = 723 on: the
+    last step stops at the cap instead of giving up."""
+    pnd = moments.photon_number_distribution(states.twin_beam(30.0),
+                                             n_cap=1000)
+    assert (pnd.n_max1, pnd.n_max2) == (1000, 1000)
+    assert pnd.tail_mass <= 1e-10
+
+
 @pytest.mark.parametrize("n_start,n_cap", [(64, 32), (16, 8), (1, 3)])
 def test_adaptive_pnd_rejects_a_first_cutoff_above_the_cap(monkeypatch,
                                                            n_start, n_cap):

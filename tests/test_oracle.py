@@ -1,5 +1,8 @@
 """Tests for the Fock-basis splitter oracle and detection downsampling."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,28 @@ def test_downsampling_scales_the_mean():
     mean2 = float(thinned.p.sum(axis=0) @ n2)
     assert mean1 == pytest.approx(0.5 * st.b1, rel=1e-9)
     assert mean2 == pytest.approx(0.25 * st.b2, rel=1e-9)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1e-3, 0.3, 0.5, 0.77, 1.0])
+def test_loss_matrix_matches_exact_binomial_weights(eta):
+    """Pascal's rule against C(n, m) eta^m (1 - eta)^(n - m) in exact
+    rational arithmetic on the float eta: relative error at most
+    3 n 2^-53, exact zeros above the diagonal and at eta 0 and 1, and
+    columns that sum to 1 within (n + 1) 2^-53."""
+    n_max = 64
+    loss = oracle._loss_matrix(n_max, eta)
+    assert loss.shape == (n_max + 1, n_max + 1)
+    e = Fraction(eta)
+    for n in range(n_max + 1):
+        for m in range(n_max + 1):
+            exact = (math.comb(n, m) * e ** m * (1 - e) ** (n - m)
+                     if m <= n else Fraction(0))
+            if exact == 0:
+                assert loss[m, n] == 0.0
+            else:
+                assert (abs(Fraction(float(loss[m, n])) - exact)
+                        <= 3 * n * Fraction(1, 2 ** 53) * exact)
+        assert abs(loss[:, n].sum() - 1.0) <= (n + 1) * 2.0 ** -53
 
 
 def test_unit_efficiency_is_identity():

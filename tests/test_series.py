@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.signal
+import scipy.linalg.blas
 from scipy.special import binom
 
 from conftest import random_physical_state
@@ -142,8 +142,8 @@ def test_scalar_float_recurrences_match_batched_lanes_bit_for_bit(seed):
     lane of the batched NumPy recurrence exactly, all rows and signs of
     zero included: on Q tables with exact zeros in the first row and
     column, on a rebased twin-beam Q and on a one-column Q, whose rows have
-    no within-row recurrence.  Wider tables filter their later rows with
-    lfilter, so only their first row is compared."""
+    no within-row recurrence.  Wider tables solve their later rows with
+    BLAS dtbsv, so only their first row is compared."""
     rng = np.random.default_rng(seed)
     lanes = []
     for zeros in ((0, slice(1, None)), (slice(1, None), 0), ()):
@@ -170,25 +170,49 @@ def test_scalar_float_recurrences_match_batched_lanes_bit_for_bit(seed):
                     _assert_same_bits(got.coeffs[:rows], want[:rows, :, k])
 
 
-def test_catalog_tables_run_on_floats_and_ladder_tables_on_lfilter(
+def test_catalog_tables_run_on_floats_and_ladder_tables_on_dtbsv(
         monkeypatch):
     """The catalog's tables are narrower than the cutoff and never call
-    lfilter; a 17-column photon-number table calls it once per row.  rsqrt
-    imports lfilter when it calls it, so the patch on scipy.signal holds."""
+    dtbsv; a 17-column photon-number table calls it once per row.  rsqrt
+    imports dtbsv when it calls it, so the patch on scipy.linalg.blas
+    holds."""
     calls = []
-    lfilter = scipy.signal.lfilter
+    dtbsv = scipy.linalg.blas.dtbsv
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return lfilter(*args, **kwargs)
+        return dtbsv(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.signal, "lfilter", counted)
+    monkeypatch.setattr(scipy.linalg.blas, "dtbsv", counted)
     state = random_physical_state(np.random.default_rng(3))
     for cid in criteria.default_catalog():
         criteria.evaluate(state, cid)
     assert len(calls) == 0
     moments.pnd_table(states.twin_beam(0.3), 16, 16)
     assert len(calls) == 16
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wide_tables_match_their_one_lane_batch_to_rounding(seed):
+    """Unbatched tables wider than _FLOAT_COLUMNS solve their rows with
+    BLAS's banded triangular solve, and a batch of one lane runs the batch
+    loop's order on Python floats at any width; the two orders agree
+    within 1e-15 of the table's largest entry, on rebased twin-beam Q and
+    on seeded random_physical_state Q, at 17 to 200 columns."""
+    rng = np.random.default_rng(seed)
+    qs = [moments.q_polynomial(states.twin_beam(rng.uniform(0.1, 100.0))),
+          moments.q_polynomial(random_physical_state(rng))]
+    widths = [series._FLOAT_COLUMNS + 1, int(rng.integers(18, 200)), 200]
+    for q in qs:
+        rebased = q.rebased(1.0, 1.0)
+        lane = BivariateSeries(rebased.coeffs[..., None], rebased.point)
+        for width in widths:
+            o1 = int(rng.integers(0, width))
+            got = rebased.rsqrt(o1, width - 1).coeffs
+            want = lane.rsqrt(o1, width - 1).coeffs[..., 0]
+            scale = np.max(np.abs(want))
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("c00", [0.0, -1.0])
