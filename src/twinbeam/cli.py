@@ -15,7 +15,8 @@ twin-beam parameters, then optionally --t/--phi for a beam splitter and
 --eta/--eta2 for detection loss, applied in that order.
 
 Exit codes: 0 on success, 1 for usage and parameter errors, 2 for numerical
-failures.  Machine-readable error records go to stderr as single-line JSON.
+failures, 141 when stdout is closed early.  Machine-readable error records go
+to stderr as single-line JSON.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import os
 import re
 import sys
 
@@ -67,14 +69,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_default(value):
-    """What ``json`` cannot write itself: complex numbers as [re, im],
-    arrays as lists, numpy scalars as Python scalars."""
+    """What ``json`` cannot write itself: complex numbers as [re, im] and
+    arrays as lists."""
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
@@ -87,13 +87,13 @@ def _print_json(payload, stream=None):
 def _add_state_args(parser, require_bp=True):
     parser.add_argument("--bp", type=float, required=require_bp,
                         help="mean photon-pair number")
-    parser.add_argument("--bs", type=float, default=0.0,
+    parser.add_argument("--bs", type=float, default=None,
                         help="thermal noise mean in mode 1 (default 0)")
-    parser.add_argument("--bi", type=float, default=0.0,
+    parser.add_argument("--bi", type=float, default=None,
                         help="thermal noise mean in mode 2 (default 0)")
     parser.add_argument("--t", type=float, default=None,
                         help="beam-splitter transmissivity (omit for none)")
-    parser.add_argument("--phi", type=float, default=0.0,
+    parser.add_argument("--phi", type=float, default=None,
                         help="beam-splitter phase (default 0)")
     parser.add_argument("--eta", type=float, default=None,
                         help="detection efficiency (omit for none)")
@@ -102,11 +102,14 @@ def _add_state_args(parser, require_bp=True):
 
 
 def _state_from_args(args):
-    if _checked("phi", args.phi, ConfigError) and args.t is None:
+    # an omitted --bs, --bi or --phi reads as 0
+    bs, bi, phi = (0.0 if value is None else value
+                   for value in (args.bs, args.bi, args.phi))
+    if _checked("phi", phi, ConfigError) and args.t is None:
         raise ConfigError("--phi needs --t as well")
-    state = twin_beam(TwinBeamParams(args.bp, args.bs, args.bi))
+    state = twin_beam(TwinBeamParams(args.bp, bs, bi))
     if args.t is not None:
-        state = beam_splitter(state, BeamSplitterParams(args.t, args.phi))
+        state = beam_splitter(state, BeamSplitterParams(args.t, phi))
     if args.eta is not None:
         state = attenuate(state, args.eta, args.eta2)
     elif args.eta2 is not None:
@@ -186,20 +189,12 @@ def _cmd_pnd(args) -> int:
 
 
 def _boundary_target(args) -> TargetSpec:
-    # a criterion flag that the target does not read would be dropped
-    reads = {"negativity": (), "i_ncl": ("mode",)}.get(args.family)
-    if reads is not None:
-        unread = [f"--{name} {getattr(args, name)}"
-                  for name, default in (("k1", 0), ("k2", 0), ("mode", 1))
-                  if name not in reads and getattr(args, name) != default]
-        if unread:
-            raise ConfigError(f"the {args.family} target takes no "
-                              + ", ".join(unread))
-    if args.family == "negativity":
-        return TargetSpec("negativity")
-    if args.family == "i_ncl":
-        return TargetSpec("local", mode=args.mode)
-    return TargetSpec("criterion", criterion=_criterion_from_args(args))
+    kind = {"negativity": "negativity", "i_ncl": "local"}.get(args.family)
+    if kind is None:
+        return TargetSpec("criterion", criterion=_criterion_from_args(args))
+    if args.k1 or args.k2:
+        raise ConfigError(f"the {args.family} target takes no --k1 or --k2")
+    return TargetSpec(kind, mode=args.mode)
 
 
 def _cmd_boundary(args) -> int:
@@ -214,19 +209,9 @@ def _cmd_boundary(args) -> int:
     lo = lo_default if args.min is None else args.min
     hi = hi_default if args.max is None else args.max
     axis = AxisSpec(args.axis, lo, hi, args.samples, args.scale)
-
-    fixed = {}
-    for name in ("bp", "bs", "bi", "t", "eta", "phi"):
-        if name == args.axis:
-            continue
-        value = getattr(args, name)
-        if name in ("bs", "bi", "phi"):
-            if value:
-                fixed[name] = value
-        elif value is not None:
-            fixed[name] = value
-    if args.axis != "bp" and "bp" not in fixed:
-        raise ConfigError(f"--bp is required when scanning {args.axis}")
+    fixed = {name: getattr(args, name)
+             for name in ("bp", "bs", "bi", "t", "eta", "phi")
+             if getattr(args, name) is not None}
 
     pipeline = _Pipeline(ScanSpec(axes=(axis,), targets=(target,),
                                   fixed=fixed, noise_mode=args.noise_mode))
@@ -449,6 +434,12 @@ def main(argv=None) -> int:
                     sys.stderr)
         usage = (ConfigError, OrderLimitError, ParameterError)
         return 1 if isinstance(exc, usage) else 2
+    except BrokenPipeError:
+        # the reader closed stdout: end quietly, with the status a shell
+        # gives a tool that SIGPIPE ended, and keep the interpreter's final
+        # flush from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -94,8 +94,6 @@ class AxisSpec:
                 f"positive, got {start}")
 
     def values(self) -> np.ndarray:
-        if self.count == 1:
-            return np.array([self.start])
         if self.scale == "log":
             return np.geomspace(self.start, self.stop, self.count)
         return np.linspace(self.start, self.stop, self.count)
@@ -104,7 +102,9 @@ class AxisSpec:
 @dataclass(frozen=True)
 class TargetSpec:
     """One scanned quantity: a criterion, the negativity, or a local
-    quantifier."""
+    quantifier.  A field its kind does not read keeps its default: only a
+    criterion target takes a criterion id, and only a local target a mode
+    (a criterion's mode lives in its id)."""
 
     kind: str
     criterion: CriterionId | None = None
@@ -113,10 +113,15 @@ class TargetSpec:
     def __post_init__(self):
         if self.kind not in ("criterion", "negativity", "local"):
             raise ConfigError(f"unknown target kind {self.kind!r}")
-        if self.kind == "criterion" and self.criterion is None:
-            raise ConfigError("criterion targets need a criterion id")
-        object.__setattr__(self, "mode",
-                           _checked("mode", self.mode, ConfigError))
+        if (self.kind == "criterion") != (self.criterion is not None):
+            raise ConfigError("criterion targets, and only they, take a "
+                              f"criterion id, got kind {self.kind!r} with "
+                              f"criterion {self.criterion}")
+        mode = _checked("mode", self.mode, ConfigError)
+        if self.kind != "local" and mode != 1:
+            raise ConfigError(
+                f"the {self.kind} target takes no mode, got mode={mode}")
+        object.__setattr__(self, "mode", mode)
 
     def label(self) -> str:
         if self.kind == "criterion":

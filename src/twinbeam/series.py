@@ -109,9 +109,7 @@ class BivariateSeries:
         o2 = max(self.order2, other.order2)
         a = self.padded(o1, o2)
         b = other.padded(o1, o2)
-        # iterate over the sparser factor; each term is a shifted slice add
-        if (a.order1 + 1) * (a.order2 + 1) > (b.order1 + 1) * (b.order2 + 1):
-            a, b = b, a
+        # each term is a shifted slice add
         batch = np.broadcast_shapes(a.batch_shape, b.batch_shape)
         out = np.zeros((o1 + 1, o2 + 1) + batch, dtype=float)
         ac, bc = a.coeffs, b.coeffs

@@ -5,10 +5,12 @@ import importlib
 import inspect
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ import twinbeam
 from twinbeam import cli, criteria, moments, scan, states
 from twinbeam.cli import main
 from twinbeam.scan import AxisSpec, ScanSpec, TargetSpec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -406,6 +410,16 @@ _AXIS_BP = "[axis:bp]\nmin = 0.1\nmax = 1\n"
     (["boundary", "--family", "E_p", "--axis", "t"], "ConfigError"),
     # a fixed cutoff would drop the tail tolerance silently
     (["pnd", "--bp", "1", "--nmax", "3", "--tail-tol", "0.5"], "ConfigError"),
+    # a flag of the swept axis, or bi under balanced noise, would be
+    # dropped silently; scan rejects the same input
+    (["boundary", "--family", "E_p", "--axis", "t", "--t", "0.3", "--bp",
+      "1"], "ConfigError"),
+    (["boundary", "--family", "E_p", "--axis", "bp", "--bp", "2"],
+     "ConfigError"),
+    (["boundary", "--family", "E_p", "--axis", "bs", "--bs", "0.5", "--bp",
+      "1"], "ConfigError"),
+    (["boundary", "--family", "negativity", "--axis", "bs", "--noise-mode",
+      "balanced", "--bp", "1", "--bi", "0"], "ConfigError"),
 ])
 def test_failures_report_json_and_exit_nonzero(capsys, tmp_path, argv,
                                                error):
@@ -528,6 +542,24 @@ def test_negative_infinite_phi_is_rejected_as_a_value(capsys):
                          "--t", "0.6", "--phi", "-inf")
     assert rc == 1
     assert "phi must be finite" in json.loads(err)["message"]
+
+
+# each output is written in more than one block: a block write that the
+# closed pipe cuts short returns its short count, and only the next fails
+@pytest.mark.parametrize("argv", [
+    ["pnd", "--bp", "3", "--nmax", "400"],
+    ["scan", "--axis", "bp:0.1:3:200", "--axis", "t:0.5:1:200", "--target",
+     "negativity", "--csv", "-"]], ids=["pnd", "scan"])
+def test_a_closed_stdout_ends_quietly_with_status_141(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen([sys.executable, "-m", "twinbeam", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(300)) == 300
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_module_entry_point():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinbeam import criteria, quantifiers, scan, states
+from twinbeam.criteria import CriterionId
 from twinbeam.cli import main
 from twinbeam.errors import ConfigError
 from twinbeam.scan import AxisSpec, ScanSpec, TargetSpec
@@ -330,6 +331,31 @@ def test_target_labels_round_trip():
         assert TargetSpec.parse(text).label() == text
 
 
+def test_every_target_equals_the_target_its_label_parses_to():
+    built = []
+    for kind in ("criterion", "negativity", "local"):
+        for cid in (None, CriterionId("E_p"), CriterionId("R_p", 2, 2, 2),
+                    CriterionId("M_W")):
+            for mode in (1, 2):
+                try:
+                    target = TargetSpec(kind, criterion=cid, mode=mode)
+                except ConfigError:
+                    continue
+                assert TargetSpec.parse(target.label()) == target
+                built.append(target.label())
+    assert built == ["E_p:0:0", "R_p:2:2:2", "M_W", "negativity",
+                     "i_ncl:1", "i_ncl:2"]
+
+
+@pytest.mark.parametrize("scale,start,stop", [
+    ("linear", 0.3, 2.0), ("linear", 0.0, 1e-300), ("log", 0.1, 10.0),
+    ("log", 1e-6, 0.7)])
+def test_a_one_point_axis_samples_its_start(scale, start, stop):
+    values = AxisSpec("bp", start, stop, 1, scale).values()
+    assert values.dtype == np.float64
+    assert values.tolist() == [start]
+
+
 @pytest.mark.parametrize("build", [
     lambda: AxisSpec("zz", 0.0, 1.0, 5),
     lambda: AxisSpec("bp", 1.0, 2.0, 0),
@@ -374,6 +400,13 @@ def test_target_labels_round_trip():
     lambda: ScanSpec(axes=[AxisSpec("bp", 0.0, 1.0, 3)],
                      targets=[TargetSpec.parse("R_p:2:2"),
                               TargetSpec.parse("R_p:2:2:1")]),
+    # a field the target's label leaves out would be dropped silently
+    lambda: TargetSpec("negativity", mode=2),
+    lambda: TargetSpec("negativity", criterion=CriterionId("E_p")),
+    lambda: TargetSpec("local", criterion=CriterionId("E_p")),
+    lambda: TargetSpec("criterion", criterion=CriterionId("E_p"), mode=2),
+    lambda: TargetSpec("criterion", criterion=CriterionId("R_p", 2, 2, 2),
+                       mode=2),
 ])
 def test_invalid_configurations_are_rejected(build):
     with pytest.raises(ConfigError):
