@@ -171,14 +171,21 @@ def _held(state: TwoModeGaussianState, kind: str, o1: int, o2: int = 0,
     its memo at the largest orders asked so far.  Up to _FLOAT_COLUMNS
     columns its prefix equals a smaller table bit for bit, so it serves
     every smaller request and is rebuilt at the elementwise max of both
-    orders for a larger one.  A wider table filters its rows in another
-    order, so it is built for its request alone and the memo keeps the
-    narrower one.  A kind's first table covers ``floor`` as well.  Entries
-    beyond the request are never read, so where that larger table raises a
-    floating-point error the requested orders alone are built, warning as
-    they do on their own."""
+    orders for a larger one.  A wider table is built for its request alone
+    as the lane of a one-lane batch, which has the batch loop's bits at any
+    width where an unbatched table would solve its rows with dtbsv, and
+    raises as an unbatched table does where its constant term is not
+    finite; the memo keeps the narrower one.  A kind's first table covers
+    ``floor`` as well.  Entries beyond the request are never read, so where
+    that larger table raises a floating-point error the requested orders
+    alone are built, warning as they do on their own."""
     if o2 >= _FLOAT_COLUMNS:
-        return _table(_q(state), kind, o1, o2)
+        t = _table(_q(state)[..., None], kind, o1, o2)[..., 0]
+        if not np.isfinite(t[0, 0]):
+            raise EvaluationError(
+                "generating polynomial is not positive at the expansion "
+                "point")
+        return t
     # held table's sizes, a marginal's padded with a 1; (0, 1) if none
     h1, h2 = (*np.shape(state._memo.get(kind, ())), 1)[:2]
     if o1 < h1 and o2 < h2:

@@ -367,44 +367,14 @@ def run_scan(spec: ScanSpec) -> ScanResult:
 
 # -- boundary tracing -------------------------------------------------------
 
-_SEGMENTS = {
-    1: [("l", "b")], 2: [("b", "r")], 3: [("l", "r")], 4: [("r", "t")],
-    6: [("b", "t")], 7: [("l", "t")], 8: [("l", "t")], 9: [("b", "t")],
-    11: [("r", "t")], 12: [("l", "r")], 13: [("b", "r")], 14: [("l", "b")],
-}
-
-
-def _cell_segments(case: int, center_nonclassical: bool):
-    if case in (0, 15):
-        return []
-    if case == 5:
-        if center_nonclassical:
-            return [("b", "r"), ("l", "t")]
-        return [("l", "b"), ("r", "t")]
-    if case == 10:
-        if center_nonclassical:
-            return [("l", "b"), ("r", "t")]
-        return [("b", "r"), ("l", "t")]
-    return _SEGMENTS[case]
-
-
-def _edge_key(side: str, i: int, j: int):
-    if side == "b":
-        return ("h", i, j)
-    if side == "t":
-        return ("h", i, j + 1)
-    if side == "l":
-        return ("v", i, j)
-    return ("v", i + 1, j)
-
-
 def _trace_boundaries(pipeline: _Pipeline, target: TargetSpec, axis_values,
                       grid: np.ndarray) -> list:
     """Marching squares over the indicator sign with refined edges."""
     xs, ys = axis_values
     if len(xs) < 2 or len(ys) < 2:
         return []
-    # refined crossing of every sign-changing edge, keyed as _edge_key does
+    # refined crossing of every sign-changing edge: ("h", i, j) joins grid
+    # points (i, j) and (i + 1, j), ("v", i, j) joins (i, j) and (i, j + 1)
     points = {}
     for axis, kind in ((0, "h"), (1, "v")):
         (i, j), crossings = _refine_edges(pipeline, target, axis_values, grid,
@@ -412,23 +382,28 @@ def _trace_boundaries(pipeline: _Pipeline, target: TargetSpec, axis_values,
         for a, b, point in zip(i.tolist(), j.tolist(), crossings.tolist()):
             points[(kind, a, b)] = tuple(point)
 
-    # case codes and saddle centres for all cells at once; only the few
-    # finite mixed cells are visited, in C order like the segment list
+    # corners (i, j), (i+1, j), (i+1, j+1), (i, j+1) of every cell at once;
+    # only the few finite mixed cells are visited
     c0, c1 = grid[:-1, :-1], grid[1:, :-1]
     c2, c3 = grid[1:, 1:], grid[:-1, 1:]
-    finite = np.isfinite(grid)
-    ok = finite[:-1, :-1] & finite[1:, :-1] & finite[1:, 1:] & finite[:-1, 1:]
+    ok = np.isfinite(c0) & np.isfinite(c1) & np.isfinite(c2) & np.isfinite(c3)
+    n0, n1, n2, n3 = c0 <= 0.0, c1 <= 0.0, c2 <= 0.0, c3 <= 0.0
     with np.errstate(invalid="ignore", over="ignore"):
-        case = ((c0 <= 0.0) * 1 + (c1 <= 0.0) * 2
-                + (c2 <= 0.0) * 4 + (c3 <= 0.0) * 8)
         # same summation order as np.mean over the four corners
-        center = (((c0 + c1) + c2) + c3) / 4 <= 0.0
+        centre = (((c0 + c1) + c2) + c3) / 4 <= 0.0
+    # a side crosses where its two corners differ; a mixed cell has two
+    # crossing sides, which it joins, and a saddle four
+    cross = (n0 != n1, n1 != n2, n3 != n2, n0 != n3)
     segments = []
-    for i, j in zip(*np.nonzero(ok & (case != 0) & (case != 15))):
-        i, j = int(i), int(j)
-        for side_a, side_b in _cell_segments(int(case[i, j]),
-                                             bool(center[i, j])):
-            segments.append((_edge_key(side_a, i, j), _edge_key(side_b, i, j)))
+    for i, j in np.argwhere(ok & np.any(cross, axis=0)).tolist():
+        sides = [key for key, crosses in zip(
+                     (("h", i, j), ("v", i + 1, j), ("h", i, j + 1),
+                      ("v", i, j)), cross) if crosses[i, j]]
+        # a saddle joins bottom-right and top-left when its centre is on
+        # corner 0's side, and right-top and left-bottom otherwise
+        if len(sides) == 4 and centre[i, j] != n0[i, j]:
+            sides = sides[1:] + sides[:1]
+        segments += zip(sides[::2], sides[1::2])
     return _chain_segments(segments, points)
 
 
@@ -517,45 +492,31 @@ def _refine_edges(pipeline, target, axis_values, grid, axis, rel_tol):
 
 
 def _chain_segments(segments, points) -> list:
-    """Join refined edge points into polylines, endpoints first."""
-    if not segments:
-        return []
-    adjacency = {}
+    """Join refined edge points into polylines: each path from its smaller
+    free end, then each loop from its smallest key toward its smaller
+    neighbour, closed by repeating that key once at its end.  A key is a
+    side of at most two cells, and a cell joins each side at most once, so
+    no key has more than two neighbours."""
+    neighbours = {}
     for a, b in segments:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    for key in adjacency:
-        adjacency[key] = sorted(set(adjacency[key]))
-    visited_edges = set()
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
+    ends = sorted(key for key, nbrs in neighbours.items() if len(nbrs) == 1)
+    visited = set()
     polylines = []
-
-    def walk(start):
-        path = [start]
-        current = start
-        while True:
-            next_key = None
-            for cand in adjacency[current]:
-                edge = tuple(sorted((current, cand)))
-                if edge not in visited_edges:
-                    visited_edges.add(edge)
-                    next_key = cand
-                    break
-            if next_key is None:
-                return path
-            path.append(next_key)
-            current = next_key
-
-    # open chains start at the endpoints; what is left after them are loops
-    endpoints = sorted(k for k, nbrs in adjacency.items() if len(nbrs) == 1)
-    for index, key in enumerate(endpoints + sorted(adjacency)):
-        if all(tuple(sorted((key, nbr))) in visited_edges
-               for nbr in adjacency[key]):
+    for start in ends + sorted(neighbours):
+        if start in visited:
             continue
-        path = walk(key)
-        if len(path) >= 2:
-            if index >= len(endpoints):
-                path.append(path[0])  # close the loop
-            polylines.append(np.array([points[k] for k in path]))
+        path = [start]
+        visited.add(start)
+        ahead = neighbours[start]
+        while ahead:
+            path.append(min(ahead))
+            visited.add(path[-1])
+            ahead = [k for k in neighbours[path[-1]] if k not in visited]
+        if len(neighbours[start]) == 2:
+            path.append(start)
+        polylines.append(np.array([points[k] for k in path]))
     return polylines
 
 
@@ -588,10 +549,20 @@ def _write_rows(stream, row, columns):
     # blocks of rows bound the Python objects alive at once; one write
     # per block also leaves less of the heap behind than one per row
     step = max(1, WRITE_BLOCK_CELLS // sum(c.shape[1] for c in columns))
+    # a reader that closes a pipe mid-block cuts the binary write short
+    # without an error, and a text layer reports the whole block written,
+    # so blocks go to the binary layer where there is one
+    binary = getattr(stream, "buffer", None)
+    if binary is not None:
+        stream.flush()
     for start in range(0, len(columns[0]), step):
         lists = [col for c in columns
                  for col in c[start:start + step].T.tolist()]
-        stream.write("".join(row % cells for cells in zip(*lists)))
+        block = "".join(row % cells for cells in zip(*lists))
+        if binary is None:
+            stream.write(block)
+        elif binary.write(block.encode()) < len(block):
+            raise BrokenPipeError("the reader closed the output mid-block")
 
 
 def write_boundaries_json(result: ScanResult, stream):

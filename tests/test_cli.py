@@ -544,12 +544,15 @@ def test_negative_infinite_phi_is_rejected_as_a_value(capsys):
     assert "phi must be finite" in json.loads(err)["message"]
 
 
-# each output is written in more than one block: a block write that the
-# closed pipe cuts short returns its short count, and only the next fails
+# a block write that the closed pipe cuts short returns its short count,
+# so an output of one block must report that count, and one of several
+# blocks fails at the latest on the next
 @pytest.mark.parametrize("argv", [
     ["pnd", "--bp", "3", "--nmax", "400"],
     ["scan", "--axis", "bp:0.1:3:200", "--axis", "t:0.5:1:200", "--target",
-     "negativity", "--csv", "-"]], ids=["pnd", "scan"])
+     "negativity", "--csv", "-"],
+    ["scan", "--axis", "bp:0.1:3:100", "--axis", "t:0.5:1:100", "--target",
+     "negativity", "--csv", "-"]], ids=["pnd", "scan", "scan_one_block"])
 def test_a_closed_stdout_ends_quietly_with_status_141(argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.Popen([sys.executable, "-m", "twinbeam", *argv],

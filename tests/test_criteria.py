@@ -13,7 +13,8 @@ from scipy.optimize import brentq
 from conftest import random_physical_state
 from twinbeam import criteria, moments, quantifiers, series, states
 from twinbeam.criteria import CriterionId
-from twinbeam.errors import ConfigError, OrderLimitError, ParameterError
+from twinbeam.errors import (ConfigError, EvaluationError, OrderLimitError,
+                             ParameterError)
 from twinbeam.scan import TargetSpec
 
 E_AND_M_IDS = [
@@ -385,9 +386,8 @@ def test_ids_beyond_the_catalog_grow_the_held_tables(monkeypatch):
 
 @pytest.mark.parametrize("params", _ORDER_PARAMS)
 def test_a_wide_request_leaves_the_held_table_narrow(params):
-    """A table wider than _FLOAT_COLUMNS columns solves its rows in BLAS
-    dtbsv's order, so its corner is not the narrow table: it is built for
-    its request alone, and E_W:2:2 keeps a fresh state's bits after it."""
+    """A table wider than _FLOAT_COLUMNS columns is built for its request
+    alone, and E_W:2:2 keeps a fresh state's bits after it."""
     state = states.TwoModeGaussianState(*params)
     results = [criteria.evaluate(state, "E_W:2:2"),
                criteria.evaluate(state, "E_W:2:18", max_order=40),
@@ -460,6 +460,25 @@ def test_evaluate_matches_the_batch_judge_bit_for_bit(params):
     lanes = [np.array(field) for field in zip(*_ORDER_PARAMS)]
     _assert_state_is_its_lane(params, moments._q_coeff_array(*lanes),
                               _ORDER_PARAMS.index(params))
+
+
+@pytest.mark.parametrize("label", ["E_W:2:18", "E_p:2:18"])
+def test_a_wide_id_has_the_bits_of_its_lane_of_a_batch(label):
+    """A table wider than _FLOAT_COLUMNS columns is built as the lane of a
+    one-lane batch, so evaluate gives the bits of its lane of _judge."""
+    cid = CriterionId.parse(label)
+    pool = [random_physical_state(np.random.default_rng(seed))
+            for seed in range(100)]
+    [(values, tols)] = criteria._judge(
+        [cid], np.stack([moments._q(state) for state in pool], axis=-1))
+    results = [criteria.evaluate(state, cid, max_order=40) for state in pool]
+    assert [b[:2] for b in _bits(results)] == [
+        (v.tobytes(), t.tobytes()) for v, t in zip(values, tols)]
+
+
+def test_a_wide_id_raises_where_the_lane_is_not_positive():
+    with pytest.raises(EvaluationError, match="not positive at the expansion"):
+        criteria.evaluate(states.twin_beam(1e9), "E_p:0:16", max_order=40)
 
 
 _MEANS = st.floats(0.0, 3.0)

@@ -426,36 +426,65 @@ def _midpoint_refine(pipeline, target, axis_values, grid, axis, rel_tol):
     return edges, np.stack(points, axis=-1)
 
 
+# the sides each 4-bit case joins, corner k non-classical setting bit k;
+# a saddle's pairing depends on whether its centre is non-classical
+_CASE_SEGMENTS = {
+    1: [("l", "b")], 2: [("b", "r")], 3: [("l", "r")], 4: [("r", "t")],
+    6: [("b", "t")], 7: [("l", "t")], 8: [("l", "t")], 9: [("b", "t")],
+    11: [("r", "t")], 12: [("l", "r")], 13: [("b", "r")], 14: [("l", "b")],
+}
+_SADDLE_SEGMENTS = {
+    (5, True): [("b", "r"), ("l", "t")], (5, False): [("l", "b"), ("r", "t")],
+    (10, True): [("l", "b"), ("r", "t")], (10, False): [("b", "r"), ("l", "t")],
+}
+# each side's edge key relative to the cell's corner (i, j)
+_SIDE_KEYS = {"b": ("h", 0, 0), "t": ("h", 0, 1), "l": ("v", 0, 0),
+              "r": ("v", 1, 0)}
+
+
 def _per_cell_trace(axis_values, grid):
-    """Marching squares one cell at a time, as the tracer once did."""
+    """Marching squares one cell at a time by the 4-bit case table, chained
+    by removing each segment as it is walked: open lines from their smaller
+    end, then loops from their smallest key toward its smaller neighbour."""
     xs, ys = axis_values
-    crossings = ({}, {})
-    for axis, store in enumerate(crossings):
+    points = {}
+    for axis, kind in enumerate(("h", "v")):
         (ii, jj), pts = _midpoint_refine(None, None, axis_values, grid, axis,
                                          None)
         for i, j, pt in zip(ii, jj, pts):
-            store[(int(i), int(j))] = tuple(pt)
-    segments = []
+            points[(kind, int(i), int(j))] = tuple(pt)
+    segments = set()
     for i in range(len(xs) - 1):
         for j in range(len(ys) - 1):
             corners = (grid[i, j], grid[i + 1, j],
                        grid[i + 1, j + 1], grid[i, j + 1])
             if not all(np.isfinite(v) for v in corners):
                 continue
-            case = ((corners[0] <= 0.0) * 1 + (corners[1] <= 0.0) * 2
-                    + (corners[2] <= 0.0) * 4 + (corners[3] <= 0.0) * 8)
+            case = sum(2 ** k for k, v in enumerate(corners) if v <= 0.0)
             center = float(np.mean(corners)) <= 0.0
-            for side_a, side_b in scan._cell_segments(case, center):
-                segments.append((scan._edge_key(side_a, i, j),
-                                 scan._edge_key(side_b, i, j)))
-    points = {}
-    for key in set(k for seg in segments for k in seg):
-        kind, i, j = key
-        pt = crossings[0 if kind == "h" else 1].get((i, j))
-        if pt is not None:
-            points[key] = pt
-    segments = [s for s in segments if s[0] in points and s[1] in points]
-    return scan._chain_segments(segments, points)
+            for sides in _SADDLE_SEGMENTS.get((case, center),
+                                              _CASE_SEGMENTS.get(case, [])):
+                keys = [(kind, i + di, j + dj)
+                        for kind, di, dj in map(_SIDE_KEYS.get, sides)]
+                segments.add(frozenset(keys))
+    degree = {}
+    for seg in segments:
+        for key in seg:
+            degree[key] = degree.get(key, 0) + 1
+    lines = []
+    for start in (sorted(k for k, d in degree.items() if d == 1)
+                  + sorted(degree)):
+        path = [start]
+        while True:
+            ahead = sorted(k for seg in segments if path[-1] in seg
+                           for k in seg if k != path[-1])
+            if not ahead:
+                break
+            segments.remove(frozenset((path[-1], ahead[0])))
+            path.append(ahead[0])
+        if len(path) > 1:
+            lines.append(np.array([points[k] for k in path]))
+    return lines
 
 
 def _cell(c0, c1, c2, c3):
@@ -528,6 +557,15 @@ def test_saddle_centres_pick_the_pairing(monkeypatch):
     assert cuts("case5_centre_classical") == around_corners_00_and_11
     assert cuts("case10_centre_nonclassical") == around_corners_00_and_11
     assert cuts("case10_centre_classical") == around_corners_10_and_01
+
+
+def test_a_one_cell_island_is_one_loop_closed_once(monkeypatch):
+    monkeypatch.setattr(scan, "_refine_edges", _midpoint_refine)
+    grid = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, 1.0]])
+    axis_values = (np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]))
+    [line] = scan._trace_boundaries(None, None, axis_values, grid)
+    assert line.tolist() == [[0.5, 1.0], [1.0, 0.5], [1.5, 1.0], [1.0, 1.5],
+                             [0.5, 1.0]]
 
 
 def _fmt(value):
