@@ -347,9 +347,10 @@ def boundary_R22p(t: float) -> float | None:
     """Pair mean at which the single-mode ratio criterion at indices (2, 2)
     changes sign on the beam-splitter output of a noiseless twin beam.
 
-    Returns None when no finite boundary exists; at t = 1/2 the criterion
+    Returns None only at t = 1/2 (to within 1e-15), where the criterion
     stays negative for every pair mean, so the non-classical region is
-    unbounded there.
+    unbounded there; elsewhere the radicand, with w = t (1 - t) <= 1/4, is
+    at least 1 - (7 - sqrt(33))**2 / 4 > 0.6.
     """
     t = _checked("t", t)
     w = t * (1.0 - t)
@@ -357,8 +358,6 @@ def boundary_R22p(t: float) -> float | None:
     if denom < 1e-30:
         return None
     rad = 4.0 * w * (4.0 * w - (7.0 - _SQRT33)) + 1.0
-    if rad < 0.0:
-        return None
     return (4.0 * w - 1.0 + math.sqrt(rad)) / (2.0 * denom)
 
 

@@ -11,25 +11,25 @@ Coefficient tables may carry trailing batch axes, so a whole parameter grid
 can be pushed through the same recurrence at once; invalid batch lanes (a
 nonpositive constant term) yield NaN coefficients instead of raising.
 
-Every table of at most _FLOAT_COLUMNS columns runs the within-row
-recurrence in the order of operations of the batch loop, so one state and
-its lane of any batch get the same bits.  Unbatched, such a table runs on
-Python floats, where NumPy's per-call cost would outweigh the work, and so
-does a batch of one lane, as each refinement step of a boundary evaluates,
-at any width; rebasing such a table is the unbatched float sum.  Only
-unbatched tables wider than _FLOAT_COLUMNS solve their rows in place with
-BLAS's banded triangular solve, scipy.linalg.blas.dtbsv, which they import
-where they call it, once per table, so the catalog, classify, scans and
-boundaries never load scipy.  Python floats
-set no floating-point flags, so a float table with a non-finite entry is
-rebuilt on the NumPy rows, which warn, or raise under np.errstate, as
-every table does.  Underflow leaves no mark on a table, so where
-np.errstate asks to hear of it, one-lane batches and unbatched tables
-wider than one column run on the NumPy rows.
+One rule picks the recurrence.  A table of one number per coefficient,
+unbatched or a batch of one lane (each refinement step of a boundary),
+runs on Python floats, where NumPy's per-call cost would outweigh the
+work, if its constant term is positive and finite and np.errstate ignores
+underflow, since floats set no floating-point flags; an unbatched table
+wider than _FLOAT_COLUMNS columns is the one exception.  Every other
+table, and a float table with a non-finite entry, runs on the NumPy rows
+from its first row on, which warn, or raise under np.errstate; unbatched,
+its first row stays on floats where underflow is ignored, and its rows
+wider than _FLOAT_COLUMNS are solved in place with BLAS's banded triangular
+solve, scipy.linalg.blas.dtbsv, imported where it is called, so the
+catalog, classify, scans and boundaries never load scipy.  Every table
+of at most _FLOAT_COLUMNS columns, and a one-lane batch at any width, has
+the bits of its lane of the batch loop; rebasing a table of one number
+per coefficient is the unbatched float sum.
 """
 from __future__ import annotations
 
-from math import comb, isfinite
+from math import comb, inf, isfinite, sqrt
 
 import numpy as np
 
@@ -171,11 +171,8 @@ class BivariateSeries:
 
         The target orders may exceed the polynomial degree of ``self`` (the
         higher coefficients are taken as zero).  For batched coefficients,
-        lanes whose constant term is not positive come back as NaN.
-        Unbatched, the first row and every table of at most _FLOAT_COLUMNS
-        columns, and a batch of one lane, are computed on Python floats;
-        every table of at most _FLOAT_COLUMNS columns has the bits of its
-        lane of the batch loop (see the module docstring).
+        lanes whose constant term is not positive come back as NaN.  The
+        module docstring states which recurrence runs.
         """
         o1 = self.order1 if order1 is None else _checked("order1", order1)
         o2 = self.order2 if order2 is None else _checked("order2", order2)
@@ -186,54 +183,31 @@ class BivariateSeries:
         scalar = (len(batch) == 0)
 
         q00 = q[0, 0]
-        if scalar and (not np.isfinite(q00) or q00 <= 0.0):
+        positive = q00.size == 1 and 0.0 < q00.item() < inf
+        if scalar and not positive:
             raise EvaluationError(
                 "generating polynomial is not positive at the expansion "
                 f"point (constant term {q00!r})")
-        # floats set no floating-point flags, so where NumPy is told to
-        # report underflow, only unbatched first rows and one-column tables
-        # run on them
+        # floats set no floating-point flags, so they run only where NumPy
+        # is told to ignore underflow
         quiet = np.geterr()["under"] == "ignore"
-        if scalar or (q00.size == 1 and quiet):
-            q = q.reshape(q.shape[:2]).tolist()
-            q00 = q[0][0]
-            if not (isfinite(q00) and q00 > 0.0):
+        if positive and quiet and not (scalar and o2 >= _FLOAT_COLUMNS):
+            rows = _float_rows(q.reshape(q.shape[:2]).tolist(), o1, o2,
+                               dq1, dq2)
+            # an overflowed table, whose sum is not finite, is rebuilt
+            # on the NumPy rows, to warn or raise
+            if isfinite(sum(map(sum, rows))):
                 return BivariateSeries(
-                    np.full((o1 + 1, o2 + 1) + batch, np.nan), self.point)
-            inv_q00 = 1.0 / q00
-            row, taps = _first_row(q, o2, dq2, inv_q00,
-                                   float(1.0 / np.sqrt(q00)))
-            if not scalar or o2 == 0 or (o2 < _FLOAT_COLUMNS and quiet):
-                if o2 == 0:
-                    for i in range(1, o1 + 1):
-                        acc = 0.0
-                        for a in range(1, min(i, dq1) + 1):
-                            if q[a][0] != 0.0:
-                                acc = acc + (((2 * i - a) * q[a][0])
-                                             * row[i - a])
-                        row.append(acc * (-inv_q00 / (2 * i)))
-                    rows = [row]
-                else:
-                    rows = _float_rows(q, row, taps, o1, dq1, inv_q00)
-                # and an overflowed table, whose sum is not finite, is
-                # rebuilt there, to warn or raise
-                if isfinite(sum(map(sum, rows))):
-                    return BivariateSeries(
-                        np.array(rows).reshape((o1 + 1, o2 + 1) + batch),
-                        self.point)
-                row = row[: o2 + 1]
-        if not scalar:
-            # NumPy lanes: every wider batch, and a one-lane table that
-            # fell through, from its first row on
-            q = self.coeffs
-            q00 = q[0, 0]
-            valid = np.isfinite(q00) & (q00 > 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inv_q00 = np.where(valid, 1.0 / np.where(valid, q00, 1.0),
-                                   np.nan)
-                s00 = np.where(valid, 1.0 / np.sqrt(np.where(valid, q00, 1.0)),
-                               np.nan)
-            row, taps = _first_row(q, o2, dq2, inv_q00, s00)
+                    np.array(rows).reshape((o1 + 1, o2 + 1) + batch),
+                    self.point)
+        valid = np.isfinite(q00) & (q00 > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv_q00 = np.where(valid, 1.0 / np.where(valid, q00, 1.0), np.nan)
+            s00 = np.where(valid, 1.0 / np.sqrt(np.where(valid, q00, 1.0)),
+                           np.nan)
+        if scalar and quiet:
+            q, inv_q00, s00 = q.tolist(), float(inv_q00), float(s00)
+        row, taps = _first_row(q, o2, dq2, inv_q00, s00)
         s = np.zeros((o1 + 1, o2 + 1) + batch, dtype=float)
         s[0] = row
 
@@ -293,12 +267,25 @@ def _first_row(q, o2, dq2, inv_q00, s00):
     return row, [q[0][b] * inv_q00 for b in range(1, dq2 + 1)]
 
 
-def _float_rows(q, row, taps, o1, dq1, inv_q00):
-    """Rows 0..o1 of a table of one number per coefficient whose first row
-    is ``row``, on Python floats with the bits of its lane of the batch
-    loop: the cross-row terms are summed in the order of their slice adds,
-    and the within-row recurrence runs in the order of the batch loop."""
-    width = len(row)
+def _float_rows(q, o1, o2, dq1, dq2):
+    """Rows 0..o1 of a table of one number per coefficient, on Python floats
+    with the bits of its lane of the batch loop: the cross-row terms are
+    summed in the order of their slice adds, and the within-row recurrence
+    runs in the order of the batch loop.  A one-column table, whose rows
+    have no within-row recurrence, comes back as the one row of its
+    column."""
+    q00 = q[0][0]
+    inv_q00 = 1.0 / q00
+    row, taps = _first_row(q, o2, dq2, inv_q00, 1.0 / sqrt(q00))
+    if o2 == 0:
+        for i in range(1, o1 + 1):
+            acc = 0.0
+            for a in range(1, min(i, dq1) + 1):
+                if q[a][0] != 0.0:
+                    acc = acc + (((2 * i - a) * q[a][0]) * row[i - a])
+            row.append(acc * (-inv_q00 / (2 * i)))
+        return [row]
+    width = o2 + 1
     rows = [row]
     for i in range(1, o1 + 1):
         base = [0.0] * width

@@ -144,6 +144,11 @@ def test_evaluate_dispatches_to_family_functions():
     lambda: CriterionId("M_W", 3, 4),
     lambda: CriterionId("M_p", mode=2),
     lambda: CriterionId("E_p", 1, 1, mode=2),
+    # ids without a closed form, given as label text
+    lambda: criteria.closed_form_noiseless("R_W:2:2:1", 1.0),
+    lambda: criteria.closed_form_noiseless("E_W:0:3", 1.0),
+    lambda: criteria.closed_form_bs_output("M_W", 1.0, 0.3),
+    lambda: criteria.closed_form_bs_output("E_p:0:1", 1.0, 0.3),
 ])
 def test_parameter_validation(call):
     with pytest.raises(ParameterError):
@@ -414,17 +419,22 @@ def test_a_lone_request_on_a_bright_beam_stays_silent_and_exact(bp, label):
                                       np.float64(tol).tobytes())
 
 
-@pytest.mark.parametrize("bp,errstate", [
-    (1e60, {"all": "raise", "under": "ignore"}),
-    (1e-60, {"under": "raise"}),
-], ids=["overflow", "underflow"])
-def test_a_narrow_joint_table_raises_where_numpy_is_told_to(bp, errstate):
+@pytest.mark.parametrize("build,errstate", [
+    (lambda: moments.moment_table(states.twin_beam(1e60), 4, 4, max_order=8),
+     {"all": "raise", "under": "ignore"}),
+    (lambda: moments.moment_table(states.twin_beam(1e-60), 4, 4, max_order=8),
+     {"under": "raise"}),
+    (lambda: moments.marginal_pnd_table(states.twin_beam(1e-60), 1, 8),
+     {"under": "raise"}),
+], ids=["overflow", "underflow", "one_column_underflow"])
+def test_a_narrow_joint_table_raises_where_numpy_is_told_to(build, errstate):
     """Narrow tables run on Python floats, which set no floating-point
     flags; one must still raise where NumPy is told to, as the held tables
-    rely on that to fall back to the requested orders."""
+    rely on that to fall back to the requested orders.  So must a public
+    one-column table."""
     with np.errstate(**errstate):
         with pytest.raises(FloatingPointError):
-            moments.moment_table(states.twin_beam(bp), 4, 4, max_order=8)
+            build()
 
 
 @pytest.mark.parametrize("read", [
@@ -595,6 +605,11 @@ def test_ratio_boundary_frozen_values():
         assert criteria.boundary_R22p(t) == pytest.approx(want, rel=1e-9)
     assert criteria.boundary_R22p(0.5) is None
     assert criteria.boundary_R22p(1.0) == pytest.approx(0.0, abs=1e-12)
+    # its radicand stays above 0.6, so only t = 1/2 has no boundary
+    grid = np.linspace(0.0, 1.0, 1001)
+    for t in grid[grid != 0.5]:
+        b = criteria.boundary_R22p(float(t))
+        assert b is not None and math.isfinite(b) and b >= 0.0, t
 
 
 @pytest.mark.parametrize("t", [0.6, 0.75, 0.9])
@@ -666,3 +681,5 @@ def test_entanglement_boundary_values():
             want, rel=1e-12
         )
         assert criteria.entanglement_boundary_twin_beam(bp, False) == 1.0
+    # a beam with no pairs is never entangled, whatever the noise
+    assert criteria.entanglement_boundary_twin_beam(0.0, False) == 0.0

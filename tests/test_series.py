@@ -137,13 +137,14 @@ def _assert_same_bits(got, want):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_scalar_float_recurrences_match_batched_lanes_bit_for_bit(seed):
-    """Unbatched, the first row, one-column tables and every table of at
-    most _FLOAT_COLUMNS columns run on Python floats; each must equal its
-    lane of the batched NumPy recurrence exactly, all rows and signs of
-    zero included: on Q tables with exact zeros in the first row and
-    column, on a rebased twin-beam Q and on a one-column Q, whose rows have
-    no within-row recurrence.  Wider tables solve their later rows with
-    BLAS dtbsv, so only their first row is compared."""
+    """Where underflow is ignored, an unbatched table of at most
+    _FLOAT_COLUMNS columns runs on Python floats, and a wider one keeps a
+    float first row; each must equal its lane of the batched NumPy
+    recurrence exactly, all rows and signs of zero included: on Q tables
+    with exact zeros in the first row and column, on a rebased twin-beam Q
+    and on a one-column Q, whose rows have no within-row recurrence.  Wider
+    tables solve their later rows with BLAS dtbsv, so only their first row
+    is compared."""
     rng = np.random.default_rng(seed)
     lanes = []
     for zeros in ((0, slice(1, None)), (slice(1, None), 0), ()):
@@ -159,7 +160,8 @@ def test_scalar_float_recurrences_match_batched_lanes_bit_for_bit(seed):
               for width in range(1, series._FLOAT_COLUMNS + 1)]
     orders += [(29, 29)] + [(order, 0) for order in range(41)]
     # where np.errstate asks to hear of underflow (here, to call a no-op),
-    # the tables run on the NumPy rows instead, with the same bits
+    # every table runs on the NumPy rows, first row included, with the
+    # same bits
     for batch, under in itertools.product(batches, ("ignore", "call")):
         with np.errstate(under=under, call=lambda *args: None):
             for o1, o2 in orders:
@@ -276,9 +278,14 @@ def test_an_overflowing_one_lane_table_warns_as_the_batch_loop_does():
 
 def test_a_one_lane_table_raises_on_underflow_where_numpy_is_told_to():
     """Floats set no flags, so under np.errstate(under="raise") a one-lane
-    batch runs the NumPy loop and raises as a batch of two does."""
+    batch and an unbatched table, one-column tables included, run the
+    NumPy rows and raise as a batch of two does.  The one-column table
+    underflows only past order 4."""
     q = moments._q(states.twin_beam(1e-60))[..., None]
-    for lanes in (q, np.concatenate([q, q], axis=-1)):
+    for table, orders in ((q, (4, 4)),
+                          (np.concatenate([q, q], axis=-1), (4, 4)),
+                          (q[:, :1, 0], (8, 0)),
+                          (q[..., 0], (4, 4))):
         with np.errstate(under="raise"):
             with pytest.raises(FloatingPointError):
-                BivariateSeries(lanes).rsqrt(4, 4)
+                BivariateSeries(table).rsqrt(*orders)
