@@ -16,12 +16,11 @@ criteria alike.  It holds the one rule for negative probabilities: below
 element raises exactly when the table it is read from does.  A state's
 memo is read and written only by _q (its Q) and _held, which holds each
 moment and scaled-probability kind, joint or marginal, for the criteria
-and the element functions at the largest orders asked so far, up to
-series._FLOAT_COLUMNS columns; a kind's first table is built at least at
-the orders its caller names as a floor (evaluate names the default
+and the element functions at the largest orders asked so far, as the lane
+of a one-lane batch at any width; a kind's first table is built at least
+at the orders its caller names as a floor (evaluate names the default
 catalog's), unless that table would raise a floating-point error.
-Probability elements, and tables wider than that, are built for their
-request alone.
+Probability elements are built for their request alone.
 
 Marginal quantities use the exact single-mode reduction of Q rather than
 summing the joint distribution, so marginal tails can be bounded without
@@ -36,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EvaluationError, OrderLimitError, ParameterError, TruncationError
-from .series import _FLOAT_COLUMNS, BivariateSeries
+from .series import BivariateSeries
 from .states import (TwinBeamParams, TwoModeGaussianState, _checked,
                      _lane, _times)
 
@@ -168,24 +167,14 @@ def _q(state: TwoModeGaussianState) -> np.ndarray:
 def _held(state: TwoModeGaussianState, kind: str, o1: int, o2: int = 0,
           *, floor: tuple = (0, 0)) -> np.ndarray:
     """The state's ``kind`` table at orders >= (o1, o2), kept read-only in
-    its memo at the largest orders asked so far.  Up to _FLOAT_COLUMNS
-    columns its prefix equals a smaller table bit for bit, so it serves
-    every smaller request and is rebuilt at the elementwise max of both
-    orders for a larger one.  A wider table is built for its request alone
-    as the lane of a one-lane batch, which has the batch loop's bits at any
-    width where an unbatched table would solve its rows with dtbsv, and
-    raises as an unbatched table does where its constant term is not
-    finite; the memo keeps the narrower one.  A kind's first table covers
-    ``floor`` as well.  Entries beyond the request are never read, so where
-    that larger table raises a floating-point error the requested orders
-    alone are built, warning as they do on their own."""
-    if o2 >= _FLOAT_COLUMNS:
-        t = _table(_q(state)[..., None], kind, o1, o2)[..., 0]
-        if not np.isfinite(t[0, 0]):
-            raise EvaluationError(
-                "generating polynomial is not positive at the expansion "
-                "point")
-        return t
+    its memo at the largest orders asked so far.  Built as the lane of a
+    one-lane batch, its prefix equals a smaller table bit for bit at any
+    width, so it serves every smaller request and is rebuilt at the
+    elementwise max of both orders for a larger one; a kind's first table
+    covers ``floor`` as well.  Entries beyond the request are never read,
+    so where that larger table raises a floating-point error the requested
+    orders alone are built, warning as they do on their own.  A lane whose
+    first entry is not finite raises the unbatched table's EvaluationError."""
     # held table's sizes, a marginal's padded with a 1; (0, 1) if none
     h1, h2 = (*np.shape(state._memo.get(kind, ())), 1)[:2]
     if o1 < h1 and o2 < h2:
@@ -193,10 +182,12 @@ def _held(state: TwoModeGaussianState, kind: str, o1: int, o2: int = 0,
     f1, f2 = (0, 0) if kind in state._memo else floor
     try:
         with np.errstate(all="raise", under="ignore"):
-            t = _table(_q(state), kind, max(o1, h1 - 1, f1),
-                       max(o2, h2 - 1, f2))
+            t = _table(_q(state)[..., None], kind, max(o1, h1 - 1, f1),
+                       max(o2, h2 - 1, f2))[..., 0]
     except FloatingPointError:
-        t = _table(_q(state), kind, o1, o2)
+        t = _table(_q(state)[..., None], kind, o1, o2)[..., 0]
+    if not np.isfinite(t.flat[0]):
+        _table(_q(state), kind, 0, 0)  # raises, naming the constant term
     t.flags.writeable = False
     state._memo[kind] = t
     return t
@@ -347,6 +338,8 @@ def marginal_pnd(state: TwoModeGaussianState, mode: int, n: int,
 
 def marginal_modified_pnd_table(state: TwoModeGaussianState, mode: int,
                                 n_max: int) -> np.ndarray:
+    """Factorial-scaled marginal probabilities n! p_mode(n) / p_mode(0) for
+    n <= n_max, from the exact single-mode reduction."""
     return _table(_q(state), f"p{_checked('mode', mode)}",
                   _checked("n_max", n_max))
 
@@ -480,8 +473,6 @@ def twin_beam_pnd_closed_form(params, n1: int, n2: int) -> float:
     if not terms:
         return 0.0
     peak = max(terms)
-    if peak == -math.inf:
-        return 0.0
     acc = sum(math.exp(lt - peak) for lt in terms)
     return math.exp(peak - math.log(kt)) * acc
 

@@ -317,6 +317,8 @@ def run_scan(spec: ScanSpec) -> ScanResult:
               if hi > lo]
 
     chunk_errors = [[] for _ in slices]
+    # a cell of a chunk that raised has its chunk's record alone
+    returned = np.zeros(n, dtype=bool)
 
     def work(idx: int):
         sl = slices[idx]
@@ -333,6 +335,7 @@ def run_scan(spec: ScanSpec) -> ScanResult:
             values[lab][sl] = val
             verdicts[lab][sl] = np.where(np.isfinite(val), ver, -1)
             indicators[lab][sl] = ind
+        returned[sl] = True
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(work, range(len(slices))))
@@ -341,7 +344,7 @@ def run_scan(spec: ScanSpec) -> ScanResult:
     for bucket in chunk_errors:
         errors.extend(bucket)
     for lab in labels:
-        bad = np.nonzero(~np.isfinite(values[lab]))[0]
+        bad = np.nonzero(returned & ~np.isfinite(values[lab]))[0]
         for flat_index in bad:
             index = np.unravel_index(flat_index, shape)
             errors.append({

@@ -38,11 +38,11 @@ from .states import _checked
 
 __all__ = ["BivariateSeries"]
 
-# the widest unbatched table, in columns, whose rows run on Python floats;
-# it also sets the bits of the tables moments holds.  On square tables of a
-# rebased twin-beam Q (timeit, a loaded 2-core x86 host) they take
-# 0.37-0.75 of the time of the NumPy + dtbsv rows at 2-8 columns, 0.83-1.21
-# at 12-16 and 1.18-2.5 at 17-40; wider tables solve their rows with dtbsv
+# the widest unbatched table, in columns, whose rows run on Python floats.
+# On square tables of a rebased twin-beam Q (timeit, a loaded 2-core x86
+# host) they take 0.37-0.75 of the time of the NumPy + dtbsv rows at 2-8
+# columns, 0.83-1.21 at 12-16 and 1.18-2.5 at 17-40; wider tables solve
+# their rows with dtbsv
 _FLOAT_COLUMNS = 16
 
 

@@ -420,6 +420,15 @@ _AXIS_BP = "[axis:bp]\nmin = 0.1\nmax = 1\n"
       "1"], "ConfigError"),
     (["boundary", "--family", "negativity", "--axis", "bs", "--noise-mode",
       "balanced", "--bp", "1", "--bi", "0"], "ConfigError"),
+    (["scan", "--config", _Ini("[axis:bp]\nmin = 0.1\n"),
+      "--target", "negativity"], "ConfigError"),
+    (["scan", "--config", _Ini(_AXIS_BP + "[plot]\n"),
+      "--target", "negativity"], "ConfigError"),
+    (["scan", "--axis", "bp:1:2", "--target", "negativity"], "ConfigError"),
+    (["scan", "--axis", "bp:0.1:1:2", "--fixed", "bs", "--target",
+      "negativity"], "ConfigError"),
+    (["scan", "--axis", "bp:0.1:1:2", "--fixed", "bs=x", "--target",
+      "negativity"], "ConfigError"),
 ])
 def test_failures_report_json_and_exit_nonzero(capsys, tmp_path, argv,
                                                error):

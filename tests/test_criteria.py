@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from conftest import random_physical_state
-from twinbeam import criteria, moments, quantifiers, series, states
+from twinbeam import criteria, moments, quantifiers, states
 from twinbeam.criteria import CriterionId
 from twinbeam.errors import (ConfigError, EvaluationError, OrderLimitError,
                              ParameterError)
@@ -149,6 +149,9 @@ def test_evaluate_dispatches_to_family_functions():
     lambda: criteria.closed_form_noiseless("E_W:0:3", 1.0),
     lambda: criteria.closed_form_bs_output("M_W", 1.0, 0.3),
     lambda: criteria.closed_form_bs_output("E_p:0:1", 1.0, 0.3),
+    lambda: moments.PhotonNumberDistribution(2, 2, np.zeros(3), 0.0),
+    lambda: moments.PhotonNumberDistribution(2, 2, np.zeros((3, 4)), 0.0),
+    lambda: CriterionId("X_Y"),
 ])
 def test_parameter_validation(call):
     with pytest.raises(ParameterError):
@@ -390,16 +393,16 @@ def test_ids_beyond_the_catalog_grow_the_held_tables(monkeypatch):
 
 
 @pytest.mark.parametrize("params", _ORDER_PARAMS)
-def test_a_wide_request_leaves_the_held_table_narrow(params):
-    """A table wider than _FLOAT_COLUMNS columns is built for its request
-    alone, and E_W:2:2 keeps a fresh state's bits after it."""
+def test_a_wide_request_grows_the_held_table_and_keeps_the_bits(params):
+    """A wide request grows the held table, as a narrow one does, and
+    E_W:2:2 keeps a fresh state's bits after it."""
     state = states.TwoModeGaussianState(*params)
     results = [criteria.evaluate(state, "E_W:2:2"),
                criteria.evaluate(state, "E_W:2:18", max_order=40),
                criteria.evaluate(state, "E_W:2:2")]
     fresh = criteria.evaluate(states.TwoModeGaussianState(*params), "E_W:2:2")
     assert _bits(results[2:]) == _bits(results[:1]) == _bits([fresh])
-    assert state._memo["W"].shape[1] <= series._FLOAT_COLUMNS
+    assert state._memo["W"].shape[1] >= 21
 
 
 @pytest.mark.parametrize("bp", [1e40, 1e60])
@@ -474,8 +477,8 @@ def test_evaluate_matches_the_batch_judge_bit_for_bit(params):
 
 @pytest.mark.parametrize("label", ["E_W:2:18", "E_p:2:18"])
 def test_a_wide_id_has_the_bits_of_its_lane_of_a_batch(label):
-    """A table wider than _FLOAT_COLUMNS columns is built as the lane of a
-    one-lane batch, so evaluate gives the bits of its lane of _judge."""
+    """A held table is built as the lane of a one-lane batch at any width,
+    so evaluate gives the bits of its lane of _judge."""
     cid = CriterionId.parse(label)
     pool = [random_physical_state(np.random.default_rng(seed))
             for seed in range(100)]
@@ -487,8 +490,22 @@ def test_a_wide_id_has_the_bits_of_its_lane_of_a_batch(label):
 
 
 def test_a_wide_id_raises_where_the_lane_is_not_positive():
-    with pytest.raises(EvaluationError, match="not positive at the expansion"):
+    """A lane whose constant term is not positive raises the unbatched
+    table's error, which names the constant term."""
+    with pytest.raises(EvaluationError,
+                       match="not positive at the expansion.*constant term"):
         criteria.evaluate(states.twin_beam(1e9), "E_p:0:16", max_order=40)
+
+
+def test_a_wide_id_on_a_faint_beam_ignores_underflow_as_a_narrow_one_does():
+    """Held tables are built with underflow ignored at any width, so an
+    np.errstate that raises on underflow moves no bit of a wide id."""
+    expected = criteria.evaluate(states.twin_beam(1e-60), "E_W:2:18",
+                                 max_order=40)
+    with np.errstate(under="raise"):
+        result = criteria.evaluate(states.twin_beam(1e-60), "E_W:2:18",
+                                   max_order=40)
+    assert _bits([result]) == _bits([expected])
 
 
 _MEANS = st.floats(0.0, 3.0)

@@ -194,6 +194,9 @@ def test_deep_tail_uses_log_domain():
     want = moments.twin_beam_pnd_closed_form(params, 60, 3)
     assert want < 1e-25
     assert got == pytest.approx(want, rel=1e-10)
+    # a noiseless beam has no term off the diagonal: every base but the
+    # pair one is zero
+    assert moments.twin_beam_pnd_closed_form(1.0, 60, 61) == 0.0
 
 
 def test_pnd_table_matches_elements():

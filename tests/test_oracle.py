@@ -172,4 +172,6 @@ def test_parameter_validation():
     with pytest.raises(ParameterError):
         oracle.BsCoefficientTable(0.5).shell(1.5)
     with pytest.raises(ParameterError):
+        oracle.BsCoefficientTable(0.5, cutoff=2).shell(3)
+    with pytest.raises(ParameterError):
         oracle.BsCoefficientTable(0.5).coefficient(1, 0, 0.5, 0.5)

@@ -3,15 +3,16 @@
 import io
 import json
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twinbeam import criteria, quantifiers, scan, states
+from twinbeam import criteria, quantifiers, scan, states, svg
 from twinbeam.criteria import CriterionId
 from twinbeam.cli import main
-from twinbeam.errors import ConfigError
+from twinbeam.errors import ConfigError, ParameterError
 from twinbeam.scan import AxisSpec, ScanSpec, TargetSpec
 
 
@@ -46,6 +47,32 @@ def test_a_non_finite_cell_gets_verdict_minus_one_and_an_error_record():
          "message": message},
         {"target": "negativity", "index": [2], "params": {"bp": 1e100},
          "message": message}]
+
+
+def test_a_chunk_that_raises_is_recorded_once_with_verdict_minus_one(
+        monkeypatch):
+    """A chunk whose evaluation raises gets one record per target, naming
+    its cells by start and stop, and no per-cell records: its cells never
+    produced a value.  The chunks that returned stand."""
+    evaluate = scan._Pipeline.evaluate
+
+    def failing(self, coords):
+        if (coords["bp"] > 0.5).any():
+            raise MemoryError("chunk too large")
+        return evaluate(self, coords)
+
+    monkeypatch.setattr(scan._Pipeline, "evaluate", failing)
+    res = scan.run_scan(ScanSpec(
+        axes=[AxisSpec("bp", 0.1, 0.8, 8)],
+        targets=[TargetSpec.parse("E_W:2:2"), TargetSpec.parse("negativity")],
+        threads=1))
+    assert res.errors == [
+        {"target": label, "start": start, "stop": start + 2,
+         "message": "chunk too large"}
+        for start in (4, 6) for label in ("E_W:2:2", "negativity")]
+    for label in ("E_W:2:2", "negativity"):
+        assert res.verdicts[label][4:].tolist() == [-1] * 4
+        assert np.isfinite(res.values[label][:4]).all()
 
 
 def test_scan_is_deterministic_across_thread_counts():
@@ -356,6 +383,23 @@ def test_a_one_point_axis_samples_its_start(scale, start, stop):
     assert values.tolist() == [start]
 
 
+def test_a_one_point_axis_leaves_a_2d_scan_without_boundaries():
+    """No cell has four corners, so no boundary is traced, and the SVG
+    draws one cell across the one-point axis.  render_svg rejects a
+    one-dimensional result and a label the scan does not hold."""
+    target = [TargetSpec.parse("E_p:0:0")]
+    res = scan.run_scan(ScanSpec(
+        axes=[AxisSpec("bp", 0.1, 2.0, 4), AxisSpec("t", 0.5, 0.5, 1)],
+        targets=target))
+    assert res.boundaries == {"E_p:0:0": []}
+    assert ET.fromstring(svg.render_svg(res, "E_p:0:0")).tag.endswith("svg")
+    line = scan.run_scan(ScanSpec(axes=[AxisSpec("bp", 0.1, 2.0, 4)],
+                                  targets=target))
+    for result, label in ((line, "E_p:0:0"), (res, "negativity")):
+        with pytest.raises(ParameterError):
+            svg.render_svg(result, label)
+
+
 @pytest.mark.parametrize("build", [
     lambda: AxisSpec("zz", 0.0, 1.0, 5),
     lambda: AxisSpec("bp", 1.0, 2.0, 0),
@@ -407,6 +451,9 @@ def test_a_one_point_axis_samples_its_start(scale, start, stop):
     lambda: TargetSpec("criterion", criterion=CriterionId("E_p"), mode=2),
     lambda: TargetSpec("criterion", criterion=CriterionId("R_p", 2, 2, 2),
                        mode=2),
+    lambda: AxisSpec("bp", 2.0, 1.0, 3),
+    lambda: TargetSpec("bogus"),
+    lambda: TargetSpec.parse("i_ncl:3"),
 ])
 def test_invalid_configurations_are_rejected(build):
     with pytest.raises(ConfigError):

@@ -74,6 +74,8 @@ def test_beam_splitter_accepts_params_object():
                                                    tail_tol=1.0),
         # bp * (bp + 1) overflows: the state used to blame d12
         lambda: states.twin_beam(1.35e154),
+        lambda: states.TwoModeGaussianState(1.0, 1.0,
+                                            c1=complex(math.nan, 0.0)),
     ],
 )
 def test_parameter_validation(build):
