@@ -13,14 +13,14 @@ One private function, _table, maps Q coefficients (of one state or a scan
 grid) to every table, joint or marginal, for the public functions and the
 criteria alike.  It holds the one rule for negative probabilities: below
 -1e-12 it raises EvaluationError, above that it clamps to zero, so an
-element raises exactly when the table it is read from does.  A state's
-memo is read and written only by _q (its Q) and _held, which holds each
-moment and scaled-probability kind, joint or marginal, for the criteria
-and the element functions at the largest orders asked so far, as the lane
-of a one-lane batch at any width; a kind's first table is built at least
-at the orders its caller names as a floor (evaluate names the default
-catalog's), unless that table would raise a floating-point error.
-Probability elements are built for their request alone.
+element raises exactly when the table it is read from does.  Every table
+and element function reads a table of its own size.  A state's memo is
+read and written only by _q (its Q) and _held, which holds each moment
+and scaled-probability kind, joint or marginal, for criteria.evaluate
+alone, at the largest orders asked so far, as the lane of a one-lane
+batch at any width; a kind's first table is built at least at the floor
+evaluate names, the default catalog's orders, unless that table would
+raise a floating-point error.
 
 Marginal quantities use the exact single-mode reduction of Q rather than
 summing the joint distribution, so marginal tails can be bounded without
@@ -165,11 +165,11 @@ def _q(state: TwoModeGaussianState) -> np.ndarray:
 
 
 def _held(state: TwoModeGaussianState, kind: str, o1: int, o2: int = 0,
-          *, floor: tuple = (0, 0)) -> np.ndarray:
-    """The state's ``kind`` table at orders >= (o1, o2), kept read-only in
-    its memo at the largest orders asked so far.  Built as the lane of a
-    one-lane batch, its prefix equals a smaller table bit for bit at any
-    width, so it serves every smaller request and is rebuilt at the
+          *, floor: tuple) -> np.ndarray:
+    """evaluate's ``kind`` table at orders >= (o1, o2), kept read-only in
+    the state's memo at the largest orders asked so far.  Built as the lane
+    of a one-lane batch, its prefix equals a smaller table bit for bit at
+    any width, so it serves every smaller request and is rebuilt at the
     elementwise max of both orders for a larger one; a kind's first table
     covers ``floor`` as well.  Entries beyond the request are never read,
     so where that larger table raises a floating-point error the requested
@@ -251,13 +251,9 @@ def _check_order(total: int, max_order: int | None) -> None:
 
 def _element(state: TwoModeGaussianState, kind: str, index: tuple,
              max_order: int | None) -> float:
-    """Entry ``index`` of the state's held table of ``kind``; probabilities
-    come from the smallest table that holds them."""
+    """Entry ``index`` of the smallest ``kind`` table that holds it."""
     _check_order(sum(index), max_order)
-    if kind[0] == "P":
-        # a P table grown to cover two requests can raise where neither does
-        return float(_table(_q(state), kind, *index)[index])
-    return float(_held(state, kind, *index)[index])
+    return float(_table(_q(state), kind, *index)[index])
 
 
 # -- intensity moments -----------------------------------------------------
@@ -444,8 +440,9 @@ def twin_beam_pnd_closed_form(params, n1: int, n2: int) -> float:
     bt2 = 1.0 + p.bp + p.bi
     pair = p.bp * (p.bp + 1.0)
     kt = bt1 * bt2 - pair
-    x1 = (kt - bt1) / kt  # pairs with the exponent in n2
-    x2 = (kt - bt2) / kt  # pairs with the exponent in n1
+    # kt - bt1 and kt - bt2, written to be exactly 0 where bs = bi = 0
+    x1 = (bt1 * (p.bp + p.bi) - pair) / kt  # pairs with the exponent in n2
+    x2 = (bt2 * (p.bp + p.bs) - pair) / kt  # pairs with the exponent in n1
     xm = pair / (kt * kt)
     m_top = min(n1, n2)
 

@@ -135,8 +135,6 @@ def bs_transform_pnd(pnd: PhotonNumberDistribution,
     for s in range(s_max + 1):
         lo = max(0, s - pnd.n_max2)
         hi = min(pnd.n_max1, s)
-        if lo > hi:
-            continue
         n1_in = np.arange(lo, hi + 1)
         shell_probs = pnd.p[n1_in, s - n1_in]
         if not np.any(shell_probs):

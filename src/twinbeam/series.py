@@ -187,7 +187,7 @@ class BivariateSeries:
         if scalar and not positive:
             raise EvaluationError(
                 "generating polynomial is not positive at the expansion "
-                f"point (constant term {q00!r})")
+                f"point (constant term {float(q00)})")
         # floats set no floating-point flags, so they run only where NumPy
         # is told to ignore underflow
         quiet = np.geterr()["under"] == "ignore"

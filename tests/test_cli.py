@@ -101,6 +101,18 @@ def test_crit_reports_a_non_finite_criterion_as_a_numerical_failure(capsys):
     assert "E_W:2:2" in payload["message"]
 
 
+def test_crit_names_a_cancelled_constant_term_as_a_plain_float(capsys):
+    """At bp = 1e9, Q about (1, 1) cancels to a negative constant term:
+    exit 2, and the message prints it as a float, not as a NumPy repr."""
+    rc, out, err = run_cli(capsys, "crit", "--bp", "1e9",
+                           "--family", "E_p", "--k1", "0", "--k2", "0")
+    assert rc == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "EvaluationError"
+    assert payload["message"].endswith("(constant term -210104904704.0)")
+
+
 def test_pnd_without_nmax_stops_at_the_tail_tolerance(capsys):
     rc, out, _ = run_cli(capsys, "pnd", "--bp", "0.5")
     assert rc == 0

@@ -324,11 +324,18 @@ def test_memoized_arrays_are_read_only():
 
 
 def test_photon_number_tables_stay_out_of_the_memo():
+    """So do elements, read off tables wider than the held ones."""
     state = _evaluated_state()
     held = dict(state._memo)
     moments.pnd_table(state, 8, 8)
     moments.marginal_pnd_table(state, 1, 8)
     moments.photon_number_distribution(state)
+    for element in (moments.intensity_moment, moments.pnd_element,
+                    moments.modified_pnd_element):
+        element(state, 8, 8, max_order=16)
+    for element in (moments.marginal_intensity_moment, moments.marginal_pnd,
+                    moments.marginal_modified_pnd):
+        element(state, 2, 16, max_order=16)
     assert state._memo.keys() == held.keys()
     assert all(state._memo[key] is held[key] for key in held)
 
@@ -357,6 +364,24 @@ def test_a_catalog_builds_one_q_and_6_tables_per_state(monkeypatch):
     for cid in criteria.default_catalog():
         criteria.evaluate(state, cid)
     assert calls == {"q": 1, "table": 6}
+
+
+@pytest.mark.parametrize("elements", [
+    [(moments.intensity_moment, 0, 0)],
+    [(moments.intensity_moment, 0, 0), (moments.modified_pnd_element, 0, 0),
+     (moments.marginal_intensity_moment, 1, 0)],
+])
+def test_a_catalog_after_element_calls_builds_6_tables(monkeypatch,
+                                                       elements):
+    """Elements leave the memo alone, so each kind's first held table
+    still covers the orders of the whole catalog."""
+    state = states.beam_splitter(states.twin_beam(0.8, 0.2, 0.1), 0.3, 0.4)
+    for element, *index in elements:
+        element(state, *index)
+    calls = _counted_builds(monkeypatch)
+    for cid in criteria.default_catalog():
+        criteria.evaluate(state, cid)
+    assert calls == {"q": 0, "table": 6}
 
 
 @pytest.mark.parametrize("params", _ORDER_PARAMS)
@@ -429,12 +454,14 @@ def test_a_lone_request_on_a_bright_beam_stays_silent_and_exact(bp, label):
      {"under": "raise"}),
     (lambda: moments.marginal_pnd_table(states.twin_beam(1e-60), 1, 8),
      {"under": "raise"}),
-], ids=["overflow", "underflow", "one_column_underflow"])
+    (lambda: moments.marginal_intensity_moment(states.twin_beam(1e-60), 1, 8),
+     {"under": "raise"}),
+], ids=["overflow", "underflow", "one_column_underflow", "element_underflow"])
 def test_a_narrow_joint_table_raises_where_numpy_is_told_to(build, errstate):
     """Narrow tables run on Python floats, which set no floating-point
     flags; one must still raise where NumPy is told to, as the held tables
     rely on that to fall back to the requested orders.  So must a public
-    one-column table."""
+    one-column table, and an element read off one."""
     with np.errstate(**errstate):
         with pytest.raises(FloatingPointError):
             build()

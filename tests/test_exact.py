@@ -20,8 +20,9 @@ def _digits():
 @pytest.mark.parametrize("params", [(0.3, 0.0, 0.0), (1.7, 0.4, 0.0),
                                     (2.5, 0.3, 1.1)])
 def test_the_reference_gives_the_noisy_twin_beam_closed_form(params):
-    """To 1e-14 relative, and 1e-15 absolute for the closed form's rounding
-    at the exact zeros of a noiseless beam, p(n1, n2) = 0 for n1 != n2."""
+    """To 1e-14 relative, and 1e-15 absolute for the reference's own
+    residue at the exact zeros of a noiseless beam, p(n1, n2) = 0 for
+    n1 != n2, where the closed form gives 0.0."""
     tb = states.TwinBeamParams(*params)
     p = exact.table(states.twin_beam(tb), "P", 6, 5, extended=True)
     for n1 in range(7):

@@ -199,6 +199,13 @@ def test_deep_tail_uses_log_domain():
     assert moments.twin_beam_pnd_closed_form(1.0, 60, 61) == 0.0
 
 
+@pytest.mark.parametrize("n1,n2", [(0, 1), (1, 2), (60, 61)])
+def test_the_closed_form_is_zero_off_a_noiseless_diagonal(n1, n2):
+    """Off the diagonal a noiseless beam's bases cancel to exactly 0.0,
+    in the direct sum and in the log-domain one alike."""
+    assert moments.twin_beam_pnd_closed_form(0.3, n1, n2) == 0.0
+
+
 def test_pnd_table_matches_elements():
     rng = np.random.default_rng(21)
     st = random_physical_state(rng)
@@ -236,10 +243,10 @@ def test_probability_elements_are_their_table_entries():
             assert got == want and not np.signbit(got)
 
 
-def test_elements_are_their_table_entries_and_share_the_memo():
-    """Moment and scaled-probability elements read the state's held tables,
-    growing them request by request; every element still equals the entry
-    of its own smallest table bit for bit."""
+def test_elements_are_their_table_entries_and_leave_the_memo():
+    """Every element is the entry of its own smallest table bit for bit,
+    wide ones included, whatever was asked before it; the memo keeps Q
+    alone."""
     st = random_physical_state(np.random.default_rng(21))
     q = moments._q_coeff_array(*st.params())
 
@@ -251,6 +258,11 @@ def test_elements_are_their_table_entries_and_share_the_memo():
                          (moments.modified_pnd_element, "p"),
                          (moments.pnd_element, "P")):
             assert same(fn(st, k1, k2), moments._table(q, kind, k1, k2)[k1, k2])
+    for k1, k2 in [(2, 18), (1, 30)]:
+        for fn, kind in ((moments.intensity_moment, "W"),
+                         (moments.modified_pnd_element, "p")):
+            want = moments._table(q, kind, k1, k2)[k1, k2]
+            assert same(fn(st, k1, k2, max_order=40), want), (kind, k1, k2)
     for mode in (1, 2):
         for k in (3, 0, 6, 2):
             for fn, kind in ((moments.marginal_intensity_moment, "W"),
@@ -258,7 +270,7 @@ def test_elements_are_their_table_entries_and_share_the_memo():
                              (moments.marginal_pnd, "P")):
                 want = moments._table(q, f"{kind}{mode}", k)[k]
                 assert same(fn(st, mode, k), want)
-    assert set(st._memo) == {"Q", "W", "p", "W1", "W2", "p1", "p2"}
+    assert set(st._memo) == {"Q"}
 
 
 def test_modified_elements_follow_definition():

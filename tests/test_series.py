@@ -70,6 +70,9 @@ def test_rsqrt_squared_times_input_is_one(seed):
 def test_rsqrt_default_orders_follow_input():
     q = BivariateSeries(np.ones((3, 5)))
     assert (q.rsqrt().order1, q.rsqrt().order2) == (2, 4)
+    # a table without a second power axis has no orders to follow
+    with pytest.raises(ValueError, match="at least 2-D"):
+        BivariateSeries(np.ones(3))
 
 
 def test_rebased_series_evaluates_identically():
@@ -77,6 +80,8 @@ def test_rebased_series_evaluates_identically():
     s = BivariateSeries(rng.normal(size=(4, 4)))
     moved = s.rebased(0.37, -0.61)
     assert moved.point == (0.37, -0.61)
+    assert repr(moved) == (
+        "BivariateSeries(orders=(3,3), point=(0.37, -0.61), batch=())")
     for x, y in rng.normal(size=(6, 2)):
         assert moved.eval(x, y) == pytest.approx(s.eval(x, y), rel=1e-12, abs=1e-12)
 
@@ -103,6 +108,12 @@ def test_multiplication_truncates_to_operand_orders():
     np.testing.assert_allclose(
         prod.coeffs, np.array([[1.0, 2.0], [2.0, 2.0]])
     )
+    # a scalar scales every coefficient, from either side
+    for scaled in (a * 2.0, 2.0 * a):
+        np.testing.assert_array_equal(scaled.coeffs, 2.0 * a.coeffs)
+    # series about different points do not multiply
+    with pytest.raises(ValueError, match="expansion points differ"):
+        a * a.rebased(1.0, 1.0)
 
 
 def test_padded_preserves_values():
