@@ -36,10 +36,11 @@ from . import selftest as selftest_module
 from .criteria import FAMILIES, CriterionId, evaluate
 from .errors import (ConfigError, EvaluationError, OrderLimitError,
                      ParameterError, TwinbeamError)
-from .moments import build_k_matrix, photon_number_distribution, pnd_table
+from .moments import (PhotonNumberDistribution, build_k_matrix,
+                      photon_number_distribution, pnd_table)
 from .quantifiers import classify
 from .scan import (AXIS_NAMES, NOISE_MODES, AxisSpec, ScanSpec, TargetSpec,
-                   _Pipeline, _refine_edges, _write_rows, run_scan,
+                   _evaluate, _refine_edges, _write_rows, run_scan,
                    write_boundaries_json, write_csv)
 from .states import (BeamSplitterParams, TwinBeamParams, _checked, attenuate,
                      beam_splitter, covariance_n, symplectic_eigenvalues,
@@ -174,17 +175,17 @@ def _cmd_pnd(args) -> int:
     state = _state_from_args(args)
     if args.nmax is not None:
         n_max = _checked("n_max", args.nmax, ConfigError)
-        p = pnd_table(state, n_max, n_max)
-        tail = 1.0 - float(p.sum())
+        dist = PhotonNumberDistribution.from_table(
+            pnd_table(state, n_max, n_max))
     else:
         dist = photon_number_distribution(state, tail_tol=args.tail_tol)
-        p, tail = dist.p, dist.tail_mass
+    p = dist.p
     out = sys.stdout
     header = ["n1\\n2"] + [str(j) for j in range(p.shape[1])]
     out.write(",".join(header) + "\n")
     _write_rows(out, "%d," + ",".join(["%.12g"] * p.shape[1]) + "\n",
                 [np.arange(p.shape[0]), p])
-    out.write(f"# tail_mass,{format(tail, '.12g')}\n")
+    out.write(f"# tail_mass,{format(dist.tail_mass, '.12g')}\n")
     return 0
 
 
@@ -213,15 +214,15 @@ def _cmd_boundary(args) -> int:
              for name in ("bp", "bs", "bi", "t", "eta", "phi")
              if getattr(args, name) is not None}
 
-    pipeline = _Pipeline(ScanSpec(axes=(axis,), targets=(target,),
-                                  fixed=fixed, noise_mode=args.noise_mode))
+    spec = ScanSpec(axes=(axis,), targets=(target,), fixed=fixed,
+                    noise_mode=args.noise_mode)
     values = axis.values()
-    grid = pipeline.evaluate({args.axis: values})[0][2]
-    _, points = _refine_edges(pipeline, target, (values,), grid, 0, args.tol)
+    grid = _evaluate(spec, {args.axis: values})[0][2]
+    _, points = _refine_edges(spec, target, (values,), grid, 0, args.tol)
     crossings = []
     if len(points):
         x = points[:, 0]
-        found = pipeline.evaluate({args.axis: x})[0][0]
+        found = _evaluate(spec, {args.axis: x})[0][0]
         crossings = [{"x": float(a), "value": float(v)}
                      for a, v in zip(x, found)]
     _print_json({

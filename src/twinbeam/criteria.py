@@ -10,15 +10,17 @@ number probabilities, which stay finite for strong fields and are directly
 accessible from photocounting records.
 
 Every criterion reads its table from moments._table and passes the
-max_order guard of the moments module; evaluate reads a state's tables
-from its memo, held by moments._held, so every evaluate shares them.  A
-kind's first held table covers the orders the default catalog reads, so
-the catalog, in any order, builds each of its six table kinds once per
-state.  The identifiers, closed forms and boundaries check their
-arguments against the range table of the states module.
+max_order guard of the moments module, in evaluate and, at the default
+maximum, as a scan target; evaluate reads a state's tables from its memo,
+held by moments._held, so every evaluate shares them.  A kind's first held
+table covers the orders the default catalog reads, so the catalog, in any
+order, builds each of its six table kinds once per state.  The
+identifiers, closed forms and boundaries check their arguments against the
+range table of the states module.
 
 A criterion certifies non-classicality only when its value is below -tol,
-where tol is 1e-12 times the largest of its constituent terms.  This
+where tol is 1e-12 times the largest of its constituent terms; _value
+alone decides this, for evaluate and for every lane of a scan.  This
 tolerance is a heuristic, not a proven bound on the rounding error: where
 every term is itself rounding noise, as for the odd-order E_p criteria of a
 noiseless twin beam, whose exact value is 0, the noise can still exceed tol
@@ -163,7 +165,8 @@ def _need(cid: CriterionId):
 
 
 def _value(cid: CriterionId, table: np.ndarray):
-    """Criterion value and tol, RELATIVE_TOL times its largest term."""
+    """Criterion value, its tol (RELATIVE_TOL times its largest term) and
+    the verdict value < -tol, the one rule evaluate and the scan share."""
     if cid.family[0] == "E":
         a = table[cid.k1 + 2, cid.k2]
         b = table[cid.k1, cid.k2 + 2]
@@ -177,7 +180,8 @@ def _value(cid: CriterionId, table: np.ndarray):
         a = table[cid.k1 + 1] * table[cid.k2 - 1]
         b = table[cid.k1] * table[cid.k2]
         value, scale = a - b, np.maximum(np.abs(a), np.abs(b))
-    return value, RELATIVE_TOL * scale
+    tol = RELATIVE_TOL * scale
+    return value, tol, value < -tol
 
 
 def _orders(ids) -> dict:
@@ -192,8 +196,9 @@ def _orders(ids) -> dict:
 
 
 def _judge(ids, coeffs: np.ndarray) -> list:
-    """(value, tol) of each criterion on the Q coefficients ``coeffs``;
-    each table kind is built once, at the largest orders asked for."""
+    """(value, tol, verdict) of each criterion on the Q coefficients
+    ``coeffs``; each table kind is built once, at the largest orders asked
+    for."""
     tables = {kind: _table(coeffs, kind, *o) for kind, o in _orders(ids).items()}
     return [_value(cid, tables[_need(cid)[0]]) for cid in ids]
 
@@ -205,10 +210,10 @@ def evaluate(state: TwoModeGaussianState, cid: CriterionId,
         cid = CriterionId.parse(str(cid))
     kind, orders, order = _need(cid)
     _check_order(order, max_order)
-    value, tol = _value(cid, _held(state, kind, *orders,
-                                   floor=_CATALOG_ORDERS[kind]))
+    value, tol, verdict = _value(cid, _held(state, kind, *orders,
+                                            floor=_CATALOG_ORDERS[kind]))
     return CriterionResult(id=cid, value=float(value),
-                           nonclassical=bool(value < -tol),
+                           nonclassical=bool(verdict),
                            tol=float(tol), max_order_used=order)
 
 

@@ -420,8 +420,7 @@ def photon_number_distribution(state: TwoModeGaussianState,
             n = min(2 * n, n_cap)
         cutoffs.append(n)
     n1, n2 = cutoffs
-    p = pnd_table(state, n1, n2)
-    return PhotonNumberDistribution(n1, n2, p, 1.0 - float(p.sum()))
+    return PhotonNumberDistribution.from_table(pnd_table(state, n1, n2))
 
 
 # -- closed form for the noisy twin beam -----------------------------------

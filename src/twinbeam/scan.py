@@ -31,9 +31,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .criteria import CriterionId, _judge
+from .criteria import CriterionId, _judge, _need
 from .errors import ConfigError
-from .moments import _q_coeff_array
+from .moments import _check_order, _q_coeff_array
 from .quantifiers import ZERO_TOL, _local_values, _negativity_arrays
 from .states import (_attenuate_arrays, _bs_transform_arrays, _checked,
                      _twin_beam_arrays)
@@ -117,6 +117,8 @@ class TargetSpec:
             raise ConfigError("criterion targets, and only they, take a "
                               f"criterion id, got kind {self.kind!r} with "
                               f"criterion {self.criterion}")
+        if self.criterion is not None:
+            _check_order(_need(self.criterion)[2], None)
         mode = _checked("mode", self.mode, ConfigError)
         if self.kind != "local" and mode != 1:
             raise ConfigError(
@@ -143,9 +145,10 @@ class TargetSpec:
                     f"got {text!r}")
             return cls("local", mode=int(parts[1]))
         try:
-            return cls("criterion", criterion=CriterionId.parse(text))
+            criterion = CriterionId.parse(text)
         except Exception as exc:
             raise ConfigError(f"cannot parse target {text!r}: {exc}") from None
+        return cls("criterion", criterion=criterion)
 
 
 @dataclass(frozen=True)
@@ -203,68 +206,57 @@ class ScanSpec:
 
 # -- evaluation pipeline ----------------------------------------------------
 
-class _Pipeline:
-    """Maps grid coordinates to state parameters and target values."""
+def _state_params(spec: ScanSpec, coords: dict, dtype=float):
+    """Coordinate arrays (broadcastable) to the six state parameters,
+    computed by the maps of the states module in the real ``dtype``; the
+    beam splitter and the loss apply where t and eta are fixed or given."""
+    full = {"bs": 0.0, "bi": 0.0, "phi": 0.0}
+    full.update(spec.fixed)
+    full.update(coords)
+    if spec.noise_mode == "balanced":
+        full["bi"] = full["bs"]
+    elif spec.noise_mode == "unbalanced":
+        full["bi"] = 0.0
+    params = _twin_beam_arrays(*(np.asarray(full[name], dtype=dtype)
+                                 for name in ("bp", "bs", "bi")))
+    if "t" in full:
+        params = _bs_transform_arrays(*params, full["t"], full["phi"])
+    if "eta" in full:
+        params = _attenuate_arrays(*params, full["eta"], full["eta"])
+    return params
 
-    def __init__(self, spec: ScanSpec):
-        self.spec = spec
-        present = {a.name for a in spec.axes} | set(spec.fixed)
-        self.has_bs = "t" in present
-        self.has_eta = "eta" in present
-        self.targets = spec.targets
-        self.criteria = [t.criterion for t in spec.targets
-                         if t.kind == "criterion"]
 
-    def state_params(self, coords: dict, dtype=float):
-        """Coordinate arrays (broadcastable) to the six state parameters,
-        computed by the maps of the states module in the real ``dtype``."""
-        full = {"bs": 0.0, "bi": 0.0, "phi": 0.0}
-        full.update(self.spec.fixed)
-        full.update(coords)
-        if self.spec.noise_mode == "balanced":
-            full["bi"] = full["bs"]
-        elif self.spec.noise_mode == "unbalanced":
-            full["bi"] = 0.0
-        params = _twin_beam_arrays(*(np.asarray(full[name], dtype=dtype)
-                                     for name in ("bp", "bs", "bi")))
-        if self.has_bs:
-            params = _bs_transform_arrays(*params, full["t"], full["phi"])
-        if self.has_eta:
-            params = _attenuate_arrays(*params, full["eta"], full["eta"])
-        return params
-
-    def evaluate(self, coords: dict):
-        """Per-target (value, verdict, indicator) float64/int8 arrays."""
-        # reduce the extended-precision parameters to the negativity before
-        # the criterion tables exist, so that the two never share memory
-        kinds = {tgt.kind for tgt in self.targets}
-        if "negativity" in kinds:
-            negativity = _negativity_arrays(
-                *self.state_params(coords, np.longdouble))
-        if self.criteria or "local" in kinds:
-            params = self.state_params(coords)
-        if self.criteria:
-            with np.errstate(all="ignore"):
-                judged = iter(_judge(self.criteria, _q_coeff_array(*params)))
-        out = []
-        for tgt in self.targets:
-            if tgt.kind == "negativity":
-                value, nu = negativity
-                value = np.asarray(value, dtype=float)
-                verdict = value > ZERO_TOL
-                indicator = np.asarray(nu, dtype=float) - 0.5
-            elif tgt.kind == "local":
-                value = _local_values(*params[:4])[tgt.mode - 1]
-                verdict = value > ZERO_TOL
-                indicator = -value
-            else:
-                value, tol = next(judged)
-                verdict = value < -tol
-                indicator = value
-            out.append((np.asarray(value, dtype=float),
-                        verdict.astype(np.int8),
-                        np.asarray(indicator, dtype=float)))
-        return out
+def _evaluate(spec: ScanSpec, coords: dict):
+    """Per-target (value, verdict, indicator) float64/int8 arrays."""
+    criteria = [t.criterion for t in spec.targets if t.kind == "criterion"]
+    kinds = {t.kind for t in spec.targets}
+    # reduce the extended-precision parameters to the negativity before
+    # the criterion tables exist, so that the two never share memory
+    if "negativity" in kinds:
+        negativity = _negativity_arrays(
+            *_state_params(spec, coords, np.longdouble))
+    if criteria or "local" in kinds:
+        params = _state_params(spec, coords)
+    if criteria:
+        with np.errstate(all="ignore"):
+            judged = iter(_judge(criteria, _q_coeff_array(*params)))
+    out = []
+    for tgt in spec.targets:
+        if tgt.kind == "negativity":
+            value, nu = (np.asarray(a, dtype=float) for a in negativity)
+            verdict = value > ZERO_TOL
+            indicator = nu - 0.5
+        elif tgt.kind == "local":
+            value = _local_values(*params[:4])[tgt.mode - 1]
+            verdict = value > ZERO_TOL
+            indicator = -value
+        else:
+            value, _, verdict = next(judged)
+            indicator = value
+        out.append((np.asarray(value, dtype=float),
+                    verdict.astype(np.int8),
+                    np.asarray(indicator, dtype=float)))
+    return out
 
 
 # -- results ----------------------------------------------------------------
@@ -298,7 +290,6 @@ def run_scan(spec: ScanSpec) -> ScanResult:
     Deterministic: identical specs give byte-identical CSV and JSON output
     regardless of thread count.
     """
-    pipeline = _Pipeline(spec)
     axis_values = tuple(a.values() for a in spec.axes)
     shape = tuple(len(v) for v in axis_values)
     mesh = np.meshgrid(*axis_values, indexing="ij") if shape else ()
@@ -324,7 +315,7 @@ def run_scan(spec: ScanSpec) -> ScanResult:
         sl = slices[idx]
         coords = {name: arr[sl] for name, arr in flats.items()}
         try:
-            results = pipeline.evaluate(coords)
+            results = _evaluate(spec, coords)
         except Exception as exc:  # record, never abort the scan
             for lab in labels:
                 chunk_errors[idx].append(
@@ -340,9 +331,7 @@ def run_scan(spec: ScanSpec) -> ScanResult:
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(work, range(len(slices))))
 
-    errors = []
-    for bucket in chunk_errors:
-        errors.extend(bucket)
+    errors = [record for bucket in chunk_errors for record in bucket]
     for lab in labels:
         bad = np.nonzero(returned & ~np.isfinite(values[lab]))[0]
         for flat_index in bad:
@@ -362,7 +351,7 @@ def run_scan(spec: ScanSpec) -> ScanResult:
     boundaries = {}
     if len(shape) == 2:
         for tgt, lab in zip(spec.targets, labels):
-            boundaries[lab] = _trace_boundaries(pipeline, tgt, axis_values,
+            boundaries[lab] = _trace_boundaries(spec, tgt, axis_values,
                                                 indicators[lab])
     return ScanResult(spec=spec, axis_values=axis_values, values=values,
                       verdicts=verdicts, boundaries=boundaries, errors=errors)
@@ -370,7 +359,7 @@ def run_scan(spec: ScanSpec) -> ScanResult:
 
 # -- boundary tracing -------------------------------------------------------
 
-def _trace_boundaries(pipeline: _Pipeline, target: TargetSpec, axis_values,
+def _trace_boundaries(spec: ScanSpec, target: TargetSpec, axis_values,
                       grid: np.ndarray) -> list:
     """Marching squares over the indicator sign with refined edges."""
     xs, ys = axis_values
@@ -380,7 +369,7 @@ def _trace_boundaries(pipeline: _Pipeline, target: TargetSpec, axis_values,
     # points (i, j) and (i + 1, j), ("v", i, j) joins (i, j) and (i, j + 1)
     points = {}
     for axis, kind in ((0, "h"), (1, "v")):
-        (i, j), crossings = _refine_edges(pipeline, target, axis_values, grid,
+        (i, j), crossings = _refine_edges(spec, target, axis_values, grid,
                                           axis, BISECTION_REL_TOL)
         for a, b, point in zip(i.tolist(), j.tolist(), crossings.tolist()):
             points[(kind, a, b)] = tuple(point)
@@ -468,7 +457,7 @@ def _bisect(indicator, lo, hi, f_lo, f_hi, log_spacing: bool,
     return np.sqrt(lo * hi) if log_spacing else 0.5 * (lo + hi)
 
 
-def _refine_edges(pipeline, target, axis_values, grid, axis, rel_tol):
+def _refine_edges(spec, target, axis_values, grid, axis, rel_tol):
     """Refine every sign change of a 1-D or 2-D indicator grid along
     ``axis`` in one batch, starting from the grid values at both ends.
 
@@ -480,13 +469,13 @@ def _refine_edges(pipeline, target, axis_values, grid, axis, rel_tol):
     edges = _sign_changes(grid, axis)
     points = [values[index] for values, index in zip(axis_values, edges)]
     if edges[axis].size:
-        axes = pipeline.spec.axes
-        sub = _Pipeline(replace(pipeline.spec, targets=(target,)))
+        axes = spec.axes
+        sub = replace(spec, targets=(target,))
         upper = edges[:axis] + (edges[axis] + 1,) + edges[axis + 1:]
 
         def indicator(x, lanes):
             coords = {a.name: p[lanes] for a, p in zip(axes, points)}
-            return sub.evaluate({**coords, axes[axis].name: x})[0][2]
+            return _evaluate(sub, {**coords, axes[axis].name: x})[0][2]
 
         points[axis] = _bisect(
             indicator, points[axis], axis_values[axis][upper[axis]],

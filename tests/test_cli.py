@@ -441,9 +441,18 @@ _AXIS_BP = "[axis:bp]\nmin = 0.1\nmax = 1\n"
       "negativity"], "ConfigError"),
     (["scan", "--axis", "bp:0.1:1:2", "--fixed", "bs=x", "--target",
       "negativity"], "ConfigError"),
+    # scan and boundary targets obey crit's order limit; after the colon,
+    # what the message must say
+    (["scan", "--axis", "bp:0.1:1:2", "--target", "E_W:20:20", "--csv", "-"],
+     "OrderLimitError:order 42 exceeds"),
+    (["boundary", "--axis", "bp", "--t", "0.7", "--family", "E_W", "--k1",
+      "20", "--k2", "20"], "OrderLimitError:order 42 exceeds"),
+    (["scan", "--config", _Ini(_AXIS_BP + "[scan]\ntargets = E_W:20:20\n")],
+     "OrderLimitError:order 42 exceeds"),
 ])
 def test_failures_report_json_and_exit_nonzero(capsys, tmp_path, argv,
                                                error):
+    error, _, says = error.partition(":")
     config = tmp_path / "scan.ini"
     argv = list(argv)
     for i, arg in enumerate(argv):
@@ -455,6 +464,7 @@ def test_failures_report_json_and_exit_nonzero(capsys, tmp_path, argv,
     payload = json.loads(err)
     assert payload["error"] == error
     assert payload["message"]
+    assert says in payload["message"]
 
 
 @pytest.mark.parametrize("axis,section", [

@@ -414,7 +414,7 @@ def test_ids_beyond_the_catalog_grow_the_held_tables(monkeypatch):
         "W1": (8,), "W2": (8,), "p1": (8,), "p2": (10,)}
     judged = criteria._judge(ids, moments._q(state))
     assert [(np.float64(v).tobytes(), np.float64(t).tobytes())
-            for v, t in judged] == [b[:2] for b in _bits(results)]
+            for v, t, _ in judged] == [b[:2] for b in _bits(results)]
 
 
 @pytest.mark.parametrize("params", _ORDER_PARAMS)
@@ -441,7 +441,7 @@ def test_a_lone_request_on_a_bright_beam_stays_silent_and_exact(bp, label):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = criteria.evaluate(state, cid)
-        [(value, tol)] = criteria._judge([cid], moments._q(state))
+        [(value, tol, _)] = criteria._judge([cid], moments._q(state))
     assert math.isfinite(result.value)
     assert _bits([result])[0][:2] == (np.float64(value).tobytes(),
                                       np.float64(tol).tobytes())
@@ -482,14 +482,17 @@ def test_an_overflowing_marginal_warns_as_a_joint_table_does(read):
 def _assert_state_is_its_lane(params, q, k):
     """The state of ``params`` has lane k of the multi-lane Q build ``q``
     as its Q, and evaluate gives every catalog id the (value, tol) of lane
-    k of _judge on ``q``, to the bit, signed zeros included."""
+    k of _judge on ``q``, to the bit, signed zeros included, and its
+    verdict."""
     catalog = criteria.default_catalog()
     state = states.TwoModeGaussianState(*params)
     assert moments._q(state).tobytes() == q[..., k].tobytes()
     results = [criteria.evaluate(state, cid) for cid in catalog]
-    assert [(v[k].tobytes(), t[k].tobytes())
-            for v, t in criteria._judge(catalog, q)] == [
-                b[:2] for b in _bits(results)]
+    judged = criteria._judge(catalog, q)
+    assert [(v[k].tobytes(), t[k].tobytes()) for v, t, _ in judged] == [
+        b[:2] for b in _bits(results)]
+    assert [bool(verdict[k]) for _, _, verdict in judged] == [
+        r.nonclassical for r in results]
 
 
 @pytest.mark.parametrize("params", _ORDER_PARAMS)
@@ -509,7 +512,7 @@ def test_a_wide_id_has_the_bits_of_its_lane_of_a_batch(label):
     cid = CriterionId.parse(label)
     pool = [random_physical_state(np.random.default_rng(seed))
             for seed in range(100)]
-    [(values, tols)] = criteria._judge(
+    [(values, tols, _)] = criteria._judge(
         [cid], np.stack([moments._q(state) for state in pool], axis=-1))
     results = [criteria.evaluate(state, cid, max_order=40) for state in pool]
     assert [b[:2] for b in _bits(results)] == [

@@ -174,7 +174,7 @@ def test_a_state_and_its_scan_lane_agree_on_the_local_quantifiers():
                     targets=[TargetSpec.parse("i_ncl:1"),
                              TargetSpec.parse("i_ncl:2")],
                     noise_mode="balanced")
-    lanes = [value for value, _, _ in scan._Pipeline(spec).evaluate(coords)]
+    lanes = [value for value, _, _ in scan._evaluate(spec, coords)]
     for k in range(n):
         bp, t, bs = (float(coords[name][k]) for name in ("bp", "t", "bs"))
         st = states.beam_splitter(states.twin_beam(bp, bs=bs, bi=bs), t)

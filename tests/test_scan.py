@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twinbeam import criteria, quantifiers, scan, states, svg
+from twinbeam import cli, criteria, quantifiers, scan, states, svg
 from twinbeam.criteria import CriterionId
 from twinbeam.cli import main
-from twinbeam.errors import ConfigError, ParameterError
+from twinbeam.errors import ConfigError, OrderLimitError, ParameterError
 from twinbeam.scan import AxisSpec, ScanSpec, TargetSpec
 
 
@@ -54,14 +54,14 @@ def test_a_chunk_that_raises_is_recorded_once_with_verdict_minus_one(
     """A chunk whose evaluation raises gets one record per target, naming
     its cells by start and stop, and no per-cell records: its cells never
     produced a value.  The chunks that returned stand."""
-    evaluate = scan._Pipeline.evaluate
+    evaluate = scan._evaluate
 
-    def failing(self, coords):
+    def failing(spec, coords):
         if (coords["bp"] > 0.5).any():
             raise MemoryError("chunk too large")
-        return evaluate(self, coords)
+        return evaluate(spec, coords)
 
-    monkeypatch.setattr(scan._Pipeline, "evaluate", failing)
+    monkeypatch.setattr(scan, "_evaluate", failing)
     res = scan.run_scan(ScanSpec(
         axes=[AxisSpec("bp", 0.1, 0.8, 8)],
         targets=[TargetSpec.parse("E_W:2:2"), TargetSpec.parse("negativity")],
@@ -296,13 +296,13 @@ def test_scalar_maps_equal_the_grid_maps(noise_mode, with_t, with_eta):
         coords["eta"] = 10.0 ** rng.uniform(-150.0, 0.0, n)
         coords["eta"][:2] = (0.0, 1.0)
     # fixed values switch the maps on; the coordinates override them
-    pipeline = scan._Pipeline(ScanSpec(
+    spec = ScanSpec(
         axes=[AxisSpec("bp", 0.0, 1.0, 2)],
         targets=[TargetSpec.parse("negativity")],
         fixed={name: 0.5 for name in coords if name != "bp"},
-        noise_mode=noise_mode))
-    grid = pipeline.state_params(coords)
-    extended = pipeline.state_params(coords, np.longdouble)
+        noise_mode=noise_mode)
+    grid = scan._state_params(spec, coords)
+    extended = scan._state_params(spec, coords, np.longdouble)
 
     for k in range(n):
         lane = {name: float(values[k]) for name, values in coords.items()}
@@ -356,6 +356,16 @@ def test_local_target_takes_an_integral_float_mode():
 def test_target_labels_round_trip():
     for text in ("negativity", "E_p:0:0", "E_W:1:2", "M_p", "i_ncl:2"):
         assert TargetSpec.parse(text).label() == text
+
+
+def test_a_criterion_target_obeys_the_default_order_limit():
+    """E_W:5:5 reads derivative order 12, the default maximum, and is
+    accepted; E_W:5:6 reads order 13 and raises crit's error, unwrapped."""
+    assert TargetSpec.parse("E_W:5:5").criterion == CriterionId("E_W", 5, 5)
+    with pytest.raises(OrderLimitError, match="order 13 exceeds"):
+        TargetSpec.parse("E_W:5:6")
+    with pytest.raises(OrderLimitError):
+        TargetSpec("criterion", criterion=CriterionId("R_p", 13, 13))
 
 
 def test_every_target_equals_the_target_its_label_parses_to():
@@ -464,7 +474,7 @@ def test_invalid_configurations_are_rejected(build):
 
 # -- marching squares and CSV against per-cell references -------------------
 
-def _midpoint_refine(pipeline, target, axis_values, grid, axis, rel_tol):
+def _midpoint_refine(spec, target, axis_values, grid, axis, rel_tol):
     """Stand-in for edge refinement: every crossing edge ends at its
     midpoint."""
     edges = scan._sign_changes(grid, axis)
@@ -665,19 +675,19 @@ def test_csv_matches_the_per_row_reference():
 @pytest.mark.parametrize("texts", [("negativity",),
                                    ("negativity", "i_ncl:2")])
 def test_negativity_needs_no_criterion_tables(monkeypatch, texts):
-    """Pipelines without criterion targets never build the Q coefficients."""
+    """Scans without criterion targets never build the Q coefficients."""
     spec = ScanSpec(axes=[AxisSpec("bp", 0.1, 3.0, 5),
                           AxisSpec("bs", 0.0, 1.0, 4)],
                     targets=[TargetSpec.parse(t) for t in texts],
                     noise_mode="balanced", threads=1)
     coords = {"bp": np.linspace(0.1, 3.0, 20), "bs": np.linspace(0, 1, 20)}
-    want = scan._Pipeline(spec).evaluate(coords)
+    want = scan._evaluate(spec, coords)
 
     def refuse(*args):
         raise AssertionError("Q coefficients built for no criterion")
 
     monkeypatch.setattr(scan, "_q_coeff_array", refuse)
-    got = scan._Pipeline(spec).evaluate(coords)
+    got = scan._evaluate(spec, coords)
     assert len(got) == len(want)
     for arrays_got, arrays_want in zip(got, want):
         for a, b in zip(arrays_got, arrays_want):
@@ -807,13 +817,15 @@ def test_boundary_sweeps_refine_in_a_few_evaluations(monkeypatch, capsys,
     evaluates the grid, at most 8 refinement points and the value at the
     crossing; bisection took 19 to 26 refinement points."""
     calls = []
-    evaluate = scan._Pipeline.evaluate
+    evaluate = scan._evaluate
 
-    def counted(self, coords):
+    def counted(spec, coords):
         calls.append(coords)
-        return evaluate(self, coords)
+        return evaluate(spec, coords)
 
-    monkeypatch.setattr(scan._Pipeline, "evaluate", counted)
+    # the command line calls the function by its own imported name
+    monkeypatch.setattr(scan, "_evaluate", counted)
+    monkeypatch.setattr(cli, "_evaluate", counted)
     for value in values:
         calls.clear()
         assert main(["boundary", *flags, name, repr(float(value))]) == 0
