@@ -9,14 +9,16 @@ W uses normally ordered intensity moments, p uses factorial-scaled photon
 number probabilities, which stay finite for strong fields and are directly
 accessible from photocounting records.
 
-Every criterion reads its table from moments._table and passes the
-max_order guard of the moments module, in evaluate and, at the default
-maximum, as a scan target; evaluate reads a state's tables from its memo,
-held by moments._held, so every evaluate shares them.  A kind's first held
-table covers the orders the default catalog reads, so the catalog, in any
-order, builds each of its six table kinds once per state.  The
-identifiers, closed forms and boundaries check their arguments against the
-range table of the states module.
+Every criterion reads its table from moments._table.  The derivative-order
+limit is a rule of the criteria, so its one guard, _check_order, lives
+here: evaluate applies it at max_order (DEFAULT_MAX_ORDER unless raised),
+and a scan or boundary target at the default, while the tables and
+elements of the moments module read any order.  evaluate reads a state's
+tables from its memo, held by moments._held, so every evaluate shares
+them.  A kind's first held table covers the orders the default catalog
+reads, so the catalog, in any order, builds each of its six table kinds
+once per state.  The identifiers, closed forms and boundaries check their
+arguments against the range table of the states module.
 
 A criterion certifies non-classicality only when its value is below -tol,
 where tol is 1e-12 times the largest of its constituent terms; _value
@@ -38,11 +40,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ParameterError
-from .moments import _check_order, _held, _table
+from .errors import OrderLimitError, ParameterError
+from .moments import _held, _table
 from .states import TwoModeGaussianState, _checked
 
 __all__ = [
+    "DEFAULT_MAX_ORDER",
     "FAMILIES",
     "CriterionId",
     "CriterionResult",
@@ -64,6 +67,8 @@ __all__ = [
 FAMILIES = ("E_W", "E_p", "M_W", "M_p", "R_W", "R_p")
 
 RELATIVE_TOL = 1e-12
+
+DEFAULT_MAX_ORDER = 12
 
 _SQRT33 = math.sqrt(33.0)
 
@@ -162,6 +167,18 @@ def _need(cid: CriterionId):
         return variant, (2, 2), 2
     depth = max(cid.k1 + 1, cid.k2)
     return f"{variant}{cid.mode}", (depth, 0), depth
+
+
+def _check_order(total: int, max_order: int | None,
+                 advice: str = "raise max_order explicitly if intended"):
+    """Raise OrderLimitError, ending in ``advice``, when a derivative order
+    of ``total`` exceeds ``max_order``, DEFAULT_MAX_ORDER when it is None."""
+    limit = (DEFAULT_MAX_ORDER if max_order is None
+             else _checked("max_order", max_order))
+    if total > limit:
+        raise OrderLimitError(
+            f"requested derivative order {total} exceeds the configured "
+            f"maximum {limit}; {advice}")
 
 
 def _value(cid: CriterionId, table: np.ndarray):

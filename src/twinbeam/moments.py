@@ -14,13 +14,14 @@ grid) to every table, joint or marginal, for the public functions and the
 criteria alike.  It holds the one rule for negative probabilities: below
 -1e-12 it raises EvaluationError, above that it clamps to zero, so an
 element raises exactly when the table it is read from does.  Every table
-and element function reads a table of its own size.  A state's memo is
-read and written only by _q (its Q) and _held, which holds each moment
-and scaled-probability kind, joint or marginal, for criteria.evaluate
-alone, at the largest orders asked so far, as the lane of a one-lane
-batch at any width; a kind's first table is built at least at the floor
-evaluate names, the default catalog's orders, unless that table would
-raise a floating-point error.
+and element function reads a table of its own size, at any order: the
+derivative-order limit is a rule of the criteria module alone.  A state's
+memo is read and written only by _q (its Q) and _held, which holds each
+moment and scaled-probability kind, joint or marginal, for
+criteria.evaluate alone, at the largest orders asked so far, as the lane
+of a one-lane batch at any width; a kind's first table is built at least
+at the floor evaluate names, the default catalog's orders, unless that
+table would raise a floating-point error.
 
 Marginal quantities use the exact single-mode reduction of Q rather than
 summing the joint distribution, so marginal tails can be bounded without
@@ -34,13 +35,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EvaluationError, OrderLimitError, ParameterError, TruncationError
+from .errors import EvaluationError, ParameterError, TruncationError
 from .series import BivariateSeries
 from .states import (TwinBeamParams, TwoModeGaussianState, _checked,
                      _lane, _times)
 
 __all__ = [
-    "DEFAULT_MAX_ORDER",
     "KMatrix",
     "PhotonNumberDistribution",
     "build_k_matrix",
@@ -59,9 +59,6 @@ __all__ = [
     "photon_number_distribution",
     "twin_beam_pnd_closed_form",
 ]
-
-DEFAULT_MAX_ORDER = 12
-
 
 @lru_cache(maxsize=128)
 def _factorials(n: int) -> np.ndarray:
@@ -238,51 +235,30 @@ def _table(q: np.ndarray, kind: str, o1: int, o2: int = 0) -> np.ndarray:
     return s[:, 0] if marginal else s
 
 
-def _check_order(total: int, max_order: int | None) -> None:
-    """Raise OrderLimitError when a derivative order of ``total`` exceeds
-    ``max_order``, DEFAULT_MAX_ORDER when it is None."""
-    limit = (DEFAULT_MAX_ORDER if max_order is None
-             else _checked("max_order", max_order))
-    if total > limit:
-        raise OrderLimitError(
-            f"requested derivative order {total} exceeds the configured "
-            f"maximum {limit}; raise max_order explicitly if intended")
-
-
-def _element(state: TwoModeGaussianState, kind: str, index: tuple,
-             max_order: int | None) -> float:
+def _element(state: TwoModeGaussianState, kind: str, index: tuple) -> float:
     """Entry ``index`` of the smallest ``kind`` table that holds it."""
-    _check_order(sum(index), max_order)
     return float(_table(_q(state), kind, *index)[index])
 
 
 # -- intensity moments -----------------------------------------------------
 
-def moment_table(state: TwoModeGaussianState, order1: int, order2: int,
-                 *, max_order: int | None = None) -> np.ndarray:
-    """Table of normally ordered intensity moments <W1**i W2**j>.
-
-    Entry [i, j] covers all i <= order1, j <= order2.  The guard applies to
-    the largest requested total order i + j = order1 + order2.
-    """
-    o1 = _checked("order1", order1)
-    o2 = _checked("order2", order2)
-    _check_order(o1 + o2, max_order)
-    return _table(_q(state), "W", o1, o2)
+def moment_table(state: TwoModeGaussianState, order1: int,
+                 order2: int) -> np.ndarray:
+    """Table of normally ordered intensity moments <W1**i W2**j> for all
+    i <= order1, j <= order2."""
+    return _table(_q(state), "W",
+                  _checked("order1", order1), _checked("order2", order2))
 
 
-def intensity_moment(state: TwoModeGaussianState, k1: int, k2: int,
-                     *, max_order: int | None = None) -> float:
+def intensity_moment(state: TwoModeGaussianState, k1: int, k2: int) -> float:
     """Normally ordered intensity moment <W1**k1 W2**k2>."""
-    return _element(state, "W", (_checked("k1", k1),
-                                 _checked("k2", k2)), max_order)
+    return _element(state, "W", (_checked("k1", k1), _checked("k2", k2)))
 
 
-def marginal_intensity_moment(state: TwoModeGaussianState, mode: int, k: int,
-                              *, max_order: int | None = None) -> float:
+def marginal_intensity_moment(state: TwoModeGaussianState, mode: int,
+                              k: int) -> float:
     """Single-mode moment <Wj**k>, computed from the exact marginal."""
-    return _element(state, f"W{_checked('mode', mode)}",
-                    (_checked("k", k),), max_order)
+    return _element(state, f"W{_checked('mode', mode)}", (_checked("k", k),))
 
 
 # -- photon-number distribution --------------------------------------------
@@ -294,12 +270,10 @@ def pnd_table(state: TwoModeGaussianState, n_max1: int, n_max2: int) -> np.ndarr
                   _checked("n_max1", n_max1), _checked("n_max2", n_max2))
 
 
-def pnd_element(state: TwoModeGaussianState, n1: int, n2: int,
-                *, max_order: int | None = None) -> float:
+def pnd_element(state: TwoModeGaussianState, n1: int, n2: int) -> float:
     """Joint photon-number probability p(n1, n2), the entry of
     pnd_table(state, n1, n2)."""
-    return _element(state, "P", (_checked("n1", n1),
-                                 _checked("n2", n2)), max_order)
+    return _element(state, "P", (_checked("n1", n1), _checked("n2", n2)))
 
 
 def modified_pnd_table(state: TwoModeGaussianState, n_max1: int,
@@ -309,11 +283,10 @@ def modified_pnd_table(state: TwoModeGaussianState, n_max1: int,
                   _checked("n_max1", n_max1), _checked("n_max2", n_max2))
 
 
-def modified_pnd_element(state: TwoModeGaussianState, n1: int, n2: int,
-                         *, max_order: int | None = None) -> float:
+def modified_pnd_element(state: TwoModeGaussianState, n1: int,
+                         n2: int) -> float:
     """Factorial-scaled joint probability n1! n2! p(n1, n2) / p(0, 0)."""
-    return _element(state, "p", (_checked("n1", n1),
-                                 _checked("n2", n2)), max_order)
+    return _element(state, "p", (_checked("n1", n1), _checked("n2", n2)))
 
 
 def marginal_pnd_table(state: TwoModeGaussianState, mode: int,
@@ -324,12 +297,10 @@ def marginal_pnd_table(state: TwoModeGaussianState, mode: int,
                   _checked("n_max", n_max))
 
 
-def marginal_pnd(state: TwoModeGaussianState, mode: int, n: int,
-                 *, max_order: int | None = None) -> float:
+def marginal_pnd(state: TwoModeGaussianState, mode: int, n: int) -> float:
     """Marginal photon-number probability of one mode, the entry of
     marginal_pnd_table(state, mode, n)."""
-    return _element(state, f"P{_checked('mode', mode)}",
-                    (_checked("n", n),), max_order)
+    return _element(state, f"P{_checked('mode', mode)}", (_checked("n", n),))
 
 
 def marginal_modified_pnd_table(state: TwoModeGaussianState, mode: int,
@@ -340,11 +311,10 @@ def marginal_modified_pnd_table(state: TwoModeGaussianState, mode: int,
                   _checked("n_max", n_max))
 
 
-def marginal_modified_pnd(state: TwoModeGaussianState, mode: int, n: int,
-                          *, max_order: int | None = None) -> float:
+def marginal_modified_pnd(state: TwoModeGaussianState, mode: int,
+                          n: int) -> float:
     """Factorial-scaled marginal probability n! p_mode(n) / p_mode(0)."""
-    return _element(state, f"p{_checked('mode', mode)}",
-                    (_checked("n", n),), max_order)
+    return _element(state, f"p{_checked('mode', mode)}", (_checked("n", n),))
 
 
 @dataclass(frozen=True)
@@ -371,12 +341,9 @@ class PhotonNumberDistribution:
         object.__setattr__(self, "tail_mass", float(self.tail_mass))
 
     @classmethod
-    def from_table(cls, p: np.ndarray,
-                   tail_mass: float | None = None) -> "PhotonNumberDistribution":
+    def from_table(cls, p: np.ndarray) -> "PhotonNumberDistribution":
         p = np.asarray(p, dtype=float)
-        if tail_mass is None:
-            tail_mass = 1.0 - float(p.sum())
-        return cls(p.shape[0] - 1, p.shape[1] - 1, p, tail_mass)
+        return cls(p.shape[0] - 1, p.shape[1] - 1, p, 1.0 - float(p.sum()))
 
     def marginal(self, mode: int) -> np.ndarray:
         return self.p.sum(axis=2 - _checked("mode", mode))
@@ -387,7 +354,6 @@ class PhotonNumberDistribution:
 
 def photon_number_distribution(state: TwoModeGaussianState,
                                *, tail_tol: float = 1e-10,
-                               n_start: int = 16,
                                n_cap: int = 4096) -> PhotonNumberDistribution:
     """Joint photon-number distribution truncated so that the neglected mass
     is below tail_tol.
@@ -396,20 +362,17 @@ def photon_number_distribution(state: TwoModeGaussianState,
     together drop below the tolerance; only then is the joint table built.
     The union bound tail(n1_max, n2_max) <= tail_1 + tail_2 makes the
     reported tail_mass trustworthy without summing anything infinite.
-    Cutoffs start at max(4, n_start) and double, the last step stopping
-    at n_cap; a start above n_cap raises ParameterError, and a tail that
-    still fails the tolerance at n_cap TruncationError.
+    Cutoffs start at min(16, n_cap) and double, the last step stopping
+    at n_cap; a tail that still fails the tolerance at n_cap raises
+    TruncationError.
     """
     tail_tol = _checked("tail_tol", tail_tol)
     if not 0.0 < tail_tol < 1.0:
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    n_first = max(4, _checked("n_start", n_start))
     n_cap = _checked("n_cap", n_cap)
-    if n_first > n_cap:
-        raise ParameterError(f"first cutoff {n_first} exceeds n_cap {n_cap}")
     cutoffs = []
     for mode in (1, 2):
-        n = n_first
+        n = min(16, n_cap)
         # the exact marginal's mass beyond n, without a joint table
         while (1.0 - float(marginal_pnd_table(state, mode, n).sum())
                > tail_tol / 2.0):

@@ -90,18 +90,16 @@ def negativity(state: TwoModeGaussianState) -> float:
     return n
 
 
-def classify(state: TwoModeGaussianState,
-             tol: float = ZERO_TOL) -> NonclassicalityReport:
+def classify(state: TwoModeGaussianState) -> NonclassicalityReport:
     """Full report: local quantifiers for both modes, the negativity, and
-    Boolean verdicts using an absolute tolerance around zero.  Raises
-    EvaluationError where negativity does."""
-    tol = _checked("tol", tol)
+    Boolean verdicts that each exceeds ZERO_TOL, as the scan's lanes use.
+    Raises EvaluationError where negativity does."""
     i1, i2 = map(float, _local_values(state.b1, state.b2, state.c1, state.c2))
     n = negativity(state)
     return NonclassicalityReport(
         i_ncl_1=i1,
         i_ncl_2=i2,
         negativity=n,
-        entangled=bool(n > tol),
-        locally_nonclassical=(bool(i1 > tol), bool(i2 > tol)),
+        entangled=bool(n > ZERO_TOL),
+        locally_nonclassical=(bool(i1 > ZERO_TOL), bool(i2 > ZERO_TOL)),
     )

@@ -31,9 +31,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .criteria import CriterionId, _judge, _need
+from .criteria import CriterionId, _check_order, _judge, _need
 from .errors import ConfigError
-from .moments import _check_order, _q_coeff_array
+from .moments import _q_coeff_array
 from .quantifiers import ZERO_TOL, _local_values, _negativity_arrays
 from .states import (_attenuate_arrays, _bs_transform_arrays, _checked,
                      _twin_beam_arrays)
@@ -118,7 +118,8 @@ class TargetSpec:
                               f"criterion id, got kind {self.kind!r} with "
                               f"criterion {self.criterion}")
         if self.criterion is not None:
-            _check_order(_need(self.criterion)[2], None)
+            _check_order(_need(self.criterion)[2], None,
+                         "scan and boundary targets keep this limit")
         mode = _checked("mode", self.mode, ConfigError)
         if self.kind != "local" and mode != 1:
             raise ConfigError(

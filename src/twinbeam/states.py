@@ -63,13 +63,12 @@ _PARAM_RANGES = {
     **dict.fromkeys(("bs", "bi", "b1", "b2"), (0.0, math.inf)),
     **dict.fromkeys(("t", "eta", "eta1", "eta2"), (0.0, 1.0)),
     "phi": (-math.inf, math.inf),
-    "tol": (0.0, math.inf),
     "tail_tol": (0.0, 1.0),
     **dict.fromkeys(("k", "k1", "k2", "n", "n1", "n2", "n_max", "n_max1",
                      "n_max2", "order1", "order2", "max_order", "cutoff",
                      "shell", "n1_out", "n2_out", "n1_in", "n2_in"),
                     (0, math.inf)),
-    **dict.fromkeys(("count", "threads", "n_start", "n_cap"), (1, math.inf)),
+    **dict.fromkeys(("count", "threads", "n_cap"), (1, math.inf)),
     "mode": (1, 2),
 }
 
@@ -83,6 +82,9 @@ def _checked(name: str, value, error=ParameterError) -> float | int:
         number = float(value)
     except (TypeError, ValueError):
         raise error(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise error(f"{name} must be finite, got a number beyond the "
+                    "float range") from None
     if not math.isfinite(number):
         raise error(f"{name} must be finite, got {number}")
     if isinstance(lo, int):

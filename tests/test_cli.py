@@ -449,6 +449,9 @@ _AXIS_BP = "[axis:bp]\nmin = 0.1\nmax = 1\n"
       "20", "--k2", "20"], "OrderLimitError:order 42 exceeds"),
     (["scan", "--config", _Ini(_AXIS_BP + "[scan]\ntargets = E_W:20:20\n")],
      "OrderLimitError:order 42 exceeds"),
+    # an integer beyond the float range used to end in a traceback
+    (["crit", "--bp", "1", "--family", "E_W", "--k1", "9" * 400],
+     "ParameterError:k1 must be finite"),
 ])
 def test_failures_report_json_and_exit_nonzero(capsys, tmp_path, argv,
                                                error):

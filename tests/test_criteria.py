@@ -129,9 +129,9 @@ def test_evaluate_dispatches_to_family_functions():
     lambda: CriterionId("R_p", 2, 2, 3),
     lambda: criteria.evaluate(states.twin_beam(1.0), "E_W:2:2",
                               max_order=6.5),
-    lambda: moments.moment_table(states.twin_beam(1.0), 2, 2, max_order=4.9),
+    lambda: moments.moment_table(states.twin_beam(1.0), 2, 4.9),
     lambda: moments.photon_number_distribution(states.twin_beam(1.0),
-                                               n_start=4.9),
+                                               n_cap=4.9),
     lambda: moments.photon_number_distribution(states.twin_beam(1.0),
                                                n_cap=-3),
     lambda: moments.marginal_pnd(states.twin_beam(1.0), 1.5, 2),
@@ -332,10 +332,10 @@ def test_photon_number_tables_stay_out_of_the_memo():
     moments.photon_number_distribution(state)
     for element in (moments.intensity_moment, moments.pnd_element,
                     moments.modified_pnd_element):
-        element(state, 8, 8, max_order=16)
+        element(state, 8, 8)
     for element in (moments.marginal_intensity_moment, moments.marginal_pnd,
                     moments.marginal_modified_pnd):
-        element(state, 2, 16, max_order=16)
+        element(state, 2, 16)
     assert state._memo.keys() == held.keys()
     assert all(state._memo[key] is held[key] for key in held)
 
@@ -448,9 +448,9 @@ def test_a_lone_request_on_a_bright_beam_stays_silent_and_exact(bp, label):
 
 
 @pytest.mark.parametrize("build,errstate", [
-    (lambda: moments.moment_table(states.twin_beam(1e60), 4, 4, max_order=8),
+    (lambda: moments.moment_table(states.twin_beam(1e60), 4, 4),
      {"all": "raise", "under": "ignore"}),
-    (lambda: moments.moment_table(states.twin_beam(1e-60), 4, 4, max_order=8),
+    (lambda: moments.moment_table(states.twin_beam(1e-60), 4, 4),
      {"under": "raise"}),
     (lambda: moments.marginal_pnd_table(states.twin_beam(1e-60), 1, 8),
      {"under": "raise"}),

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_physical_state
-from twinbeam import moments, states
-from twinbeam.errors import (EvaluationError, OrderLimitError, ParameterError,
-                             TruncationError)
+from twinbeam import criteria, moments, states
+from twinbeam.errors import EvaluationError, OrderLimitError, TruncationError
 
 
 def _characteristic_quadrature(state, lam1, lam2, nodes=48):
@@ -190,7 +189,7 @@ def test_deep_tail_uses_log_domain():
     """Far-tail probabilities keep relative accuracy at 1e-27 scale."""
     params = states.TwinBeamParams(0.8, 0.4, 0.15)
     st = states.twin_beam(params)
-    got = moments.pnd_element(st, 60, 3, max_order=65)
+    got = moments.pnd_element(st, 60, 3)
     want = moments.twin_beam_pnd_closed_form(params, 60, 3)
     assert want < 1e-25
     assert got == pytest.approx(want, rel=1e-10)
@@ -225,7 +224,7 @@ def test_pnd_element_raises_where_its_table_does():
     with pytest.raises(EvaluationError):
         moments.pnd_table(st, 123, 121)
     with pytest.raises(EvaluationError):
-        moments.pnd_element(st, 123, 121, max_order=244)
+        moments.pnd_element(st, 123, 121)
 
 
 def test_probability_elements_are_their_table_entries():
@@ -233,12 +232,12 @@ def test_probability_elements_are_their_table_entries():
     come back as the same +0.0 from an element and from its table."""
     st = states.twin_beam(0.01)
     for n1, n2 in [(0, 0), (4, 3), (2, 7), (6, 6)]:
-        got = moments.pnd_element(st, n1, n2, max_order=16)
+        got = moments.pnd_element(st, n1, n2)
         want = moments.pnd_table(st, n1, n2)[n1, n2]
         assert got == want and not np.signbit(got)
     for mode in (1, 2):
         for n in (0, 5, 300):
-            got = moments.marginal_pnd(st, mode, n, max_order=n)
+            got = moments.marginal_pnd(st, mode, n)
             want = moments.marginal_pnd_table(st, mode, n)[n]
             assert got == want and not np.signbit(got)
 
@@ -262,7 +261,7 @@ def test_elements_are_their_table_entries_and_leave_the_memo():
         for fn, kind in ((moments.intensity_moment, "W"),
                          (moments.modified_pnd_element, "p")):
             want = moments._table(q, kind, k1, k2)[k1, k2]
-            assert same(fn(st, k1, k2, max_order=40), want), (kind, k1, k2)
+            assert same(fn(st, k1, k2), want), (kind, k1, k2)
     for mode in (1, 2):
         for k in (3, 0, 6, 2):
             for fn, kind in ((moments.marginal_intensity_moment, "W"),
@@ -341,17 +340,18 @@ def test_adaptive_pnd_stops_its_doubling_at_the_cap():
     assert pnd.tail_mass <= 1e-10
 
 
-@pytest.mark.parametrize("n_start,n_cap", [(64, 32), (16, 8), (1, 3)])
-def test_adaptive_pnd_rejects_a_first_cutoff_above_the_cap(monkeypatch,
-                                                           n_start, n_cap):
-    """The first cutoff is max(4, n_start); above n_cap no table is built."""
-    def no_table(*args):
-        raise AssertionError("a table was built")
-
-    monkeypatch.setattr(moments, "_table", no_table)
-    with pytest.raises(ParameterError, match="n_cap"):
+@pytest.mark.parametrize("n_cap", [1, 8, 15])
+def test_adaptive_pnd_tries_a_cap_below_16_as_the_first_cutoff(n_cap):
+    """A cap below 16 is the first and last cutoff: a beam whose tails meet
+    the tolerance there gets it, a brighter one TruncationError."""
+    pnd = moments.photon_number_distribution(states.twin_beam(1e-12),
+                                             n_cap=n_cap)
+    assert (pnd.n_max1, pnd.n_max2) == (n_cap, n_cap)
+    assert pnd.p.tobytes() == moments.pnd_table(states.twin_beam(1e-12),
+                                                n_cap, n_cap).tobytes()
+    with pytest.raises(TruncationError, match=f"more than {n_cap} "):
         moments.photon_number_distribution(states.twin_beam(0.5),
-                                           n_start=n_start, n_cap=n_cap)
+                                           n_cap=n_cap)
 
 
 def test_adaptive_pnd_builds_q_once_per_state(monkeypatch):
@@ -370,15 +370,19 @@ def test_adaptive_pnd_builds_q_once_per_state(monkeypatch):
 
 
 def test_order_limit_is_enforced():
+    """The limit is a rule of the criteria: an element or a moment table
+    above order 12 is its table's entry bit for bit, while a criterion
+    that needs order 13 still raises."""
     st = states.twin_beam(1.0)
-    with pytest.raises(OrderLimitError):
-        moments.pnd_element(st, 7, 7)
-    with pytest.raises(OrderLimitError):
-        moments.moment_table(st, 7, 7)
-    # explicitly raising the order unlocks the computation
-    assert moments.pnd_element(st, 7, 7, max_order=16) == pytest.approx(
-        0.5**8, rel=1e-12
-    )
+    want = moments.pnd_table(st, 7, 7)[7, 7]
+    assert np.float64(moments.pnd_element(st, 7, 7)).tobytes() == (
+        want.tobytes())
+    assert want == pytest.approx(0.5**8, rel=1e-12)
+    q = moments._q_coeff_array(*st.params())
+    assert moments.moment_table(st, 7, 7).tobytes() == (
+        moments._table(q, "W", 7, 7).tobytes())
+    with pytest.raises(OrderLimitError, match="order 13 exceeds"):
+        criteria.evaluate(st, "E_W:5:6")
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -201,9 +201,11 @@ def test_classification_of_the_balanced_output():
     assert rep.i_ncl_2 == pytest.approx(1.0, rel=1e-10)
 
 
-def test_classification_verdicts_follow_the_tolerance():
+def test_classification_verdicts_follow_the_tolerance(monkeypatch):
+    """classify judges against ZERO_TOL, the scan lanes' tolerance."""
     out = states.beam_splitter(states.twin_beam(1.0), 0.5)
-    strict = quantifiers.classify(out, tol=2.0)
+    monkeypatch.setattr(quantifiers, "ZERO_TOL", 2.0)
+    strict = quantifiers.classify(out)
     assert strict.locally_nonclassical == (False, False)
     assert not strict.entangled
 

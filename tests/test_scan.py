@@ -360,10 +360,12 @@ def test_target_labels_round_trip():
 
 def test_a_criterion_target_obeys_the_default_order_limit():
     """E_W:5:5 reads derivative order 12, the default maximum, and is
-    accepted; E_W:5:6 reads order 13 and raises crit's error, unwrapped."""
+    accepted; E_W:5:6 reads order 13 and raises crit's error, unwrapped,
+    without advising a max_order that scans and boundaries do not take."""
     assert TargetSpec.parse("E_W:5:5").criterion == CriterionId("E_W", 5, 5)
-    with pytest.raises(OrderLimitError, match="order 13 exceeds"):
+    with pytest.raises(OrderLimitError, match="order 13 exceeds") as raised:
         TargetSpec.parse("E_W:5:6")
+    assert "max_order" not in str(raised.value)
     with pytest.raises(OrderLimitError):
         TargetSpec("criterion", criterion=CriterionId("R_p", 13, 13))
 

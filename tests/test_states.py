@@ -58,12 +58,10 @@ def test_beam_splitter_accepts_params_object():
         lambda: states.twin_beam(states.TwinBeamParams(1.0), bi=0.5),
         lambda: states.beam_splitter(states.twin_beam(1.0),
                                      states.BeamSplitterParams(0.5), phi=0.3),
-        # tolerances: negativity 1.37 read as not entangled at nan, a
-        # thermal state as entangled at -1
-        lambda: quantifiers.classify(states.twin_beam(0.5), tol=math.nan),
-        lambda: quantifiers.classify(states.twin_beam(0.0, bs=1.0, bi=1.0),
-                                     tol=-1.0),
-        lambda: quantifiers.classify(states.twin_beam(0.5), tol="x"),
+        # integers beyond the float range used to raise OverflowError
+        lambda: states._checked("k1", 10**400),
+        lambda: states.twin_beam(-10**400),
+        lambda: moments.pnd_element(states.twin_beam(0.5), 10**400, 0),
         lambda: moments.photon_number_distribution(states.twin_beam(0.5),
                                                    tail_tol="x"),
         lambda: moments.photon_number_distribution(states.twin_beam(0.5),
@@ -104,8 +102,7 @@ _INTEGER_CALLS = {
     "evaluate": lambda v: criteria.evaluate(_STATE, "E_W:2:2",
                                             max_order=3 * v),
     "eval_R_p": lambda v: criteria.eval_R_p(_STATE, v, v, v).value,
-    "moment_table": lambda v: moments.moment_table(_STATE, v, v,
-                                                   max_order=2 * v),
+    "moment_table": lambda v: moments.moment_table(_STATE, v, v),
     "intensity_moment": lambda v: moments.intensity_moment(_STATE, v, v),
     "marginal_intensity_moment":
         lambda v: moments.marginal_intensity_moment(_STATE, v, v),
@@ -123,7 +120,7 @@ _INTEGER_CALLS = {
     "twin_beam_pnd_closed_form":
         lambda v: moments.twin_beam_pnd_closed_form(0.8, v, v),
     "photon_number_distribution": lambda v: moments.photon_number_distribution(
-        _STATE, n_start=4 * v, n_cap=2048 * v).p,
+        _STATE, n_cap=2048 * v).p,
     "PhotonNumberDistribution": lambda v: moments.PhotonNumberDistribution(
         v, v, np.zeros((3, 3)), 0.0).n_max1,
     "PhotonNumberDistribution.marginal": lambda v: _PND.marginal(v),
