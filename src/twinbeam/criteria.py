@@ -189,14 +189,14 @@ def _value(cid: CriterionId, table: np.ndarray):
         b = table[cid.k1, cid.k2 + 2]
         c = 2.0 * table[cid.k1 + 1, cid.k2 + 1]
         value = a + b - c
-        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+        scale = np.maximum(np.maximum(abs(a), abs(b)), abs(c))
     elif cid.family[0] == "M":
         a, b, c = table[2, 0], table[0, 2], table[1, 1]
-        value, scale = a * b - c * c, np.maximum(np.abs(a * b), c * c)
+        value, scale = a * b - c * c, np.maximum(abs(a * b), c * c)
     else:
         a = table[cid.k1 + 1] * table[cid.k2 - 1]
         b = table[cid.k1] * table[cid.k2]
-        value, scale = a - b, np.maximum(np.abs(a), np.abs(b))
+        value, scale = a - b, np.maximum(abs(a), abs(b))
     tol = RELATIVE_TOL * scale
     return value, tol, value < -tol
 

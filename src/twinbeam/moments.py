@@ -61,19 +61,22 @@ __all__ = [
 ]
 
 @lru_cache(maxsize=128)
-def _factorials(n: int) -> np.ndarray:
-    """0!, 1!, ..., (n - 1)! as floats, inf once they overflow; read-only."""
+def _signed_factorials(n: int) -> np.ndarray:
+    """(-1)**i i! for i < n as floats, +-inf once they overflow;
+    read-only."""
     f = np.full(n, math.inf)
     for i in range(min(n, 171)):
         f[i] = float(math.factorial(i))
+    f[1::2] *= -1.0
     f.flags.writeable = False
     return f
 
 
 def _fact_grid(s: np.ndarray) -> np.ndarray:
-    """n1! n2! for every entry of a (o1 + 1, o2 + 1, *batch) grid, shaped to
-    broadcast against it."""
-    grid = np.outer(_factorials(s.shape[0]), _factorials(s.shape[1]))
+    """(-1)**(n1 + n2) n1! n2! for every entry of a (o1 + 1, o2 + 1, *batch)
+    grid, shaped to broadcast against it."""
+    grid = np.outer(_signed_factorials(s.shape[0]),
+                    _signed_factorials(s.shape[1]))
     return grid.reshape(s.shape[:2] + (1,) * (s.ndim - 2))
 
 
@@ -217,15 +220,18 @@ def _table(q: np.ndarray, kind: str, o1: int, o2: int = 0) -> np.ndarray:
     if kind[0] != "W":
         series = series.rebased(1.0, 1.0)
     s = series.rsqrt(order1=o1, order2=o2).coeffs
-    s[1::2] *= -1.0
-    s[:, 1::2] *= -1.0
-    # scaled in place, so no table-sized temporary is made
+    # scaled in place, so no table-sized temporary is made; every table
+    # takes the signs (-1)**(n1 + n2), W and p from their signed
+    # factorials, the same bits as negating the odd rows and columns,
+    # since negation is exact
     if kind[0] == "W":
         s *= _fact_grid(s)
     elif kind[0] == "p":
         s /= s[0, 0].copy()
         s *= _fact_grid(s)
     else:
+        s[1::2] *= -1.0
+        s[:, 1::2] *= -1.0
         # NaN-skipping like the elementwise test, without a boolean table
         if np.fmin.reduce(s, axis=None) < -1e-12:
             raise EvaluationError(

@@ -160,6 +160,25 @@ def _checks():
 
     yield "attenuation composes multiplicatively", attenuation_check
 
+    def map_physicality_check():
+        # the maps do not check their outputs; this platform's extended
+        # precision, maybe a plain double, must still find them physical
+        for bp, bs, bi, t, phi, eta1, eta2 in (
+                (1.0, 0.0, 0.0, 0.5, 0.0, 1.0, 1.0),
+                (1e-3, 0.0, 0.0, 0.7, 0.3, 0.5, 0.9),
+                (1e3, 0.2, 0.0, 0.2, -2.0, 0.9, 0.6),
+                (1e8, 5.0, 1e4, 0.999, 1.0, 0.1, 1.0)):
+            beam = states.twin_beam(bp, bs=bs, bi=bi)
+            split = states.beam_splitter(beam, t, phi=phi)
+            lost = states.attenuate(split, eta1, eta2)
+            for name, st in (("twin beam", beam), ("splitter", split),
+                             ("loss", lost)):
+                if not st.is_physical():
+                    return f"{name} output at bp={bp} is not physical"
+        return None
+
+    yield "map outputs are physical", map_physicality_check
+
 
 def run(stream=None) -> int:
     """Run every check; print one line per check with its wall time;

@@ -29,7 +29,8 @@ per coefficient is the unbatched float sum.
 """
 from __future__ import annotations
 
-from math import comb, inf, isfinite, sqrt
+from functools import lru_cache
+from math import comb, copysign, inf, isfinite, sqrt
 
 import numpy as np
 
@@ -130,7 +131,8 @@ class BivariateSeries:
 
         Exact only when the coefficients describe an exact polynomial; used
         to move the generating quartic from the origin to the detection
-        point before extracting photon-number statistics.
+        point before extracting photon-number statistics.  The binomial
+        weights of a shift are cached per orders and shift (_rebase_weights).
         """
         dx = x0 - self.point[0]
         dy = y0 - self.point[1]
@@ -138,19 +140,18 @@ class BivariateSeries:
         # one lane) are summed as Python floats: same rounding, without a
         # NumPy scalar per term
         o1, o2 = self.order1, self.order2
-        lane = self.coeffs[0, 0].size == 1
-        c = (self.coeffs.reshape(o1 + 1, o2 + 1).tolist() if lane
-             else self.coeffs)
-        out = np.zeros((o1 + 1, o2 + 1) if lane else self.coeffs.shape)
-        for a in range(o1 + 1):
-            for b in range(o2 + 1):
-                acc = 0.0
-                for i in range(a, o1 + 1):
-                    wi = comb(i, a) * dx ** (i - a)
-                    for j in range(b, o2 + 1):
-                        acc = acc + wi * comb(j, b) * dy ** (j - b) * c[i][j]
-                out[a, b] = acc
-        return BivariateSeries(out.reshape(self.coeffs.shape), (x0, y0))
+        flat = self.coeffs.reshape((o1 + 1) * (o2 + 1), *self.batch_shape)
+        if self.coeffs[0, 0].size == 1:
+            flat = flat.ravel().tolist()
+        out = []
+        for terms in _rebase_weights(o1, o2, dx, dy,
+                                     copysign(1.0, dx), copysign(1.0, dy)):
+            acc = 0.0
+            for w, k in terms:
+                acc = acc + w * flat[k]
+            out.append(acc)
+        return BivariateSeries(np.array(out).reshape(self.coeffs.shape),
+                               (x0, y0))
 
     def eval(self, x, y):
         """Evaluate the truncated polynomial by Horner recursion."""
@@ -252,6 +253,28 @@ class BivariateSeries:
                         acc = acc - c * si[j - b]
                     si[j] = acc
         return BivariateSeries(s, self.point)
+
+
+@lru_cache(maxsize=16)
+def _rebase_weights(o1, o2, dx, dy, sign_x, sign_y) -> tuple:
+    """The terms of a shift by (dx, dy) of a table of orders (o1, o2): for
+    each new coefficient (a, b), row by row, the pairs (weight, k) of the
+    old coefficients (i, j), i >= a and j >= b, in summation order, with k
+    = i (o2 + 1) + j and the weight comb(i, a) dx**(i - a) comb(j, b)
+    dy**(j - b), rounded in that order.  The signs of dx and dy are part
+    of the key, since -0.0 == 0.0 while the weights of the two differ in
+    the signs of their zeros."""
+    terms = []
+    for a in range(o1 + 1):
+        for b in range(o2 + 1):
+            pairs = []
+            for i in range(a, o1 + 1):
+                wi = comb(i, a) * dx ** (i - a)
+                for j in range(b, o2 + 1):
+                    pairs.append((wi * comb(j, b) * dy ** (j - b),
+                                  i * (o2 + 1) + j))
+            terms.append(tuple(pairs))
+    return tuple(terms)
 
 
 def _first_row(q, o2, dq2, inv_q00, s00):

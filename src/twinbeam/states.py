@@ -8,11 +8,13 @@ construction, the beam splitter, and detection loss.
 
 Physicality is checked through the symmetric-ordered quadrature covariance
 matrix: both symplectic eigenvalues must sit at or above the vacuum level
-1/2.  The same machinery, applied after a partial transpose, feeds the
-entanglement quantifier in the quantifiers module.  The symplectic algebra
-runs in extended precision because the smaller eigenvalue of a strongly
-entangled state emerges from cancellation between covariance entries that
-are many orders of magnitude larger.
+1/2.  Construction from numbers rejects parameter sets that fail it; map
+outputs are physical by construction and are not re-checked.  The same
+machinery, applied after a partial transpose, feeds the entanglement
+quantifier in the quantifiers module.  The symplectic algebra runs in
+extended precision because the smaller eigenvalue of a strongly entangled
+state emerges from cancellation between covariance entries that are many
+orders of magnitude larger.
 
 Every state also carries its six parameters in extended precision, next
 to the float64 fields.  A state built directly from numbers carries their
@@ -223,8 +225,10 @@ class TwoModeGaussianState:
 
     b1, b2 are mean photon numbers; c1, c2 the intra-mode variances; d12 the
     anomalous (photon-pair) inter-mode correlation and dbar12 the normal
-    (photon-transfer) one.  Construction rejects parameter sets that violate
-    the uncertainty relation.
+    (photon-transfer) one.  Construction from numbers, directly or through
+    dataclasses.replace, rejects parameter sets that violate the
+    uncertainty relation; map outputs are physical by construction and are
+    not re-checked.
     """
 
     b1: float
@@ -240,6 +244,18 @@ class TwoModeGaussianState:
     _memo: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        self._normalize()
+        object.__setattr__(self, "_extended", _promoted(*self.params()))
+        if not is_physical_params(*self.params()):
+            nu_m = _spectrum(*self.params())[0]
+            raise PhysicalityError(
+                "parameters violate the uncertainty relation "
+                f"(smaller symplectic eigenvalue {float(nu_m):.6g} < 1/2)")
+
+    def _normalize(self):
+        """The means as checked floats, the other fields as finite complex
+        numbers, and an empty memo: construction short of the extended
+        copy and the physicality check."""
         for name in ("b1", "b2"):
             object.__setattr__(self, name, _checked(name, getattr(self, name)))
         for name in ("c1", "c2", "d12", "dbar12"):
@@ -247,13 +263,7 @@ class TwoModeGaussianState:
             if not cmath.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_extended", _promoted(*self.params()))
         object.__setattr__(self, "_memo", {})
-        if not is_physical_params(*self.params()):
-            nu_m = _spectrum(*self.params())[0]
-            raise PhysicalityError(
-                "parameters violate the uncertainty relation "
-                f"(smaller symplectic eigenvalue {float(nu_m):.6g} < 1/2)")
 
     def __getstate__(self):
         return {**self.__dict__, "_memo": {}}
@@ -356,8 +366,18 @@ def twin_beam(params, bs: float = 0.0, bi: float = 0.0) -> TwoModeGaussianState:
 
 def _apply(fmap, params, extended, *args) -> TwoModeGaussianState:
     """State built by ``fmap`` from float64 ``params``, carrying ``fmap`` of
-    their extended-precision copy ``extended`` as its own copy."""
-    state = TwoModeGaussianState(*fmap(*params, *args))
+    their extended-precision copy ``extended`` as its own copy.
+
+    The output is normalized but not checked for physicality: a twin beam
+    with non-negative means is physical, a beam splitter is unitary and
+    loss is a channel, so a map of a checked state is physical by
+    construction.  It is built without __init__, whose __post_init__ runs
+    the check; a state built from numbers is always checked."""
+    state = object.__new__(TwoModeGaussianState)
+    for name, value in zip(("b1", "b2", "c1", "c2", "d12", "dbar12"),
+                           fmap(*params, *args)):
+        object.__setattr__(state, name, value)
+    state._normalize()
     object.__setattr__(state, "_extended", _promoted(*fmap(*extended, *args)))
     return state
 

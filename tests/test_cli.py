@@ -319,9 +319,9 @@ def test_selftest_passes(capsys):
     rc, out, _ = run_cli(capsys, "selftest")
     assert rc == 0
     lines = out.splitlines()
-    assert len(lines) == 11
+    assert len(lines) == 12
     assert all(line.startswith("ok ") for line in lines[:-1])
-    assert lines[-1] == "10 of 10 checks passed"
+    assert lines[-1] == "11 of 11 checks passed"
     for line in lines[:-1]:
         match = re.fullmatch(r"ok +(.+) \((\d+\.\d{3}) s\)", line)
         assert match, line

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_physical_state
 from twinbeam import criteria, moments, states
 from twinbeam.errors import EvaluationError, OrderLimitError, TruncationError
+from twinbeam.series import BivariateSeries
 
 
 def _characteristic_quadrature(state, lam1, lam2, nodes=48):
@@ -433,3 +434,37 @@ def test_table_prefix_is_the_smaller_table(bp, bs, bi, t, phi, eta1, eta2,
     corner = large[:o1 + 1, :o2 + 1] if kind == kind[0] else large[:o1 + 1]
     assert corner.shape == small.shape
     assert corner.tobytes() == small.tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: states.twin_beam(0.6),
+    lambda: states.attenuate(states.beam_splitter(
+        states.twin_beam(0.6, bs=0.1), 0.7, phi=0.5), 0.8, 0.9),
+], ids=["twin_beam", "noisy_split_loss"])
+@pytest.mark.parametrize("kind", ["W", "p"])
+def test_scaled_tables_past_170_keep_the_signs_of_negated_slices(kind, build):
+    """W and p take their signs (-1)**(n1 + n2) from signed factorials;
+    past order 170, where the factorials are inf, the table equals one
+    built from rsqrt by negating its odd rows and columns, NaN for NaN
+    (the exact zeros of a noiseless twin beam's p times inf) and sign for
+    sign elsewhere."""
+    q = moments._q(build())
+    series = BivariateSeries(q)
+    if kind == "p":
+        series = series.rebased(1.0, 1.0)
+    s = series.rsqrt(180, 175).coeffs
+    s[1::2] *= -1.0
+    s[:, 1::2] *= -1.0
+    if kind == "p":
+        s /= s[0, 0].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        s *= np.outer([float(math.factorial(n)) if n <= 170 else np.inf
+                       for n in range(181)],
+                      [float(math.factorial(n)) if n <= 170 else np.inf
+                       for n in range(176)])
+        got = moments._table(q, kind, 180, 175)
+    assert np.isinf(got).any()
+    assert np.array_equal(got, s, equal_nan=True)
+    known = ~np.isnan(s)
+    np.testing.assert_array_equal(np.signbit(got[known]),
+                                  np.signbit(s[known]))

@@ -1,6 +1,7 @@
 """Tests for the truncated bivariate power-series arithmetic."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -235,13 +236,33 @@ def test_rsqrt_requires_positive_constant_term(c00):
         BivariateSeries(coeffs).rsqrt()
 
 
+def _rebased_reference(coeffs, dx, dy):
+    """The rebase of an unbatched table as a sum of Python floats, each
+    weight formed per term, without a cache."""
+    o1, o2 = coeffs.shape[0] - 1, coeffs.shape[1] - 1
+    c = coeffs.tolist()
+    out = np.zeros(coeffs.shape)
+    for a in range(o1 + 1):
+        for b in range(o2 + 1):
+            acc = 0.0
+            for i in range(a, o1 + 1):
+                wi = math.comb(i, a) * dx ** (i - a)
+                for j in range(b, o2 + 1):
+                    acc = acc + wi * math.comb(j, b) * dy ** (j - b) * c[i][j]
+            out[a, b] = acc
+    return out
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_one_lane_batches_match_their_lane_of_two_bit_for_bit(seed):
     """A batch of one lane runs rebased and rsqrt on Python floats; each
     table must equal that lane of a two-lane batch exactly, signs of zero
     included: with exact zeros in Q, with one-column Q tables and tables,
     at widths up to 30, on rebased twin-beam tables, and on an invalid lane,
-    which comes back all NaN."""
+    which comes back all NaN.  Rebased about points whose shifts differ only
+    in the sign of a zero, an unbatched table, a one-lane batch and a lane
+    of the batch agree, and equal the sum with weights formed per term, so
+    the cached weights of one point never serve another."""
     rng = np.random.default_rng(seed)
     tables = []
     for zeros in ((0, slice(1, None)), (slice(1, None), 0), (1, 1), ()):
@@ -262,10 +283,19 @@ def test_one_lane_batches_match_their_lane_of_two_bit_for_bit(seed):
         for two in (BivariateSeries(q), BivariateSeries(q).rebased(1.0, 1.0)):
             lanes = [BivariateSeries(two.coeffs[..., k:k + 1], two.point)
                      for k in range(2)]
-            moved = two.rebased(0.5, 1.5).coeffs
-            for k, lane in enumerate(lanes):
-                _assert_same_bits(lane.rebased(0.5, 1.5).coeffs,
-                                  moved[..., k:k + 1])
+            for point in ((0.5, 1.5), (0.37, -0.61), (-0.0, 0.0),
+                          (0.0, 0.0)):
+                moved = two.rebased(*point).coeffs
+                shift = (point[0] - two.point[0], point[1] - two.point[1])
+                for k, lane in enumerate(lanes):
+                    _assert_same_bits(lane.rebased(*point).coeffs,
+                                      moved[..., k:k + 1])
+                    alone = BivariateSeries(two.coeffs[..., k], two.point)
+                    _assert_same_bits(alone.rebased(*point).coeffs,
+                                      moved[..., k])
+                    _assert_same_bits(
+                        _rebased_reference(two.coeffs[..., k], *shift),
+                        moved[..., k])
             for o1, o2 in orders:
                 want = two.rsqrt(o1, o2).coeffs
                 for k, lane in enumerate(lanes):

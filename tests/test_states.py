@@ -1,11 +1,13 @@
 """Tests for state construction, transformations and physicality checks."""
 
+import dataclasses
 import math
 import sys
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_physical_state
 from twinbeam import criteria, moments, oracle, quantifiers, scan, states
@@ -176,6 +178,42 @@ def test_physicality_edge(bp, delta):
 def test_negative_mean_rejected():
     with pytest.raises((ParameterError, PhysicalityError)):
         states.TwoModeGaussianState(-0.5, 1.0)
+
+
+_BP_MAX = states._PARAM_RANGES["bp"][1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(bp=st.one_of(st.just(0.0), st.floats(-300.0, math.log10(_BP_MAX)).map(
+           lambda e: min(10.0 ** e, _BP_MAX))),
+       bs=st.floats(0.0, 1e6), bi=st.floats(0.0, 1e6),
+       t=st.floats(0.0, 1.0),
+       phi=st.floats(allow_nan=False, allow_infinity=False),
+       eta1=st.floats(0.0, 1.0), eta2=st.floats(0.0, 1.0))
+def test_map_outputs_pass_the_check_they_skip(bp, bs, bi, t, phi, eta1,
+                                              eta2):
+    """The maps do not check their outputs for physicality; every state of
+    a twin beam -> beam splitter -> loss chain must still pass it."""
+    beam = states.twin_beam(bp, bs=bs, bi=bi)
+    split = states.beam_splitter(beam, t, phi=phi)
+    lost = states.attenuate(split, eta1, eta2)
+    for state in (beam, split, lost):
+        assert state.is_physical(), state
+
+
+def test_a_state_built_from_numbers_is_still_checked():
+    """Only map outputs skip the check: the same numbers with too strong a
+    pair correlation raise, built directly or through dataclasses.replace
+    of a map output."""
+    out = states.attenuate(states.beam_splitter(
+        states.twin_beam(1.0, bs=0.2), 0.6, phi=0.4), 0.9, 0.8)
+    assert out.is_physical() and out.d12 != 0.0
+    b1, b2, c1, c2, d12, dbar12 = out.params()
+    with pytest.raises(PhysicalityError):
+        states.TwoModeGaussianState(b1, b2, c1, c2, 10.0 * d12, dbar12)
+    with pytest.raises(PhysicalityError):
+        dataclasses.replace(out, d12=10.0 * d12)
+    assert dataclasses.replace(out, d12=d12) == out
 
 
 def test_beam_splitter_output_parameters():
