@@ -22,11 +22,14 @@ arguments against the range table of the states module.
 
 A criterion certifies non-classicality only when its value is below -tol,
 where tol is 1e-12 times the largest of its constituent terms; _value
-alone decides this, for evaluate and for every lane of a scan.  This
-tolerance is a heuristic, not a proven bound on the rounding error: where
-every term is itself rounding noise, as for the odd-order E_p criteria of a
-noiseless twin beam, whose exact value is 0, the noise can still exceed tol
-and produce a verdict.
+alone decides this, for evaluate and for every lane of a scan.  It takes
+the larger of two terms by _larger, which has np.maximum's bits: a held
+table's numbers are compared directly, with no ufunc call on one number,
+and a scan's lanes go through np.maximum.  This tolerance is a heuristic,
+not a proven bound on the rounding error: where every term is itself
+rounding noise, as for the odd-order E_p criteria of a noiseless twin
+beam, whose exact value is 0, the noise can still exceed tol and produce a
+verdict.
 
 Closed forms for the noiseless twin beam and for its balanced and
 unbalanced beam-splitter outputs are provided for cross-checking, together
@@ -181,22 +184,35 @@ def _check_order(total: int, max_order: int | None,
             f"maximum {limit}; {advice}")
 
 
+def _larger(x, y):
+    """np.maximum(x, y), bit for bit: a NaN in either wins, and a tie gives
+    ``y``.  One number (a float, which np.float64 is) is compared
+    directly, at a fifth of a ufunc call's cost; arrays take np.maximum.
+    _value's terms are absolute values or squares, so no tie is between
+    signed zeros, the one tie whose pick shows in the bits."""
+    if isinstance(x, float):
+        return x if x > y or x != x else y
+    return np.maximum(x, y)
+
+
 def _value(cid: CriterionId, table: np.ndarray):
     """Criterion value, its tol (RELATIVE_TOL times its largest term) and
-    the verdict value < -tol, the one rule evaluate and the scan share."""
+    the verdict value < -tol, the one rule evaluate and the scan share.
+    The largest term is taken by _larger: on the numbers of a held table
+    by comparison, on the lanes of a scan by np.maximum, the same bits."""
     if cid.family[0] == "E":
         a = table[cid.k1 + 2, cid.k2]
         b = table[cid.k1, cid.k2 + 2]
         c = 2.0 * table[cid.k1 + 1, cid.k2 + 1]
         value = a + b - c
-        scale = np.maximum(np.maximum(abs(a), abs(b)), abs(c))
+        scale = _larger(_larger(abs(a), abs(b)), abs(c))
     elif cid.family[0] == "M":
         a, b, c = table[2, 0], table[0, 2], table[1, 1]
-        value, scale = a * b - c * c, np.maximum(abs(a * b), c * c)
+        value, scale = a * b - c * c, _larger(abs(a * b), c * c)
     else:
         a = table[cid.k1 + 1] * table[cid.k2 - 1]
         b = table[cid.k1] * table[cid.k2]
-        value, scale = a - b, np.maximum(abs(a), abs(b))
+        value, scale = a - b, _larger(abs(a), abs(b))
     tol = RELATIVE_TOL * scale
     return value, tol, value < -tol
 
@@ -229,9 +245,13 @@ def evaluate(state: TwoModeGaussianState, cid: CriterionId,
     _check_order(order, max_order)
     value, tol, verdict = _value(cid, _held(state, kind, *orders,
                                             floor=_CATALOG_ORDERS[kind]))
-    return CriterionResult(id=cid, value=float(value),
+    # a frozen __init__ sets each field through object.__setattr__, which
+    # took a third of a held read's time; the fields go in at once instead
+    result = object.__new__(CriterionResult)
+    result.__dict__.update(id=cid, value=float(value),
                            nonclassical=bool(verdict),
                            tol=float(tol), max_order_used=order)
+    return result
 
 
 def eval_E_W(state: TwoModeGaussianState, k1: int, k2: int,

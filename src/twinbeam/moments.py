@@ -38,7 +38,7 @@ import numpy as np
 from .errors import EvaluationError, ParameterError, TruncationError
 from .series import BivariateSeries
 from .states import (TwinBeamParams, TwoModeGaussianState, _checked,
-                     _lane, _times)
+                     _lane, _not_a_state, _times)
 
 __all__ = [
     "KMatrix",
@@ -72,12 +72,23 @@ def _signed_factorials(n: int) -> np.ndarray:
     return f
 
 
-def _fact_grid(s: np.ndarray) -> np.ndarray:
-    """(-1)**(n1 + n2) n1! n2! for every entry of a (o1 + 1, o2 + 1, *batch)
-    grid, shaped to broadcast against it."""
-    grid = np.outer(_signed_factorials(s.shape[0]),
-                    _signed_factorials(s.shape[1]))
-    return grid.reshape(s.shape[:2] + (1,) * (s.ndim - 2))
+def _fact_grid(rows: int, cols: int, ndim: int) -> np.ndarray:
+    """(-1)**(n1 + n2) n1! n2! for every entry of a (rows, cols, *batch)
+    table of ``ndim`` axes, shaped to broadcast against it; read-only.
+    A grid of up to 4096 entries, the size of every criterion's table, is
+    cached per size, so scaling a table builds no np.outer; a larger one,
+    whose table costs far more, is built fresh and not kept."""
+    if rows * cols > 4096:
+        return _cached_fact_grid.__wrapped__(rows, cols, ndim)
+    return _cached_fact_grid(rows, cols, ndim)
+
+
+@lru_cache(maxsize=128)
+def _cached_fact_grid(rows: int, cols: int, ndim: int) -> np.ndarray:
+    grid = np.outer(_signed_factorials(rows), _signed_factorials(cols))
+    grid = grid.reshape((rows, cols) + (1,) * (ndim - 2))
+    grid.flags.writeable = False
+    return grid
 
 
 # -- the Q polynomial ------------------------------------------------------
@@ -158,10 +169,14 @@ def q_polynomial(state: TwoModeGaussianState) -> BivariateSeries:
 
 def _q(state: TwoModeGaussianState) -> np.ndarray:
     """The state's Q coefficients, built once and read-only in its memo."""
-    if "Q" not in state._memo:
+    try:
+        return state._memo["Q"]
+    except AttributeError:
+        raise _not_a_state(state) from None
+    except KeyError:
         state._memo["Q"] = q = _q_coeff_array(*state.params())
         q.flags.writeable = False
-    return state._memo["Q"]
+        return q
 
 
 def _held(state: TwoModeGaussianState, kind: str, o1: int, o2: int = 0,
@@ -175,11 +190,15 @@ def _held(state: TwoModeGaussianState, kind: str, o1: int, o2: int = 0,
     so where that larger table raises a floating-point error the requested
     orders alone are built, warning as they do on their own.  A lane whose
     first entry is not finite raises the unbatched table's EvaluationError."""
+    try:
+        held = state._memo.get(kind)
+    except AttributeError:
+        raise _not_a_state(state) from None
     # held table's sizes, a marginal's padded with a 1; (0, 1) if none
-    h1, h2 = (*np.shape(state._memo.get(kind, ())), 1)[:2]
+    h1, h2 = (0, 1) if held is None else (*held.shape, 1)[:2]
     if o1 < h1 and o2 < h2:
-        return state._memo[kind]
-    f1, f2 = (0, 0) if kind in state._memo else floor
+        return held
+    f1, f2 = floor if held is None else (0, 0)
     try:
         with np.errstate(all="raise", under="ignore"):
             t = _table(_q(state)[..., None], kind, max(o1, h1 - 1, f1),
@@ -225,10 +244,10 @@ def _table(q: np.ndarray, kind: str, o1: int, o2: int = 0) -> np.ndarray:
     # factorials, the same bits as negating the odd rows and columns,
     # since negation is exact
     if kind[0] == "W":
-        s *= _fact_grid(s)
+        s *= _fact_grid(*s.shape[:2], s.ndim)
     elif kind[0] == "p":
         s /= s[0, 0].copy()
-        s *= _fact_grid(s)
+        s *= _fact_grid(*s.shape[:2], s.ndim)
     else:
         s[1::2] *= -1.0
         s[:, 1::2] *= -1.0

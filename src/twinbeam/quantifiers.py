@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
-from .states import TwoModeGaussianState, _checked, _spectrum
+from .states import TwoModeGaussianState, _checked, _not_a_state, _spectrum
 
 __all__ = [
     "ZERO_TOL",
@@ -53,14 +53,21 @@ def _local_values(b1, b2, c1, c2):
             c2.real * c2.real + c2.imag * c2.imag - b2 * b2)
 
 
+def _state_local_values(state: TwoModeGaussianState):
+    """Both modes' local quantifiers of ``state``."""
+    try:
+        return _local_values(state.b1, state.b2, state.c1, state.c2)
+    except AttributeError:
+        raise _not_a_state(state) from None
+
+
 def local_quantifier(state: TwoModeGaussianState, mode: int) -> float:
     """Excess of the intra-mode variance over the classical bound.
 
     Positive values certify single-mode non-classicality (a squeezed
     quadrature); classical fields give values <= 0.
     """
-    values = _local_values(state.b1, state.b2, state.c1, state.c2)
-    return float(values[_checked("mode", mode) - 1])
+    return float(_state_local_values(state)[_checked("mode", mode) - 1])
 
 
 def _negativity_arrays(b1, b2, c1, c2, d12, dbar12):
@@ -82,7 +89,11 @@ def negativity(state: TwoModeGaussianState) -> float:
     Raises EvaluationError where the partially transposed spectrum lost
     every digit (twin beams from bp of about 1e10 on).
     """
-    n = float(_negativity_arrays(*state._extended)[0])
+    try:
+        extended = state._extended
+    except AttributeError:
+        raise _not_a_state(state) from None
+    n = float(_negativity_arrays(*extended)[0])
     if np.isnan(n):
         raise EvaluationError(
             "the partially transposed symplectic spectrum cancelled to zero; "
@@ -94,7 +105,7 @@ def classify(state: TwoModeGaussianState) -> NonclassicalityReport:
     """Full report: local quantifiers for both modes, the negativity, and
     Boolean verdicts that each exceeds ZERO_TOL, as the scan's lanes use.
     Raises EvaluationError where negativity does."""
-    i1, i2 = map(float, _local_values(state.b1, state.b2, state.c1, state.c2))
+    i1, i2 = map(float, _state_local_values(state))
     n = negativity(state)
     return NonclassicalityReport(
         i_ncl_1=i1,

@@ -275,6 +275,13 @@ class TwoModeGaussianState:
         return (self.b1, self.b2, self.c1, self.c2, self.d12, self.dbar12)
 
 
+def _not_a_state(value) -> ParameterError:
+    """The error of a function that takes a state but was given ``value``,
+    raised where it first reads the state."""
+    return ParameterError(
+        f"expected a TwoModeGaussianState, got {type(value).__name__}")
+
+
 def _promoted(b1, b2, c1, c2, d12, dbar12) -> tuple:
     """The six parameters as extended-precision scalars."""
     ld, cld = np.longdouble, np.clongdouble

@@ -168,6 +168,15 @@ def test_evaluate_parses_label_text():
             criteria.evaluate(st, text)
 
 
+@pytest.mark.parametrize("call", [
+    lambda state: criteria.evaluate(state, "E_W:0:0"),
+    lambda state: criteria.eval_R_p(state, 1, 2, 2),
+])
+def test_a_non_state_raises_a_parameter_error_naming_the_state_class(call):
+    with pytest.raises(ParameterError, match="TwoModeGaussianState"):
+        call(states.TwinBeamParams(1.0))
+
+
 def test_ratio_criteria_swap_with_the_modes():
     st = states.twin_beam(0.8, bs=0.5, bi=0.05)
     swapped = states.TwoModeGaussianState(
@@ -293,6 +302,57 @@ def test_catalog_bits_do_not_depend_on_the_evaluation_order(params):
     assert _bits(forwards) == _bits(backwards[::-1]) == _bits(fresh)
 
 
+# floats where a comparison and np.maximum could part: signed zeros,
+# subnormals, the ends of the range, infinities and NaN
+_EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 0.5,
+    1e308, -1e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan])
+
+
+def _read_value(cid, table):
+    """_value on ``table`` (of one lane if batched), as value and tol bits,
+    every NaN read as one token, and the verdict; or FloatingPointError."""
+    try:
+        result = criteria._value(cid, table)
+    except FloatingPointError:
+        return FloatingPointError
+    value, tol, verdict = (np.asarray(x).reshape(-1)[0] for x in result)
+    return ([b"nan" if np.isnan(x) else x.tobytes() for x in (value, tol)],
+            bool(verdict))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.sampled_from(criteria.FAMILIES), st.integers(0, 2),
+       st.integers(0, 2), st.data())
+def test_the_larger_term_has_the_same_bits_on_a_number_and_a_lane(
+        family, k1, k2, data):
+    """_value takes the larger term by comparison on the numbers of a held
+    table and by np.maximum on the lanes of a batch: both must give the
+    same value, tol and verdict, with and without floating-point errors
+    raised.  Entries are drawn as signed copies of a few magnitudes, so
+    terms tie often."""
+    if family[0] == "M":
+        k1 = k2 = 0
+    elif family[0] == "R":
+        k1, k2 = k1 + 1, min(k1, k2) + 1
+    cid = CriterionId(family, k1, k2)
+    kind, (o1, o2), _ = criteria._need(cid)
+    shape = (o1 + 1,) if len(kind) == 2 else (o1 + 1, o2 + 1)
+    magnitudes = data.draw(st.lists(
+        st.one_of(_EDGE_FLOATS, st.floats(allow_subnormal=True)),
+        min_size=1, max_size=3))
+    entries = data.draw(st.lists(
+        st.tuples(st.sampled_from(magnitudes), st.sampled_from([1.0, -1.0])),
+        min_size=math.prod(shape), max_size=math.prod(shape)))
+    table = np.array([m * sign for m, sign in entries]).reshape(shape)
+    lane = np.ascontiguousarray(table[..., None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _read_value(cid, table) == _read_value(cid, lane)
+    with np.errstate(all="raise"):
+        assert _read_value(cid, table) == _read_value(cid, lane)
+
+
 def _evaluated_state():
     state = random_physical_state(np.random.default_rng(9))
     for cid in criteria.default_catalog():
@@ -400,21 +460,65 @@ def test_a_catalog_in_any_order_builds_6_tables_with_the_same_bits(
     assert runs[0] == runs[1] == runs[2]
 
 
+# the catalog and three ids that grow its W, p and p2 tables
+_BEYOND_IDS = [*criteria.default_catalog(),
+               *map(CriterionId.parse, ("E_W:3:3", "E_p:4:1", "R_p:8:8:2"))]
+
+
+def _assert_evaluate_has_the_judge_bits(state, ids):
+    """evaluate, reading ``state``'s held tables id by id, gives each id
+    the value and tol bits and the verdict of _judge on the state's Q."""
+    results = [criteria.evaluate(state, cid) for cid in ids]
+    judged = criteria._judge(ids, moments._q(state))
+    assert [(np.float64(v).tobytes(), np.float64(t).tobytes(), bool(d))
+            for v, t, d in judged] == _bits(results)
+
+
 def test_ids_beyond_the_catalog_grow_the_held_tables(monkeypatch):
     """Past the catalog's orders a held table grows to the elementwise max
     of the orders asked so far, one build per growing id."""
-    ids = [*criteria.default_catalog(),
-           *map(CriterionId.parse, ("E_W:3:3", "E_p:4:1", "R_p:8:8:2"))]
     state = random_physical_state(np.random.default_rng(11))
     calls = _counted_builds(monkeypatch)
-    results = [criteria.evaluate(state, cid) for cid in ids]
+    _assert_evaluate_has_the_judge_bits(state, _BEYOND_IDS)
     assert calls == {"q": 1, "table": 9}
     assert {kind: table.shape for kind, table in state._memo.items()} == {
         "Q": (3, 3), "W": (6, 6), "p": (7, 5),
         "W1": (8,), "W2": (8,), "p1": (8,), "p2": (10,)}
-    judged = criteria._judge(ids, moments._q(state))
-    assert [(np.float64(v).tobytes(), np.float64(t).tobytes())
-            for v, t, _ in judged] == [b[:2] for b in _bits(results)]
+
+
+def _catalog_states_pool(count):
+    """``count`` seeded states of each kind a catalog is timed on:
+    noiseless twin beams, the same after a beam splitter, and noisy twin
+    beams after a beam splitter and unbalanced loss."""
+    rng = np.random.default_rng(34)
+    pool = []
+    for k in range(count):
+        pool += [
+            pytest.param(states.twin_beam(10.0 ** rng.uniform(-2, 1)),
+                         id=f"noiseless-{k}"),
+            pytest.param(states.beam_splitter(
+                states.twin_beam(10.0 ** rng.uniform(-2, 1)),
+                rng.uniform(0.0, 1.0), phi=rng.uniform(-math.pi, math.pi)),
+                id=f"splitter-{k}"),
+            pytest.param(random_physical_state(rng), id=f"noisy-{k}")]
+    return pool
+
+
+@pytest.mark.parametrize("state", _catalog_states_pool(30))
+def test_ids_beyond_the_catalog_read_the_judge_bits_on_seeded_states(state):
+    _assert_evaluate_has_the_judge_bits(state, _BEYOND_IDS)
+
+
+@pytest.mark.parametrize("bp", [1e40, 1e60])
+def test_ids_beyond_the_catalog_read_the_judge_bits_on_a_bright_beam(bp):
+    """The held W tables of these beams hold NaN, and several values are
+    NaN; evaluate and _judge must still agree bit for bit.  Both warn of
+    the overflow, as a table of these orders does on its own."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        state = states.twin_beam(bp)
+        _assert_evaluate_has_the_judge_bits(state, _BEYOND_IDS)
+    assert not np.isfinite(state._memo["W"]).all()
 
 
 @pytest.mark.parametrize("params", _ORDER_PARAMS)

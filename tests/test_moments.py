@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_physical_state
 from twinbeam import criteria, moments, states
-from twinbeam.errors import EvaluationError, OrderLimitError, TruncationError
+from twinbeam.errors import (EvaluationError, OrderLimitError, ParameterError,
+                             TruncationError)
 from twinbeam.series import BivariateSeries
 
 
@@ -468,3 +469,36 @@ def test_scaled_tables_past_170_keep_the_signs_of_negated_slices(kind, build):
     known = ~np.isnan(s)
     np.testing.assert_array_equal(np.signbit(got[known]),
                                   np.signbit(s[known]))
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_a_factorial_grid_is_cached_read_only_and_kept_by_scaling(ndim):
+    """A table is scaled in place by the cached grid of its size, which
+    must stay read-only and keep its bits; a grid of more than 4096
+    entries is built fresh each time."""
+    grid = moments._fact_grid(5, 5, ndim)
+    before = grid.tobytes()
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0, 0] = 1.0
+    q = moments._q(states.twin_beam(0.6))
+    moments._table(q if ndim == 2 else q[..., None], "W", 4, 4)
+    assert moments._fact_grid(5, 5, ndim) is grid
+    assert grid.tobytes() == before
+    signed = [(-1.0) ** n * math.factorial(n) for n in range(5)]
+    assert np.array_equal(grid.reshape(5, 5), np.outer(signed, signed))
+    wide = moments._fact_grid(65, 65, ndim)
+    assert not wide.flags.writeable
+    assert moments._fact_grid(65, 65, ndim) is not wide
+
+
+@pytest.mark.parametrize("call", [
+    lambda state: moments.moment_table(state, 2, 2),
+    lambda state: moments.intensity_moment(state, 1, 1),
+    lambda state: moments.marginal_pnd_table(state, 1, 4),
+    lambda state: moments.build_k_matrix(state),
+    lambda state: moments.photon_number_distribution(state),
+])
+def test_a_non_state_raises_a_parameter_error_naming_the_state_class(call):
+    with pytest.raises(ParameterError, match="TwoModeGaussianState"):
+        call(states.TwinBeamParams(1.0))

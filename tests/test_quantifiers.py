@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from twinbeam import quantifiers, scan, states
-from twinbeam.errors import EvaluationError
+from twinbeam.errors import EvaluationError, ParameterError
 from twinbeam.scan import AxisSpec, ScanSpec, TargetSpec
 
 
@@ -225,3 +225,13 @@ def test_loss_never_creates_entanglement():
         full = quantifiers.negativity(st)
         lossy = quantifiers.negativity(states.attenuate(st, 0.7, 0.6))
         assert lossy <= full + 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    quantifiers.classify,
+    quantifiers.negativity,
+    lambda state: quantifiers.local_quantifier(state, 1),
+], ids=["classify", "negativity", "local_quantifier"])
+def test_a_non_state_raises_a_parameter_error_naming_the_state_class(call):
+    with pytest.raises(ParameterError, match="TwoModeGaussianState"):
+        call(states.TwinBeamParams(1.0))
