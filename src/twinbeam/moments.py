@@ -383,10 +383,11 @@ def photon_number_distribution(state: TwoModeGaussianState,
     """Joint photon-number distribution truncated so that the neglected mass
     is below tail_tol.
 
-    The cutoff is chosen per mode by doubling until the exact marginal tails
-    together drop below the tolerance; only then is the joint table built.
-    The union bound tail(n1_max, n2_max) <= tail_1 + tail_2 makes the
-    reported tail_mass trustworthy without summing anything infinite.
+    Each mode's cutoff doubles until its marginal tail, one minus the
+    marginal table's sum, is at most tail_tol / 2; by the union bound the
+    mass outside the joint table is then at most tail_tol, up to the
+    rounding of those sums.  tail_mass holds one minus the joint table's
+    sum, which rounding can make negative (-7.4e-12 for twin_beam(28.0)).
     Cutoffs start at min(16, n_cap) and double, the last step stopping
     at n_cap; a tail that still fails the tolerance at n_cap raises
     TruncationError.

@@ -129,8 +129,8 @@ def bs_transform_pnd(pnd: PhotonNumberDistribution,
     conserved exactly; the result is rescaled to the input's total mass to
     absorb rounding, and the truncation tail carries over unchanged.
     """
+    t = _checked("t", t)
     s_max = pnd.n_max1 + pnd.n_max2
-    table = BsCoefficientTable(t, cutoff=s_max)
     out = np.zeros((s_max + 1, s_max + 1))
     for s in range(s_max + 1):
         lo = max(0, s - pnd.n_max2)
@@ -139,7 +139,7 @@ def bs_transform_pnd(pnd: PhotonNumberDistribution,
         shell_probs = pnd.p[n1_in, s - n1_in]
         if not np.any(shell_probs):
             continue
-        moved = table.shell(s)[:, n1_in] @ shell_probs
+        moved = _check_shell(_shell_matrix(t, s), s)[:, n1_in] @ shell_probs
         n1_out = np.arange(s + 1)
         out[n1_out, s - n1_out] += moved
     total_in = pnd.total_mass()

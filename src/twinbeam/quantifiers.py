@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
-from .states import TwoModeGaussianState, _checked, _not_a_state, _spectrum
+from .states import TwoModeGaussianState, _checked, _fields, _spectrum
 
 __all__ = [
     "ZERO_TOL",
@@ -45,20 +45,15 @@ class NonclassicalityReport:
     locally_nonclassical: tuple
 
 
-def _local_values(b1, b2, c1, c2):
-    """Both modes' local quantifiers |c|^2 - b^2, on Python numbers or on
-    arrays.  Real multiplies and adds give one state the bits of its lane
-    of a grid; numpy's complex abs rounds a scalar and an array apart."""
-    return (c1.real * c1.real + c1.imag * c1.imag - b1 * b1,
-            c2.real * c2.real + c2.imag * c2.imag - b2 * b2)
-
-
-def _state_local_values(state: TwoModeGaussianState):
-    """Both modes' local quantifiers of ``state``."""
-    try:
-        return _local_values(state.b1, state.b2, state.c1, state.c2)
-    except AttributeError:
-        raise _not_a_state(state) from None
+def _local_lanes(b1, b2, c1, c2):
+    """Each mode's (value, verdict, indicator): the local quantifier
+    |c|^2 - b^2 in float64, whether it exceeds ZERO_TOL, and its negative;
+    on Python numbers or on arrays.  Real multiplies and adds give one
+    state the bits of its lane of a grid; numpy's complex abs rounds a
+    scalar and an array apart."""
+    values = (c1.real * c1.real + c1.imag * c1.imag - b1 * b1,
+              c2.real * c2.real + c2.imag * c2.imag - b2 * b2)
+    return [(value, value > ZERO_TOL, -value) for value in values]
 
 
 def local_quantifier(state: TwoModeGaussianState, mode: int) -> float:
@@ -67,20 +62,35 @@ def local_quantifier(state: TwoModeGaussianState, mode: int) -> float:
     Positive values certify single-mode non-classicality (a squeezed
     quadrature); classical fields give values <= 0.
     """
-    return float(_state_local_values(state)[_checked("mode", mode) - 1])
+    lanes = _local_lanes(*_fields(state)[0][:4])
+    return float(lanes[_checked("mode", mode) - 1][0])
 
 
-def _negativity_arrays(b1, b2, c1, c2, d12, dbar12):
-    """Negativity and the smaller partially transposed symplectic eigenvalue
-    from raw parameters; array friendly, extended precision.
+def _negativity_lane(b1, b2, c1, c2, d12, dbar12):
+    """The negativity's (value, verdict, indicator) in float64 from
+    extended-precision parameters, on numbers or on arrays: max(n, 0) in
+    extended precision, then rounded; whether it exceeds ZERO_TOL; and the
+    smaller partially transposed symplectic eigenvalue, rounded, less 1/2.
 
     A physical state has det(sigma) >= 1/16, so an eigenvalue below 1e-300
-    (in practice 0) means that every digit cancelled: both come back NaN.
+    (in practice 0) means that every digit cancelled: value and indicator
+    come back NaN.
     """
     nu_m = _spectrum(b1, b2, c1, c2, d12, dbar12, partial_transpose=True)[0]
     nu_m = np.where(nu_m >= 1e-300, nu_m, np.longdouble(np.nan))
     n = (1.0 - 2.0 * nu_m) / (4.0 * nu_m)
-    return np.maximum(n, np.longdouble(0.0)), nu_m
+    value = np.asarray(np.maximum(n, np.longdouble(0.0)), dtype=float)
+    return value, value > ZERO_TOL, np.asarray(nu_m, dtype=float) - 0.5
+
+
+def _judged_negativity(state: TwoModeGaussianState) -> tuple:
+    """negativity's value of ``state`` and its verdict."""
+    value, verdict, _ = _negativity_lane(*_fields(state)[1])
+    if np.isnan(value):
+        raise EvaluationError(
+            "the partially transposed symplectic spectrum cancelled to zero; "
+            "the negativity of this state is out of reach")
+    return float(value), bool(verdict)
 
 
 def negativity(state: TwoModeGaussianState) -> float:
@@ -89,28 +99,15 @@ def negativity(state: TwoModeGaussianState) -> float:
     Raises EvaluationError where the partially transposed spectrum lost
     every digit (twin beams from bp of about 1e10 on).
     """
-    try:
-        extended = state._extended
-    except AttributeError:
-        raise _not_a_state(state) from None
-    n = float(_negativity_arrays(*extended)[0])
-    if np.isnan(n):
-        raise EvaluationError(
-            "the partially transposed symplectic spectrum cancelled to zero; "
-            "the negativity of this state is out of reach")
-    return n
+    return _judged_negativity(state)[0]
 
 
 def classify(state: TwoModeGaussianState) -> NonclassicalityReport:
     """Full report: local quantifiers for both modes, the negativity, and
-    Boolean verdicts that each exceeds ZERO_TOL, as the scan's lanes use.
-    Raises EvaluationError where negativity does."""
-    i1, i2 = map(float, _state_local_values(state))
-    n = negativity(state)
+    Boolean verdicts that each exceeds ZERO_TOL, as the scan's lanes have
+    them.  Raises EvaluationError where negativity does."""
+    (i1, local1, _), (i2, local2, _) = _local_lanes(*_fields(state)[0][:4])
+    n, entangled = _judged_negativity(state)
     return NonclassicalityReport(
-        i_ncl_1=i1,
-        i_ncl_2=i2,
-        negativity=n,
-        entangled=bool(n > ZERO_TOL),
-        locally_nonclassical=(bool(i1 > ZERO_TOL), bool(i2 > ZERO_TOL)),
-    )
+        i_ncl_1=i1, i_ncl_2=i2, negativity=n, entangled=entangled,
+        locally_nonclassical=(local1, local2))

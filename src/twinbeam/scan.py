@@ -34,7 +34,7 @@ import numpy as np
 from .criteria import CriterionId, _check_order, _judge, _need
 from .errors import ConfigError
 from .moments import _q_coeff_array
-from .quantifiers import ZERO_TOL, _local_values, _negativity_arrays
+from .quantifiers import _local_lanes, _negativity_lane
 from .states import (_attenuate_arrays, _bs_transform_arrays, _checked,
                      _twin_beam_arrays)
 
@@ -229,35 +229,28 @@ def _state_params(spec: ScanSpec, coords: dict, dtype=float):
 
 def _evaluate(spec: ScanSpec, coords: dict):
     """Per-target (value, verdict, indicator) float64/int8 arrays."""
-    criteria = [t.criterion for t in spec.targets if t.kind == "criterion"]
+    criteria = [t for t in spec.targets if t.kind == "criterion"]
     kinds = {t.kind for t in spec.targets}
+    lanes = {}
     # reduce the extended-precision parameters to the negativity before
     # the criterion tables exist, so that the two never share memory
     if "negativity" in kinds:
-        negativity = _negativity_arrays(
+        lanes["negativity"] = _negativity_lane(
             *_state_params(spec, coords, np.longdouble))
     if criteria or "local" in kinds:
         params = _state_params(spec, coords)
+    if "local" in kinds:
+        lanes["i_ncl:1"], lanes["i_ncl:2"] = _local_lanes(*params[:4])
     if criteria:
         with np.errstate(all="ignore"):
-            judged = iter(_judge(criteria, _q_coeff_array(*params)))
-    out = []
-    for tgt in spec.targets:
-        if tgt.kind == "negativity":
-            value, nu = (np.asarray(a, dtype=float) for a in negativity)
-            verdict = value > ZERO_TOL
-            indicator = nu - 0.5
-        elif tgt.kind == "local":
-            value = _local_values(*params[:4])[tgt.mode - 1]
-            verdict = value > ZERO_TOL
-            indicator = -value
-        else:
-            value, _, verdict = next(judged)
-            indicator = value
-        out.append((np.asarray(value, dtype=float),
-                    verdict.astype(np.int8),
-                    np.asarray(indicator, dtype=float)))
-    return out
+            judged = _judge([t.criterion for t in criteria],
+                            _q_coeff_array(*params))
+        for tgt, (value, _, verdict) in zip(criteria, judged):
+            lanes[tgt.label()] = value, verdict, value
+    return [(np.asarray(value, dtype=float), verdict.astype(np.int8),
+             np.asarray(indicator, dtype=float))
+            for value, verdict, indicator in (lanes[t.label()]
+                                              for t in spec.targets)]
 
 
 # -- results ----------------------------------------------------------------

@@ -282,6 +282,14 @@ def _not_a_state(value) -> ParameterError:
         f"expected a TwoModeGaussianState, got {type(value).__name__}")
 
 
+def _fields(state: TwoModeGaussianState) -> tuple:
+    """(params(), _extended) of ``state``, or _not_a_state's error."""
+    try:
+        return state.params(), state._extended
+    except AttributeError:
+        raise _not_a_state(state) from None
+
+
 def _promoted(b1, b2, c1, c2, d12, dbar12) -> tuple:
     """The six parameters as extended-precision scalars."""
     ld, cld = np.longdouble, np.clongdouble
@@ -291,7 +299,7 @@ def _promoted(b1, b2, c1, c2, d12, dbar12) -> tuple:
 def symplectic_eigenvalues(state: TwoModeGaussianState,
                            partial_transpose: bool = False):
     """(smaller, larger) symplectic eigenvalue of the quadrature covariance."""
-    nu_m, nu_p, _, _ = _spectrum(*state._extended, partial_transpose)
+    nu_m, nu_p, _, _ = _spectrum(*_fields(state)[1], partial_transpose)
     return float(nu_m), float(nu_p)
 
 
@@ -329,13 +337,13 @@ def _an_matrix(b1, b2, c1, c2, d12, dbar12):
 
 def covariance_n(state: TwoModeGaussianState) -> np.ndarray:
     """Normal-ordered 4x4 covariance in the (a1, a1+, a2, a2+) pairing."""
-    return _an_matrix(*state.params())
+    return _an_matrix(*_fields(state)[0])
 
 
 def quadrature_covariance(state: TwoModeGaussianState) -> np.ndarray:
     """Symmetric-ordered covariance in (x1, p1, x2, p2) order, vacuum 1/2."""
     a00, a01, a11, b00, b01, b11, c00, c01, c10, c11 = _sigma_entries(
-        *state.params(), np.float64)
+        *_fields(state)[0], np.float64)
     return np.array([[a00, a01, c00, c01], [a01, a11, c10, c11],
                      [c00, c10, b00, b01], [c01, c11, b01, b11]])
 
@@ -487,8 +495,7 @@ def beam_splitter(state: TwoModeGaussianState, bs,
         p = bs
     else:
         p = BeamSplitterParams(bs, phi)
-    return _apply(_bs_transform_arrays, state.params(), state._extended,
-                  p.t, p.phi)
+    return _apply(_bs_transform_arrays, *_fields(state), p.t, p.phi)
 
 
 def _attenuate_arrays(b1, b2, c1, c2, d12, dbar12, eta1, eta2):
@@ -508,4 +515,4 @@ def attenuate(state: TwoModeGaussianState, eta1: float,
     rescaling of the parameters."""
     e1 = _checked("eta1", eta1)
     e2 = e1 if eta2 is None else _checked("eta2", eta2)
-    return _apply(_attenuate_arrays, state.params(), state._extended, e1, e2)
+    return _apply(_attenuate_arrays, *_fields(state), e1, e2)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twinbeam import quantifiers, scan, states
+from twinbeam import criteria, moments, quantifiers, scan, states
 from twinbeam.errors import EvaluationError, ParameterError
 from twinbeam.scan import AxisSpec, ScanSpec, TargetSpec
 
@@ -61,8 +61,8 @@ def test_a_cancelled_negativity_raises_instead_of_reading_a_floor(bp):
     no digit is left.  negativity read 2.5e299 off a 1e-300 floor there,
     and classify called the state entangled; both must raise."""
     state = states.twin_beam(bp)
-    n, nu_m = quantifiers._negativity_arrays(*state._extended)
-    assert np.isnan(n) and np.isnan(nu_m)
+    n, verdict, indicator = quantifiers._negativity_lane(*state._extended)
+    assert np.isnan(n) and np.isnan(indicator) and not verdict
     with pytest.raises(EvaluationError):
         quantifiers.negativity(state)
     with pytest.raises(EvaluationError):
@@ -202,12 +202,21 @@ def test_classification_of_the_balanced_output():
 
 
 def test_classification_verdicts_follow_the_tolerance(monkeypatch):
-    """classify judges against ZERO_TOL, the scan lanes' tolerance."""
+    """classify judges against ZERO_TOL, and a scan lane of the same state
+    against the same constant: the scan held a copy of it, and read
+    i_ncl:1 as non-classical where classify did not."""
     out = states.beam_splitter(states.twin_beam(1.0), 0.5)
     monkeypatch.setattr(quantifiers, "ZERO_TOL", 2.0)
     strict = quantifiers.classify(out)
     assert strict.locally_nonclassical == (False, False)
     assert not strict.entangled
+    spec = ScanSpec(axes=[AxisSpec("bp", 1.0, 1.0, 1)], fixed={"t": 0.5},
+                    targets=[TargetSpec.parse(text) for text in
+                             ("negativity", "i_ncl:1", "i_ncl:2")])
+    verdicts = scan.run_scan(spec).verdicts
+    assert [int(verdicts[label][0]) for label in
+            ("negativity", "i_ncl:1", "i_ncl:2")] == [
+        strict.entangled, *strict.locally_nonclassical]
 
 
 def test_vacuum_is_classical_everywhere():
@@ -231,7 +240,18 @@ def test_loss_never_creates_entanglement():
     quantifiers.classify,
     quantifiers.negativity,
     lambda state: quantifiers.local_quantifier(state, 1),
-], ids=["classify", "negativity", "local_quantifier"])
+    lambda state: states.beam_splitter(state, 0.5),
+    lambda state: states.attenuate(state, 0.5),
+    states.symplectic_eigenvalues,
+    states.covariance_n,
+    states.quadrature_covariance,
+    moments.build_k_matrix,
+    moments.photon_number_distribution,
+    lambda state: criteria.evaluate(state, "M_p"),
+], ids=["classify", "negativity", "local_quantifier", "beam_splitter",
+        "attenuate", "symplectic_eigenvalues", "covariance_n",
+        "quadrature_covariance", "build_k_matrix",
+        "photon_number_distribution", "evaluate"])
 def test_a_non_state_raises_a_parameter_error_naming_the_state_class(call):
     with pytest.raises(ParameterError, match="TwoModeGaussianState"):
         call(states.TwinBeamParams(1.0))
