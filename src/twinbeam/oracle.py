@@ -12,7 +12,10 @@ they share no code beyond the state parametrization.
 The beam splitter conserves total photon number, so its Fock coefficients
 block into shells of fixed n1 + n2, and each shell gives a column-stochastic
 probability matrix.  Phases drop out of these squared coefficients, which is
-why the transform here needs only the transmissivity.
+why the transform here needs only the transmissivity.  One private function,
+``_shell_matrix``, maps a transmissivity to a shell's checked probability
+matrix, and ``bs_transform_pnd`` reads every shell through it; one transition
+probability is an entry of the transform of a Fock distribution.
 
 Detection loss builds its binomial weights by Pascal's rule, so the oracle
 loads no scipy.
@@ -20,25 +23,26 @@ loads no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError
+from .errors import EvaluationError
 from .moments import PhotonNumberDistribution
 from .states import _checked
 
 __all__ = [
-    "BsCoefficientTable",
     "bs_transform_pnd",
     "bernoulli_downsample",
     "FactorialMomentEstimate",
     "factorial_moment_from_pnd",
 ]
 
-DEFAULT_CUTOFF = 32
+# Shells up to this size keep their decomposition: at most about 12 MB,
+# and every shell of a cutoff-64 table.  Larger shells, each (s + 1)**2
+# complex numbers, are decomposed per call and not kept.
+_CACHED_SHELL_MAX = 128
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +64,8 @@ def _shell_generator(s: int) -> tuple:
 
 
 def _shell_matrix(t: float, s: int) -> np.ndarray:
-    """Probability matrix of one photon-number shell.
+    """Probability matrix of one photon-number shell, checked to be
+    column-stochastic.
 
     Entry [n1_out, n1_in] is the probability that an input Fock state
     (n1_in, s - n1_in) leaves the splitter as (n1_out, s - n1_out).  The
@@ -69,55 +74,18 @@ def _shell_matrix(t: float, s: int) -> np.ndarray:
     stays well conditioned at shells of hundreds of photons.
     """
     theta = math.atan2(math.sqrt(1.0 - t), math.sqrt(t))
-    mu, vec = _shell_generator(s)
+    if s > _CACHED_SHELL_MAX:
+        mu, vec = _shell_generator.__wrapped__(s)
+    else:
+        mu, vec = _shell_generator(s)
     amps = ((vec * np.exp(-1j * theta * mu)) @ vec.conj().T).real
-    return amps ** 2
-
-
-def _check_shell(probs: np.ndarray, s: int) -> np.ndarray:
-    """Validate column-stochasticity of one shell's probability matrix."""
-    sums = probs.sum(axis=0)
-    worst = float(np.max(np.abs(sums - 1.0)))
+    probs = amps ** 2
+    worst = float(np.max(np.abs(probs.sum(axis=0) - 1.0)))
     if worst > 1e-12 * (1.0 + s):
         raise EvaluationError(
             f"beam-splitter shell {s} lost unitarity "
             f"(worst column mass error {worst:.3e})")
     return probs
-
-
-@dataclass
-class BsCoefficientTable:
-    """Cached beam-splitter probability coefficients up to a shell cutoff."""
-
-    t: float
-    cutoff: int = DEFAULT_CUTOFF
-    _shells: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.t = _checked("t", self.t)
-        self.cutoff = _checked("cutoff", self.cutoff)
-
-    def shell(self, s: int) -> np.ndarray:
-        s = _checked("shell", s)
-        if s > self.cutoff:
-            raise ParameterError(
-                f"shell {s} outside the tabulated range 0..{self.cutoff}")
-        cached = self._shells.get(s)
-        if cached is None:
-            cached = _check_shell(_shell_matrix(self.t, s), s)
-            self._shells[s] = cached
-        return cached
-
-    def coefficient(self, n1_out: int, n2_out: int, n1_in: int,
-                    n2_in: int) -> float:
-        """Transition probability between Fock states; zero across shells."""
-        n1_out, n2_out, n1_in, n2_in = map(
-            _checked, ("n1_out", "n2_out", "n1_in", "n2_in"),
-            (n1_out, n2_out, n1_in, n2_in))
-        s = n1_in + n2_in
-        if n1_out + n2_out != s:
-            return 0.0
-        return float(self.shell(s)[n1_out, n1_in])
 
 
 def bs_transform_pnd(pnd: PhotonNumberDistribution,
@@ -139,7 +107,7 @@ def bs_transform_pnd(pnd: PhotonNumberDistribution,
         shell_probs = pnd.p[n1_in, s - n1_in]
         if not np.any(shell_probs):
             continue
-        moved = _check_shell(_shell_matrix(t, s), s)[:, n1_in] @ shell_probs
+        moved = _shell_matrix(t, s)[:, n1_in] @ shell_probs
         n1_out = np.arange(s + 1)
         out[n1_out, s - n1_out] += moved
     total_in = pnd.total_mass()

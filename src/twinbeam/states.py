@@ -67,10 +67,11 @@ _PARAM_RANGES = {
     "phi": (-math.inf, math.inf),
     "tail_tol": (0.0, 1.0),
     **dict.fromkeys(("k", "k1", "k2", "n", "n1", "n2", "n_max", "n_max1",
-                     "n_max2", "order1", "order2", "max_order", "cutoff",
-                     "shell", "n1_out", "n2_out", "n1_in", "n2_in"),
+                     "n_max2", "order1", "order2", "max_order"),
                     (0, math.inf)),
-    **dict.fromkeys(("count", "threads", "n_cap"), (1, math.inf)),
+    **dict.fromkeys(("count", "n_cap"), (1, math.inf)),
+    # a scan may start one OS thread per worker, so the count is bounded
+    "threads": (1, 64),
     "mode": (1, 2),
 }
 

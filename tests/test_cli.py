@@ -452,6 +452,12 @@ _AXIS_BP = "[axis:bp]\nmin = 0.1\nmax = 1\n"
     # an integer beyond the float range used to end in a traceback
     (["crit", "--bp", "1", "--family", "E_W", "--k1", "9" * 400],
      "ParameterError:k1 must be finite"),
+    # each scan worker may be an OS thread, so the count is bounded; a
+    # two-cell grid starts at most two threads either way
+    (["scan", "--axis", "bp:0.1:1:2", "--target", "negativity", "--threads",
+      "100000", "--csv", "-"], "ConfigError:threads must be in [1, 64]"),
+    (["scan", "--config", _Ini(_AXIS_BP + "[scan]\nthreads = 10000\n"),
+      "--target", "negativity"], "ConfigError:threads must be in [1, 64]"),
 ])
 def test_failures_report_json_and_exit_nonzero(capsys, tmp_path, argv,
                                                error):

@@ -14,8 +14,7 @@ from twinbeam.errors import ParameterError
 @pytest.mark.parametrize("shell", [1, 5, 20, 32, 120])
 def test_shell_matrices_are_stochastic(t, shell):
     """Probability is conserved within every photon-number shell."""
-    table = oracle.BsCoefficientTable(t, cutoff=max(32, shell))
-    m = table.shell(shell)
+    m = oracle._shell_matrix(t, shell)
     assert m.shape == (shell + 1, shell + 1)
     assert np.all(m >= 0.0)
     np.testing.assert_allclose(m.sum(axis=0), 1.0, rtol=0, atol=1e-12 * (1 + shell))
@@ -23,32 +22,52 @@ def test_shell_matrices_are_stochastic(t, shell):
 
 def test_two_photon_interference():
     """One photon in each arm never exits split at the balanced point."""
-    m = oracle.BsCoefficientTable(0.5).shell(2)
-    column = m[:, 1]
+    column = oracle._shell_matrix(0.5, 2)[:, 1]
     assert column[1] == pytest.approx(0.0, abs=1e-25)
     assert column[0] == pytest.approx(0.5, rel=1e-12)
     assert column[2] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_full_transmission_is_the_identity():
-    table = oracle.BsCoefficientTable(1.0)
     for s in (1, 3, 8):
-        np.testing.assert_allclose(table.shell(s), np.eye(s + 1), atol=1e-30)
+        np.testing.assert_allclose(oracle._shell_matrix(1.0, s), np.eye(s + 1),
+                                   atol=1e-30)
 
 
 def test_full_reflection_reverses_the_shell():
-    table = oracle.BsCoefficientTable(0.0)
     for s in (1, 3, 8):
         np.testing.assert_allclose(
-            table.shell(s), np.eye(s + 1)[::-1], atol=1e-12 * (1 + s)
+            oracle._shell_matrix(0.0, s), np.eye(s + 1)[::-1],
+            atol=1e-12 * (1 + s)
         )
 
 
 def test_coefficient_vanishes_across_shells():
-    table = oracle.BsCoefficientTable(0.7)
-    assert table.coefficient(2, 1, 1, 1) == 0.0
-    assert table.coefficient(0, 0, 1, 2) == 0.0
-    assert table.coefficient(1, 2, 1, 2) > 0.0
+    """A Fock input (1, 2) leaves on shell 3 only: exact zeros elsewhere."""
+    fock = np.zeros((2, 3))
+    fock[1, 2] = 1.0
+    out = oracle.bs_transform_pnd(
+        moments.PhotonNumberDistribution.from_table(fock), 0.7).p
+    n1, n2 = np.indices(out.shape)
+    assert not np.any(out[n1 + n2 != 3])
+    assert out[1, 2] > 0.0
+    assert out[n1 + n2 == 3].sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_large_shells_are_not_cached():
+    """A shell above the cached range is decomposed per call and leaves
+    the cache as it was."""
+    s = oracle._CACHED_SHELL_MAX + 1
+    fock = np.zeros((s + 1, s + 1))
+    fock[s // 2, s - s // 2] = 1.0
+    pnd = moments.PhotonNumberDistribution.from_table(fock)
+    before = oracle._shell_generator.cache_info().currsize
+    out = oracle.bs_transform_pnd(pnd, 0.3)
+    assert oracle._shell_generator.cache_info().currsize == before
+    np.testing.assert_allclose(
+        out.p[np.arange(s + 1), s - np.arange(s + 1)],
+        oracle._shell_matrix(0.3, s)[:, s // 2], rtol=1e-12, atol=0)
+    assert out.total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -165,20 +184,10 @@ def test_parameter_validation():
     with pytest.raises(ParameterError):
         oracle.bernoulli_downsample(pnd, -0.1)
     with pytest.raises(ParameterError):
-        oracle.BsCoefficientTable(2.0)
-    with pytest.raises(ParameterError):
-        oracle.BsCoefficientTable(np.nan)
+        oracle.bs_transform_pnd(pnd, np.nan)
     with pytest.raises(ParameterError):
         oracle.bernoulli_downsample(pnd, np.nan)
     with pytest.raises(ParameterError):
         oracle.bernoulli_downsample(pnd, 0.5, 1.5)
     with pytest.raises(ParameterError):
         oracle.factorial_moment_from_pnd(pnd, 1.5, 0)
-    with pytest.raises(ParameterError):
-        oracle.BsCoefficientTable(0.5, cutoff=3.7)
-    with pytest.raises(ParameterError):
-        oracle.BsCoefficientTable(0.5).shell(1.5)
-    with pytest.raises(ParameterError):
-        oracle.BsCoefficientTable(0.5, cutoff=2).shell(3)
-    with pytest.raises(ParameterError):
-        oracle.BsCoefficientTable(0.5).coefficient(1, 0, 0.5, 0.5)

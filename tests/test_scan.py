@@ -466,6 +466,8 @@ def test_a_one_point_axis_leaves_a_2d_scan_without_boundaries():
     lambda: AxisSpec("bp", 2.0, 1.0, 3),
     lambda: TargetSpec("bogus"),
     lambda: TargetSpec.parse("i_ncl:3"),
+    lambda: ScanSpec(axes=[AxisSpec("bp", 0.0, 1.0, 3)],
+                     targets=[TargetSpec.parse("negativity")], threads=65),
 ])
 def test_invalid_configurations_are_rejected(build):
     with pytest.raises(ConfigError):

@@ -128,12 +128,6 @@ _INTEGER_CALLS = {
     "PhotonNumberDistribution.marginal": lambda v: _PND.marginal(v),
     "rsqrt": lambda v: moments.q_polynomial(_STATE).rsqrt(v, v).coeffs,
     "local_quantifier": lambda v: quantifiers.local_quantifier(_STATE, v),
-    "BsCoefficientTable": lambda v: oracle.BsCoefficientTable(
-        0.5, cutoff=v).cutoff,
-    "BsCoefficientTable.shell": lambda v: oracle.BsCoefficientTable(
-        0.5).shell(v),
-    "BsCoefficientTable.coefficient": lambda v: oracle.BsCoefficientTable(
-        0.5).coefficient(v, 0, 0, v),
     "factorial_moment_from_pnd":
         lambda v: oracle.factorial_moment_from_pnd(_PND, v, v),
     "AxisSpec": lambda v: scan.AxisSpec("bp", 0.0, 1.0, v).count,
