@@ -363,7 +363,12 @@ class PhotonNumberDistribution:
             raise ParameterError(
                 f"table shape {p.shape} does not match photon-number cutoffs "
                 f"({self.n_max1}, {self.n_max2})")
-        object.__setattr__(self, "tail_mass", float(self.tail_mass))
+        tail = float(self.tail_mass)
+        # the sum is not finite if an entry is not (+inf and -inf give nan)
+        with np.errstate(invalid="ignore", over="ignore"):
+            if not math.isfinite(float(p.sum()) + tail):
+                raise ParameterError("probabilities must be finite")
+        object.__setattr__(self, "tail_mass", tail)
 
     @classmethod
     def from_table(cls, p: np.ndarray) -> "PhotonNumberDistribution":

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,11 +11,18 @@ from twinbeam import moments, oracle, states
 from twinbeam.errors import ParameterError
 
 
+def _shell_probs(t, s):
+    """Probability matrix of shell s: the square of the last amplitude
+    matrix ``_shells`` yields."""
+    *_, amps = oracle._shells(t, s)
+    return amps ** 2
+
+
 @pytest.mark.parametrize("t", [0.1, 0.37, 0.5, 0.73, 0.9])
 @pytest.mark.parametrize("shell", [1, 5, 20, 32, 120])
 def test_shell_matrices_are_stochastic(t, shell):
     """Probability is conserved within every photon-number shell."""
-    m = oracle._shell_matrix(t, shell)
+    m = _shell_probs(t, shell)
     assert m.shape == (shell + 1, shell + 1)
     assert np.all(m >= 0.0)
     np.testing.assert_allclose(m.sum(axis=0), 1.0, rtol=0, atol=1e-12 * (1 + shell))
@@ -22,24 +30,58 @@ def test_shell_matrices_are_stochastic(t, shell):
 
 def test_two_photon_interference():
     """One photon in each arm never exits split at the balanced point."""
-    column = oracle._shell_matrix(0.5, 2)[:, 1]
-    assert column[1] == pytest.approx(0.0, abs=1e-25)
+    column = _shell_probs(0.5, 2)[:, 1]
+    assert column[1] == 0.0
     assert column[0] == pytest.approx(0.5, rel=1e-12)
     assert column[2] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_full_transmission_is_the_identity():
     for s in (1, 3, 8):
-        np.testing.assert_allclose(oracle._shell_matrix(1.0, s), np.eye(s + 1),
+        np.testing.assert_allclose(_shell_probs(1.0, s), np.eye(s + 1),
                                    atol=1e-30)
 
 
 def test_full_reflection_reverses_the_shell():
     for s in (1, 3, 8):
         np.testing.assert_allclose(
-            oracle._shell_matrix(0.0, s), np.eye(s + 1)[::-1],
+            _shell_probs(0.0, s), np.eye(s + 1)[::-1],
             atol=1e-12 * (1 + s)
         )
+
+
+def _interference_sum(t, s, j):
+    """Column j of shell s as the direct sum over the ways the input's
+    photons split, in mpmath: P(n | j) for n = 0 .. s.  Its terms
+    alternate in sign and cancel by about 0.3 s digits, so the working
+    precision grows with the shell."""
+    with mpmath.workdps(int(0.3 * s) + 40):
+        r = mpmath.sqrt(mpmath.mpf(t))
+        w = mpmath.sqrt(1 - mpmath.mpf(t))
+        fact = mpmath.factorial
+        col = []
+        for n in range(s + 1):
+            amp = mpmath.mpf(0)
+            for k in range(max(0, n - (s - j)), min(j, n) + 1):
+                term = (math.comb(j, k) * math.comb(s - j, n - k)
+                        * r ** (s - j - n + 2 * k) * w ** (j + n - 2 * k))
+                amp += -term if (j - k) % 2 else term
+            amp *= mpmath.sqrt(fact(n) * fact(s - n)
+                               / (fact(j) * fact(s - j)))
+            col.append(float(amp ** 2))
+    return np.array(col)
+
+
+@pytest.mark.parametrize("t", [0.37, 0.9])
+def test_large_shells_match_the_interference_sum(t):
+    """The recurrence stays accurate past the shells a cutoff-64 table
+    reaches: columns of shells 129 and 200 against the exact sums."""
+    wanted = {129: (0, 64, 129), 200: (1, 100, 177)}
+    for s, amps in enumerate(oracle._shells(t, 200)):
+        for j in wanted.get(s, ()):
+            np.testing.assert_allclose(amps[:, j] ** 2,
+                                       _interference_sum(t, s, j),
+                                       rtol=0, atol=1e-14)
 
 
 def test_coefficient_vanishes_across_shells():
@@ -52,22 +94,6 @@ def test_coefficient_vanishes_across_shells():
     assert not np.any(out[n1 + n2 != 3])
     assert out[1, 2] > 0.0
     assert out[n1 + n2 == 3].sum() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_large_shells_are_not_cached():
-    """A shell above the cached range is decomposed per call and leaves
-    the cache as it was."""
-    s = oracle._CACHED_SHELL_MAX + 1
-    fock = np.zeros((s + 1, s + 1))
-    fock[s // 2, s - s // 2] = 1.0
-    pnd = moments.PhotonNumberDistribution.from_table(fock)
-    before = oracle._shell_generator.cache_info().currsize
-    out = oracle.bs_transform_pnd(pnd, 0.3)
-    assert oracle._shell_generator.cache_info().currsize == before
-    np.testing.assert_allclose(
-        out.p[np.arange(s + 1), s - np.arange(s + 1)],
-        oracle._shell_matrix(0.3, s)[:, s // 2], rtol=1e-12, atol=0)
-    assert out.total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -191,3 +217,11 @@ def test_parameter_validation():
         oracle.bernoulli_downsample(pnd, 0.5, 1.5)
     with pytest.raises(ParameterError):
         oracle.factorial_moment_from_pnd(pnd, 1.5, 0)
+    # a non-finite entry or tail is no distribution to transform or sum
+    for table, tail in (([[0.5, np.nan], [0.25, 0.25]], 0.0),
+                        ([[0.5, np.inf], [0.25, 0.25]], 0.0),
+                        ([[np.inf, -np.inf], [0.25, 0.25]], 0.0),
+                        ([[0.5, 0.25], [0.25, 0.0]], np.nan),
+                        ([[0.5, 0.25], [0.25, 0.0]], np.inf)):
+        with pytest.raises(ParameterError):
+            moments.PhotonNumberDistribution(1, 1, table, tail)
