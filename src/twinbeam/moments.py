@@ -3,11 +3,13 @@
 Everything measurable here descends from one object: the generating function
 of the state's photocount statistics, which for a two-mode Gaussian state is
 the inverse square root of a polynomial Q(l1, l2) that is quadratic in each
-auxiliary variable.  Expanding Q**(-1/2) about the origin yields normally
-ordered intensity moments; expanding about (1, 1) yields the joint photon
-number distribution.  The expansion itself lives in the series module; this
-module builds Q from the state parameters and packages the coefficients as
-moments, probabilities, and their factorial-scaled variants.
+auxiliary variable.  This module builds Q(-l1, -l2) from the state
+parameters: its Q**(-1/2) expanded about the origin yields the normally
+ordered intensity moments over n1! n2!, and about (-1, -1) the joint
+photon-number distribution, so no table has sign code of its own; only
+build_k_matrix and q_polynomial turn it back into the paper's Q.  The
+expansion itself lives in the series module; this module packages the
+coefficients as moments, probabilities, and their factorial-scaled variants.
 
 One private function, _table, maps Q coefficients (of one state or a scan
 grid) to every table, joint or marginal, for the public functions and the
@@ -60,21 +62,14 @@ __all__ = [
     "twin_beam_pnd_closed_form",
 ]
 
-@lru_cache(maxsize=128)
-def _signed_factorials(n: int) -> np.ndarray:
-    """(-1)**i i! for i < n as floats, +-inf once they overflow;
-    read-only."""
-    f = np.full(n, math.inf)
-    for i in range(min(n, 171)):
-        f[i] = float(math.factorial(i))
-    f[1::2] *= -1.0
-    f.flags.writeable = False
-    return f
+# 0! ... 170!, every factorial a float holds; read-only
+_FACTORIALS = np.array([float(math.factorial(i)) for i in range(171)])
+_FACTORIALS.flags.writeable = False
 
 
 def _fact_grid(rows: int, cols: int, ndim: int) -> np.ndarray:
-    """(-1)**(n1 + n2) n1! n2! for every entry of a (rows, cols, *batch)
-    table of ``ndim`` axes, shaped to broadcast against it; read-only.
+    """n1! n2! for every entry of a (rows, cols, *batch) table of ``ndim``
+    axes, inf past 170!, shaped to broadcast against it; read-only.
     A grid of up to 4096 entries, the size of every criterion's table, is
     cached per size, so scaling a table builds no np.outer; a larger one,
     whose table costs far more, is built fresh and not kept."""
@@ -85,7 +80,9 @@ def _fact_grid(rows: int, cols: int, ndim: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _cached_fact_grid(rows: int, cols: int, ndim: int) -> np.ndarray:
-    grid = np.outer(_signed_factorials(rows), _signed_factorials(cols))
+    f = np.full(max(rows, cols), math.inf)
+    f[:171] = _FACTORIALS[:f.size]
+    grid = np.outer(f[:rows], f[:cols])
     grid = grid.reshape((rows, cols) + (1,) * (ndim - 2))
     grid.flags.writeable = False
     return grid
@@ -94,8 +91,10 @@ def _cached_fact_grid(rows: int, cols: int, ndim: int) -> np.ndarray:
 # -- the Q polynomial ------------------------------------------------------
 
 def _q_coeff_array(b1, b2, c1, c2, d12, dbar12) -> np.ndarray:
-    """Coefficients of Q(l1, l2) from raw state parameters (array friendly):
-    a (3, 3, *batch) array with entry [i, j] multiplying l1**i * l2**j.
+    """Coefficients of Q(-l1, -l2) from raw state parameters (array
+    friendly): a (3, 3, *batch) array with entry [i, j] multiplying
+    l1**i * l2**j, the paper's Q coefficient times (-1)**(i + j), negated
+    exactly in the formulas of the four odd-degree entries.
 
     The constant term is 1; _K_INDEX names the other eight entries.  The
     complex parameters are taken as (real, imag) pairs, in real arithmetic
@@ -120,15 +119,15 @@ def _q_coeff_array(b1, b2, c1, c2, d12, dbar12) -> np.ndarray:
 
     q = np.zeros((3, 3) + shape)
     q[0, 0] = 1.0
-    q[1, 0] = 2.0 * b1
-    q[0, 1] = 2.0 * b2
+    q[1, 0] = -2.0 * b1
+    q[0, 1] = -2.0 * b2
     q[1, 1] = 4.0 * b1 * b2 - 2.0 * ad2 - 2.0 * ae2
     q[2, 0] = b1 * b1 - ac1
-    q[2, 1] = (2.0 * b1 * b1 * b2 - 2.0 * b1 * cross
-               - 2.0 * b2 * ac1 - 4.0 * g1)
+    q[2, 1] = -(2.0 * b1 * b1 * b2 - 2.0 * b1 * cross
+                - 2.0 * b2 * ac1 - 4.0 * g1)
     q[0, 2] = b2 * b2 - ac2
-    q[1, 2] = (2.0 * b1 * b2 * b2 - 2.0 * b2 * cross
-               - 2.0 * b1 * ac2 - 4.0 * g2)
+    q[1, 2] = -(2.0 * b1 * b2 * b2 - 2.0 * b2 * cross
+                - 2.0 * b1 * ac2 - 4.0 * g2)
     q[2, 2] = (b1 * b1 * b2 * b2 + ad2 * ad2 + ae2 * ae2 + ac1 * ac2
                - b1 * b1 * ac2 - b2 * b2 * ac1
                - 2.0 * b1 * b2 * cross - 2.0 * ad2 * ae2
@@ -136,9 +135,12 @@ def _q_coeff_array(b1, b2, c1, c2, d12, dbar12) -> np.ndarray:
     return q
 
 
-# the entry [i, j] of Q's coefficients that each KMatrix field names
+# the entry [i, j] of q_polynomial's coefficients each KMatrix field names
 _K_INDEX = {"k12": (1, 0), "k13": (0, 1), "k14": (1, 1), "k22": (2, 0),
             "k24": (2, 1), "k33": (0, 2), "k34": (1, 2), "k44": (2, 2)}
+
+# (-1)**(i + j): turns _q's coefficients of Q(-l1, -l2) into Q(l1, l2)'s
+_Q_SIGNS = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -157,18 +159,19 @@ class KMatrix:
 
 def build_k_matrix(state: TwoModeGaussianState) -> KMatrix:
     """Q-polynomial coefficients of the state."""
-    q = _q(state)
+    q = _q(state) * _Q_SIGNS
     return KMatrix(**{name: float(q[index])
                       for name, index in _K_INDEX.items()})
 
 
 def q_polynomial(state: TwoModeGaussianState) -> BivariateSeries:
     """Q as an exact bivariate polynomial about the origin."""
-    return BivariateSeries(_q(state).copy())
+    return BivariateSeries(_q(state) * _Q_SIGNS)
 
 
 def _q(state: TwoModeGaussianState) -> np.ndarray:
-    """The state's Q coefficients, built once and read-only in its memo."""
+    """The state's Q(-l1, -l2) coefficients, built once, read-only in its
+    memo."""
     try:
         return state._memo["Q"]
     except AttributeError:
@@ -223,11 +226,12 @@ def _table(q: np.ndarray, kind: str, o1: int, o2: int = 0) -> np.ndarray:
     with i, n1 <= o1 and j, n2 <= o2.  A trailing "1" or "2" asks for the
     marginal of that mode instead, an (o1 + 1, *batch) table.
 
-    Moments expand Q**(-1/2) about the origin, probabilities about (1, 1).
-    Probabilities below -1e-12 raise EvaluationError, and rounding-level
-    negatives above that are clamped to zero.  The scaled probabilities
-    keep their sign, because the criteria read them with a tolerance of
-    their own.
+    ``q`` holds Q(-l1, -l2), whose expansion carries every sign: moments
+    expand its Q**(-1/2) about the origin, probabilities about (-1, -1),
+    since Q(1 - z) is Q(-l) at l = z - 1.  Probabilities below -1e-12 raise
+    EvaluationError, and rounding-level negatives above that are clamped
+    to zero.  The scaled probabilities keep their sign, because the
+    criteria read them with a tolerance of their own.
     """
     marginal = kind[1:]
     if marginal == "1":
@@ -237,20 +241,14 @@ def _table(q: np.ndarray, kind: str, o1: int, o2: int = 0) -> np.ndarray:
         q = q[:1].swapaxes(0, 1)
     series = BivariateSeries(q)
     if kind[0] != "W":
-        series = series.rebased(1.0, 1.0)
+        series = series.rebased(-1.0, -1.0)
     s = series.rsqrt(order1=o1, order2=o2).coeffs
-    # scaled in place, so no table-sized temporary is made; every table
-    # takes the signs (-1)**(n1 + n2), W and p from their signed
-    # factorials, the same bits as negating the odd rows and columns,
-    # since negation is exact
-    if kind[0] == "W":
-        s *= _fact_grid(*s.shape[:2], s.ndim)
-    elif kind[0] == "p":
+    # scaled in place, so no table-sized temporary is made
+    if kind[0] == "p":
         s /= s[0, 0].copy()
+    if kind[0] != "P":
         s *= _fact_grid(*s.shape[:2], s.ndim)
     else:
-        s[1::2] *= -1.0
-        s[:, 1::2] *= -1.0
         # NaN-skipping like the elementwise test, without a boolean table
         if np.fmin.reduce(s, axis=None) < -1e-12:
             raise EvaluationError(
@@ -345,12 +343,12 @@ def marginal_modified_pnd(state: TwoModeGaussianState, mode: int,
 @dataclass(frozen=True)
 class PhotonNumberDistribution:
     """Joint photon-number probabilities on a finite grid plus the mass the
-    grid does not cover."""
+    grid does not cover, by default one minus the table's sum."""
 
     n_max1: int
     n_max2: int
     p: np.ndarray
-    tail_mass: float
+    tail_mass: float | None = None
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -363,17 +361,18 @@ class PhotonNumberDistribution:
             raise ParameterError(
                 f"table shape {p.shape} does not match photon-number cutoffs "
                 f"({self.n_max1}, {self.n_max2})")
-        tail = float(self.tail_mass)
         # the sum is not finite if an entry is not (+inf and -inf give nan)
         with np.errstate(invalid="ignore", over="ignore"):
-            if not math.isfinite(float(p.sum()) + tail):
-                raise ParameterError("probabilities must be finite")
+            total = float(p.sum())
+        tail = 1.0 - total if self.tail_mass is None else float(self.tail_mass)
+        if not math.isfinite(total + tail):
+            raise ParameterError("probabilities must be finite")
         object.__setattr__(self, "tail_mass", tail)
 
     @classmethod
     def from_table(cls, p: np.ndarray) -> "PhotonNumberDistribution":
         p = np.asarray(p, dtype=float)
-        return cls(p.shape[0] - 1, p.shape[1] - 1, p, 1.0 - float(p.sum()))
+        return cls(p.shape[0] - 1, p.shape[1] - 1, p)
 
     def marginal(self, mode: int) -> np.ndarray:
         return self.p.sum(axis=2 - _checked("mode", mode))

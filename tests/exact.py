@@ -1,12 +1,13 @@
 """A 50-digit mpmath reference for Q, every table kind and the criteria.
 
-It repeats the library's arithmetic exactly: Q by moments._q_coeff_array's
-formula, the (1, 1) rebase, the rsqrt recurrence and the signs and
-scalings of moments._table, and the criterion values of criteria._value.
-A state's six fields are taken exactly, float64 from params() or the
-extended copy _extended, so the only rounding left is mpmath's at DPS
-digits.  Marginals are cut at l_other = 0 before the rebase, as _table
-does.  Call the functions inside ``mpmath.workdps(DPS)``.
+It keeps the paper's route: the paper's Q, a (1, 1) rebase, the rsqrt
+recurrence, explicit signs (-1)**(i + j) and the factorial scalings, and
+the criterion values of criteria._value.  moments._table reads the same
+values off Q(-l1, -l2) with no sign code, by another route.  A state's six
+fields are taken exactly, float64 from params() or the extended copy
+_extended, so the only rounding left is mpmath's at DPS digits.  Marginals
+are cut at l_other = 0 before the rebase, as _table does.  Call the
+functions inside ``mpmath.workdps(DPS)``.
 """
 from math import comb, factorial
 

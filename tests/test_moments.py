@@ -327,6 +327,15 @@ def test_adaptive_pnd_reaches_requested_tail(tail_tol):
     assert np.all(pnd.p >= -1e-15)
 
 
+def test_a_distribution_defaults_its_tail_to_the_mass_its_table_misses():
+    p = moments.pnd_table(states.twin_beam(0.8, bs=0.2), 12, 9)
+    want = 1.0 - float(p.sum())
+    for pnd in (moments.PhotonNumberDistribution(12, 9, p),
+                moments.PhotonNumberDistribution.from_table(p)):
+        assert pnd.tail_mass.hex() == want.hex()
+    assert moments.PhotonNumberDistribution(12, 9, p, 0.25).tail_mass == 0.25
+
+
 def test_adaptive_pnd_respects_cap():
     with pytest.raises(TruncationError):
         moments.photon_number_distribution(states.twin_beam(50.0), n_cap=32)
@@ -444,31 +453,40 @@ def test_table_prefix_is_the_smaller_table(bp, bs, bi, t, phi, eta1, eta2,
 ], ids=["twin_beam", "noisy_split_loss"])
 @pytest.mark.parametrize("kind", ["W", "p"])
 def test_scaled_tables_past_170_keep_the_signs_of_negated_slices(kind, build):
-    """W and p take their signs (-1)**(n1 + n2) from signed factorials;
-    past order 170, where the factorials are inf, the table equals one
-    built from rsqrt by negating its odd rows and columns, NaN for NaN
+    """W and p take their signs (-1)**(n1 + n2) from Q(-l1, -l2); past
+    order 170, where the factorials are inf, the table equals one built
+    from the paper's Q by negating its odd rows and columns, NaN for NaN
     (the exact zeros of a noiseless twin beam's p times inf) and sign for
-    sign elsewhere."""
-    q = moments._q(build())
-    series = BivariateSeries(q)
-    if kind == "p":
-        series = series.rebased(1.0, 1.0)
-    s = series.rsqrt(180, 175).coeffs
-    s[1::2] *= -1.0
-    s[:, 1::2] *= -1.0
-    if kind == "p":
-        s /= s[0, 0].copy()
+    sign on every entry but exact zeros; and it has the signs of one built
+    from Q(-l) on every entry, zeros included."""
+    state = build()
+    q = moments.q_polynomial(state).coeffs
+    fact = [float(math.factorial(n)) if n <= 170 else np.inf
+            for n in range(181)]
+
+    def scaled(coeffs, point):
+        series = BivariateSeries(coeffs)
+        if kind == "p":
+            series = series.rebased(point, point)
+        s = series.rsqrt(180, 175).coeffs
+        if kind == "p":
+            s /= s[0, 0].copy()
+        return s
+
+    paper = scaled(q, 1.0)
+    paper[1::2] *= -1.0
+    paper[:, 1::2] *= -1.0
+    negated = scaled(q * (-1.0) ** np.add.outer(range(3), range(3)), -1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        s *= np.outer([float(math.factorial(n)) if n <= 170 else np.inf
-                       for n in range(181)],
-                      [float(math.factorial(n)) if n <= 170 else np.inf
-                       for n in range(176)])
-        got = moments._table(q, kind, 180, 175)
+        paper *= np.outer(fact, fact[:176])
+        negated *= np.outer(fact, fact[:176])
+        got = moments._table(moments._q(state), kind, 180, 175)
     assert np.isinf(got).any()
-    assert np.array_equal(got, s, equal_nan=True)
-    known = ~np.isnan(s)
-    np.testing.assert_array_equal(np.signbit(got[known]),
-                                  np.signbit(s[known]))
+    assert np.array_equal(got, paper, equal_nan=True)
+    nonzero = ~np.isnan(paper) & (paper != 0.0)
+    np.testing.assert_array_equal(np.signbit(got[nonzero]),
+                                  np.signbit(paper[nonzero]))
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(negated))
 
 
 @pytest.mark.parametrize("ndim", [2, 3])
@@ -485,11 +503,95 @@ def test_a_factorial_grid_is_cached_read_only_and_kept_by_scaling(ndim):
     moments._table(q if ndim == 2 else q[..., None], "W", 4, 4)
     assert moments._fact_grid(5, 5, ndim) is grid
     assert grid.tobytes() == before
-    signed = [(-1.0) ** n * math.factorial(n) for n in range(5)]
-    assert np.array_equal(grid.reshape(5, 5), np.outer(signed, signed))
+    fact = [float(math.factorial(n)) for n in range(5)]
+    assert np.array_equal(grid.reshape(5, 5), np.outer(fact, fact))
     wide = moments._fact_grid(65, 65, ndim)
     assert not wide.flags.writeable
     assert moments._fact_grid(65, 65, ndim) is not wide
+
+
+def _papers_pnd_table(state, mode, n1, n2=0):
+    """The probability table read off the paper's Q: rebased to (1, 1),
+    its rsqrt with the odd rows and columns negated, then gated at -1e-12
+    and clamped at zero; the joint table for mode 0, else a marginal."""
+    q = moments.q_polynomial(state).coeffs
+    if mode == 1:
+        q = q[:, :1]
+    elif mode == 2:
+        q = q[:1].swapaxes(0, 1)
+    s = BivariateSeries(q).rebased(1.0, 1.0).rsqrt(n1, n2).coeffs
+    s[1::2] *= -1.0
+    s[:, 1::2] *= -1.0
+    assert np.fmin.reduce(s, axis=None) >= -1e-12
+    s = np.maximum(s, 0.0, out=s)
+    return s[:, 0] if mode else s
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_probability_tables_are_those_of_the_papers_q(seed):
+    """Joint and marginal probability tables, read off Q(-l) about (-1, -1)
+    with no sign code, are byte for byte those of the paper's Q about
+    (1, 1) with their odd rows and columns negated, wide tables included."""
+    rng = np.random.default_rng(seed)
+    for state in (random_physical_state(rng),
+                  states.twin_beam(rng.uniform(0.1, 30.0),
+                                   bs=rng.uniform(0.0, 1.0))):
+        n1, n2 = rng.integers(8, 64, size=2)
+        assert moments.pnd_table(state, n1, n2).tobytes() == (
+            _papers_pnd_table(state, 0, n1, n2).tobytes())
+        for mode in (1, 2):
+            assert moments.marginal_pnd_table(state, mode, 300).tobytes() == (
+                _papers_pnd_table(state, mode, 300).tobytes())
+    wide = states.twin_beam(rng.uniform(1.0, 30.0))
+    assert moments.pnd_table(wide, 1024, 1030).tobytes() == (
+        _papers_pnd_table(wide, 0, 1024, 1030).tobytes())
+
+
+def _papers_q(b1, b2, c1, c2, d12, dbar12) -> np.ndarray:
+    """The paper's Q coefficients, [i, j] multiplying l1**i l2**j, on
+    Python floats in the real arithmetic of moments._q_coeff_array."""
+    def times(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    b1, b2 = float(b1), float(b2)
+    c1, c2, d, e = ((float(z.real), float(z.imag))
+                    for z in (c1, c2, d12, dbar12))
+    c2_conj, d_conj, e_conj = ((x[0], -x[1]) for x in (c2, d, e))
+    ad2, ae2, ac1, ac2 = (x[0] * x[0] + x[1] * x[1] for x in (d, e, c1, c2))
+    cross = ad2 + ae2
+    g1 = times(times(c1, e), d_conj)[0]
+    g2 = times(times(c2, e_conj), d_conj)[0]
+    h1 = times(times(c1, c2), times(d_conj, d_conj))[0]
+    h2 = times(times(c1, c2_conj), times(e, e))[0]
+    return np.array([
+        [1.0, 2.0 * b2, b2 * b2 - ac2],
+        [2.0 * b1, 4.0 * b1 * b2 - 2.0 * ad2 - 2.0 * ae2,
+         (2.0 * b1 * b2 * b2 - 2.0 * b2 * cross - 2.0 * b1 * ac2
+          - 4.0 * g2)],
+        [b1 * b1 - ac1,
+         (2.0 * b1 * b1 * b2 - 2.0 * b1 * cross - 2.0 * b2 * ac1
+          - 4.0 * g1),
+         (b1 * b1 * b2 * b2 + ad2 * ad2 + ae2 * ae2 + ac1 * ac2
+          - b1 * b1 * ac2 - b2 * b2 * ac1 - 2.0 * b1 * b2 * cross
+          - 2.0 * ad2 * ae2 - 4.0 * b1 * g2 - 4.0 * b2 * g1 - 2.0 * h1
+          - 2.0 * h2)]])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_q_polynomial_and_k_matrix_are_the_papers_q(seed):
+    """q_polynomial and build_k_matrix give the paper's Q bit for bit,
+    signs of zero included, though the memo holds Q(-l1, -l2)."""
+    rng = np.random.default_rng(seed)
+    for state in (random_physical_state(rng),
+                  states.twin_beam(rng.uniform(0.1, 3.0),
+                                   bs=rng.uniform(0.0, 1.0))):
+        want = _papers_q(*state.params())
+        got = moments.q_polynomial(state).coeffs
+        assert [x.hex() for x in got.ravel().tolist()] == (
+            [x.hex() for x in want.ravel().tolist()])
+        km = moments.build_k_matrix(state)
+        for name, index in moments._K_INDEX.items():
+            assert getattr(km, name).hex() == want[index].hex()
 
 
 @pytest.mark.parametrize("call", [

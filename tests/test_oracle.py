@@ -222,6 +222,8 @@ def test_parameter_validation():
                         ([[0.5, np.inf], [0.25, 0.25]], 0.0),
                         ([[np.inf, -np.inf], [0.25, 0.25]], 0.0),
                         ([[0.5, 0.25], [0.25, 0.0]], np.nan),
-                        ([[0.5, 0.25], [0.25, 0.0]], np.inf)):
+                        ([[0.5, 0.25], [0.25, 0.0]], np.inf),
+                        ([[0.5, np.nan], [0.25, 0.25]], None),
+                        ([[np.inf, -np.inf], [0.25, 0.25]], None)):
         with pytest.raises(ParameterError):
             moments.PhotonNumberDistribution(1, 1, table, tail)
