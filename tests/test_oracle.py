@@ -177,6 +177,26 @@ def test_loss_matrix_matches_exact_binomial_weights(eta):
         assert abs(loss[:, n].sum() - 1.0) <= (n + 1) * 2.0 ** -53
 
 
+def test_downsampling_is_within_rounding_of_exact_sums():
+    """Each entry of a 17^2 downsample lies within 8 ulps of the exact
+    rational sum over the same float inputs (3.3 measured; the bound of
+    two nonnegative 17-term sums is 34 units of 2^-53 relative)."""
+    st = states.twin_beam(0.9, bs=0.2, bi=0.1)
+    pnd = moments.PhotonNumberDistribution.from_table(
+        moments.pnd_table(st, 16, 16))
+    got = oracle.bernoulli_downsample(pnd, 0.55, 0.7)
+    t1 = [[Fraction(x) for x in row] for row in oracle._loss_matrix(16, 0.55)]
+    t2 = [[Fraction(x) for x in row] for row in oracle._loss_matrix(16, 0.7)]
+    p = [[Fraction(x) for x in row] for row in pnd.p]
+    left = [[sum(t1[m][n] * p[n][k] for n in range(17)) for k in range(17)]
+            for m in range(17)]
+    for m in range(17):
+        for l in range(17):
+            exact = sum(left[m][k] * t2[l][k] for k in range(17))
+            error = abs(Fraction(float(got.p[m, l])) - exact)
+            assert error <= 8 * Fraction(math.ulp(float(exact)))
+
+
 def test_unit_efficiency_is_identity():
     pnd = moments.photon_number_distribution(states.twin_beam(0.7), tail_tol=1e-12)
     same = oracle.bernoulli_downsample(pnd, 1.0)
