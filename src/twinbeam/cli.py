@@ -29,6 +29,7 @@ import json
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -42,9 +43,8 @@ from .quantifiers import classify
 from .scan import (AXIS_NAMES, NOISE_MODES, AxisSpec, ScanSpec, TargetSpec,
                    _evaluate, _refine_edges, _write_rows, run_scan,
                    write_boundaries_json, write_csv)
-from .states import (BeamSplitterParams, TwinBeamParams, _checked, attenuate,
-                     beam_splitter, covariance_n, symplectic_eigenvalues,
-                     twin_beam)
+from .states import (TwinBeamParams, _checked, attenuate, beam_splitter,
+                     covariance_n, symplectic_eigenvalues, twin_beam)
 from .svg import render_svg
 
 __all__ = ["main"]
@@ -110,7 +110,7 @@ def _state_from_args(args):
         raise ConfigError("--phi needs --t as well")
     state = twin_beam(TwinBeamParams(args.bp, bs, bi))
     if args.t is not None:
-        state = beam_splitter(state, BeamSplitterParams(args.t, phi))
+        state = beam_splitter(state, args.t, phi)
     if args.eta is not None:
         state = attenuate(state, args.eta, args.eta2)
     elif args.eta2 is not None:
@@ -277,8 +277,7 @@ def _load_config(path: str) -> list:
                 flags += [f"--fixed={key}={value}"
                           for key, value in cp.items(name)]
             elif name.startswith("axis:"):
-                lo = section.get("min", section.get("start"))
-                hi = section.get("max", section.get("stop"))
+                lo, hi = section.get("min"), section.get("max")
                 if lo is None or hi is None:
                     raise ConfigError(
                         f"axis section {name!r} needs min and max")
@@ -428,9 +427,13 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        # warnings are held until the command ends, so that one that fails
+        # leaves only its JSON record on stderr
+        with warnings.catch_warnings(record=True) as caught:
+            args = parser.parse_args(argv)
+            return args.func(args)
     except TwinbeamError as exc:
+        caught.clear()
         _print_json({"error": type(exc).__name__, "message": str(exc)},
                     sys.stderr)
         usage = (ConfigError, OrderLimitError, ParameterError)
@@ -441,6 +444,10 @@ def main(argv=None) -> int:
         # flush from failing again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    finally:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename,
+                                 w.lineno, w.file, w.line)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -254,38 +254,34 @@ def evaluate(state: TwoModeGaussianState, cid: CriterionId,
     return result
 
 
-def eval_E_W(state: TwoModeGaussianState, k1: int, k2: int,
-             *, max_order: int | None = None) -> CriterionResult:
+def eval_E_W(state: TwoModeGaussianState, k1: int, k2: int) -> CriterionResult:
     """Inter-mode moment criterion on <W1**i W2**j> at indices (k1, k2)."""
-    return evaluate(state, CriterionId("E_W", k1, k2), max_order=max_order)
+    return evaluate(state, CriterionId("E_W", k1, k2))
 
 
-def eval_E_p(state: TwoModeGaussianState, k1: int, k2: int,
-             *, max_order: int | None = None) -> CriterionResult:
+def eval_E_p(state: TwoModeGaussianState, k1: int, k2: int) -> CriterionResult:
     """Inter-mode criterion on factorial-scaled photon-number counts."""
-    return evaluate(state, CriterionId("E_p", k1, k2), max_order=max_order)
+    return evaluate(state, CriterionId("E_p", k1, k2))
 
 
-def eval_M_W(state: TwoModeGaussianState,
-             *, max_order: int | None = None) -> CriterionResult:
-    return evaluate(state, CriterionId("M_W"), max_order=max_order)
+def eval_M_W(state: TwoModeGaussianState) -> CriterionResult:
+    return evaluate(state, CriterionId("M_W"))
 
 
-def eval_M_p(state: TwoModeGaussianState,
-             *, max_order: int | None = None) -> CriterionResult:
-    return evaluate(state, CriterionId("M_p"), max_order=max_order)
+def eval_M_p(state: TwoModeGaussianState) -> CriterionResult:
+    return evaluate(state, CriterionId("M_p"))
 
 
-def eval_R_W(state: TwoModeGaussianState, mode: int, k: int, l: int,
-             *, max_order: int | None = None) -> CriterionResult:
+def eval_R_W(state: TwoModeGaussianState, mode: int, k: int,
+             l: int) -> CriterionResult:
     """Single-mode moment-ratio criterion on mode 1 or 2 at indices (k, l)."""
-    return evaluate(state, CriterionId("R_W", k, l, mode), max_order=max_order)
+    return evaluate(state, CriterionId("R_W", k, l, mode))
 
 
-def eval_R_p(state: TwoModeGaussianState, mode: int, k: int, l: int,
-             *, max_order: int | None = None) -> CriterionResult:
+def eval_R_p(state: TwoModeGaussianState, mode: int, k: int,
+             l: int) -> CriterionResult:
     """Single-mode ratio criterion on factorial-scaled marginal counts."""
-    return evaluate(state, CriterionId("R_p", k, l, mode), max_order=max_order)
+    return evaluate(state, CriterionId("R_p", k, l, mode))
 
 
 def default_catalog() -> tuple:

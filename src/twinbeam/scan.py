@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 AXIS_NAMES = ("bp", "bs", "bi", "t", "eta")
-NOISE_MODES = ("independent", "balanced", "unbalanced")
+NOISE_MODES = ("independent", "balanced")
 
 BISECTION_MAX_ITER = 60
 BISECTION_REL_TOL = 1e-9
@@ -193,11 +193,11 @@ class ScanSpec:
             self.fixed[key] = _checked(key, value, ConfigError)
         if "phi" in self.fixed and "t" not in names and "t" not in self.fixed:
             raise ConfigError("a fixed phi needs t as an axis or fixed value")
-        if self.noise_mode in ("balanced", "unbalanced"):
+        if self.noise_mode == "balanced":
             if "bi" in names or "bi" in self.fixed:
                 raise ConfigError(
-                    f"{self.noise_mode} noise derives bi, so it cannot be "
-                    "set explicitly")
+                    "balanced noise derives bi, so it cannot be set "
+                    "explicitly")
         if "bp" not in names and "bp" not in self.fixed:
             raise ConfigError("bp must be given as an axis or fixed value")
         if self.threads is not None:
@@ -216,8 +216,6 @@ def _state_params(spec: ScanSpec, coords: dict, dtype=float):
     full.update(coords)
     if spec.noise_mode == "balanced":
         full["bi"] = full["bs"]
-    elif spec.noise_mode == "unbalanced":
-        full["bi"] = 0.0
     params = _twin_beam_arrays(*(np.asarray(full[name], dtype=dtype)
                                  for name in ("bp", "bs", "bi")))
     if "t" in full:

@@ -39,7 +39,6 @@ from .errors import ParameterError, PhysicalityError
 
 __all__ = [
     "TwinBeamParams",
-    "BeamSplitterParams",
     "TwoModeGaussianState",
     "twin_beam",
     "beam_splitter",
@@ -112,18 +111,6 @@ class TwinBeamParams:
     def __post_init__(self):
         for name in ("bp", "bs", "bi"):
             object.__setattr__(self, name, _checked(name, getattr(self, name)))
-
-
-@dataclass(frozen=True)
-class BeamSplitterParams:
-    """Intensity transmissivity and phase; reflectance is 1 - t."""
-
-    t: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", _checked("t", self.t))
-        object.__setattr__(self, "phi", _checked("phi", self.phi))
 
 
 # -- symplectic invariants (extended precision, batch friendly) ----------
@@ -483,20 +470,15 @@ def _bs_transform_arrays(b1, b2, c1, c2, d12, dbar12, t, phi=0.0):
     return (means[0, ...], means[1, ...], *(g[...] for g in fields))
 
 
-def beam_splitter(state: TwoModeGaussianState, bs,
+def beam_splitter(state: TwoModeGaussianState, t: float,
                   phi: float = 0.0) -> TwoModeGaussianState:
-    """State after mixing the two modes on a beam splitter.
+    """State after mixing the two modes on a beam splitter of intensity
+    transmissivity ``t`` (reflectance 1 - t) and phase ``phi``.
 
-    ``bs`` is a BeamSplitterParams, with its phase, or a bare transmissivity.
     Mean photon numbers of the output are stored as magnitudes (non-negative).
     """
-    if isinstance(bs, BeamSplitterParams):
-        if phi != 0.0:
-            raise ParameterError("the phase belongs in the params")
-        p = bs
-    else:
-        p = BeamSplitterParams(bs, phi)
-    return _apply(_bs_transform_arrays, *_fields(state), p.t, p.phi)
+    t, phi = _checked("t", t), _checked("phi", phi)
+    return _apply(_bs_transform_arrays, *_fields(state), t, phi)
 
 
 def _attenuate_arrays(b1, b2, c1, c2, d12, dbar12, eta1, eta2):

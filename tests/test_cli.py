@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -90,10 +91,13 @@ def test_pnd_table_output(capsys):
 
 def test_crit_reports_a_non_finite_criterion_as_a_numerical_failure(capsys):
     """Q overflows at bp = 1e100, so E_W:2:2 is NaN: exit 2 with one JSON
-    error line, not a success that prints NaN."""
-    with pytest.warns(RuntimeWarning):
+    error line, not a success that prints NaN, and none of the overflow's
+    warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc, out, err = run_cli(capsys, "crit", "--bp", "1e100",
                                "--family", "E_W", "--k1", "2", "--k2", "2")
+    assert caught == []
     assert rc == 2
     assert out == ""
     payload = json.loads(err)
@@ -458,6 +462,12 @@ _AXIS_BP = "[axis:bp]\nmin = 0.1\nmax = 1\n"
       "100000", "--csv", "-"], "ConfigError:threads must be in [1, 64]"),
     (["scan", "--config", _Ini(_AXIS_BP + "[scan]\nthreads = 10000\n"),
       "--target", "negativity"], "ConfigError:threads must be in [1, 64]"),
+    # an axis section spells its ends min and max only
+    (["scan", "--config", _Ini("[axis:bp]\nstart = 0.1\nstop = 1\n"),
+      "--target", "negativity"], "ConfigError:needs min and max"),
+    (["scan", "--axis", "bp:0.1:1:2", "--target", "negativity",
+      "--noise-mode", "unbalanced"],
+     "ConfigError:expected one of independent, balanced"),
 ])
 def test_failures_report_json_and_exit_nonzero(capsys, tmp_path, argv,
                                                error):
@@ -497,13 +507,12 @@ def test_axis_flags_fail_as_their_config_sections(capsys, tmp_path, axis,
 
 def test_scan_flags_override_the_config_file(capsys, tmp_path):
     """--axis and --target replace the file's lists, --fixed overrides it
-    key by key, --noise-mode and --threads override it; start and stop
-    spell min and max."""
+    key by key, --noise-mode and --threads override it."""
     config = tmp_path / "scan.ini"
     config.write_text(
         "[scan]\ntargets = M_p\nnoise_mode = balanced\nthreads = 1\n"
         "[fixed]\nt = 0.7\nphi = 0.3\n"
-        "[axis:bp]\nstart = 0.1\nstop = 2\ncount = 3\n")
+        "[axis:bp]\nmin = 0.1\nmax = 2\ncount = 3\n")
     rc, from_config, _ = run_cli(capsys, "scan", "--config", str(config))
     assert rc == 0
     rc, from_flags, _ = run_cli(capsys, "scan", "--axis", "bp:0.1:2:3",
@@ -603,6 +612,31 @@ def test_a_closed_stdout_ends_quietly_with_status_141(argv):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 141
     assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["crit", "--bp", "1e150", "--family", "M_W"],
+    ["pnd", "--bp", "1e150", "--nmax", "2"]], ids=["crit", "pnd"])
+def test_a_numerical_failure_writes_only_its_json_record(argv):
+    """The overflow's RuntimeWarnings do not precede the error record."""
+    proc = subprocess.run([sys.executable, "-m", "twinbeam", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "EvaluationError"
+
+
+def test_a_succeeding_command_keeps_its_warnings():
+    proc = subprocess.run([sys.executable, "-m", "twinbeam", "crit",
+                           "--bp", "3e50", "--family", "E_W", "--k1", "2",
+                           "--k2", "2"],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["criterion"] == "E_W:2:2"
+    assert "RuntimeWarning: overflow encountered" in proc.stderr
 
 
 def test_module_entry_point():

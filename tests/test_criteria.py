@@ -677,9 +677,12 @@ def test_verdict_tolerance_scales_with_magnitude():
 def test_max_order_gate_propagates():
     st = states.twin_beam(1.0)
     with pytest.raises(OrderLimitError):
-        criteria.eval_E_W(st, 2, 2, max_order=5)
-    res = criteria.eval_E_W(st, 2, 2, max_order=6)
+        criteria.evaluate(st, "E_W:2:2", max_order=5)
+    res = criteria.evaluate(st, "E_W:2:2", max_order=6)
     assert res.max_order_used == 6
+    # the wrappers keep the default limit
+    with pytest.raises(TypeError):
+        criteria.eval_E_W(st, 2, 2, max_order=6)
 
 
 def test_saturation_at_strong_pumping():

@@ -212,15 +212,14 @@ def test_balanced_mode_copies_the_signal_noise():
     assert res.values["E_p:0:0"][0] == pytest.approx(direct.value, rel=1e-12)
 
 
-def test_unbalanced_mode_zeroes_the_idler_noise():
-    res = scan.run_scan(ScanSpec(
-        axes=[AxisSpec("bs", 0.3, 0.3, 1)],
-        targets=[TargetSpec.parse("negativity")],
-        fixed={"bp": 1.0},
-        noise_mode="unbalanced",
-    ))
-    direct = quantifiers.negativity(states.twin_beam(1.0, bs=0.3, bi=0.0))
-    assert res.values["negativity"][0] == pytest.approx(direct, rel=1e-12)
+def test_an_unknown_noise_mode_names_the_two_modes():
+    """An idler without noise is the independent mode with bi omitted; no
+    third mode spells it."""
+    with pytest.raises(ConfigError, match=r"'unbalanced'; expected one of "
+                                          r"independent, balanced$"):
+        ScanSpec(axes=[AxisSpec("bs", 0.3, 0.3, 1)],
+                 targets=[TargetSpec.parse("negativity")],
+                 fixed={"bp": 1.0}, noise_mode="unbalanced")
 
 
 def test_strong_pump_negativity_matches_the_scalar_path():
@@ -273,20 +272,21 @@ def test_scan_agrees_with_the_scalar_evaluators(bp, bs, bi, t, phi, eta):
             assert res.verdicts[label][0] == verdict, label
 
 
-@pytest.mark.parametrize("noise_mode", scan.NOISE_MODES)
+@pytest.mark.parametrize("noise", ["independent", "balanced", "no_bi"])
 @pytest.mark.parametrize("with_t", [False, True])
 @pytest.mark.parametrize("with_eta", [False, True])
-def test_scalar_maps_equal_the_grid_maps(noise_mode, with_t, with_eta):
+def test_scalar_maps_equal_the_grid_maps(noise, with_t, with_eta):
     """Every grid lane holds exactly the fields of twin_beam, beam_splitter
     and attenuate on that lane's numbers, and in extended precision exactly
-    the state's extended copy."""
+    the state's extended copy.  Independent noise with bi omitted reads bi
+    as 0."""
     rng = np.random.default_rng(29)
     n = 60
     coords = {"bp": 10.0 ** rng.uniform(-3.0, 3.0, n),
               "bs": np.where(rng.uniform(size=n) < 0.2, 0.0,
                              rng.uniform(0.0, 3.0, n))}
     coords["bp"][0] = 0.0
-    if noise_mode == "independent":
+    if noise == "independent":
         coords["bi"] = rng.uniform(0.0, 3.0, n)
     if with_t:
         coords["t"] = rng.uniform(0.0, 1.0, n)
@@ -300,14 +300,13 @@ def test_scalar_maps_equal_the_grid_maps(noise_mode, with_t, with_eta):
         axes=[AxisSpec("bp", 0.0, 1.0, 2)],
         targets=[TargetSpec.parse("negativity")],
         fixed={name: 0.5 for name in coords if name != "bp"},
-        noise_mode=noise_mode)
+        noise_mode="balanced" if noise == "balanced" else "independent")
     grid = scan._state_params(spec, coords)
     extended = scan._state_params(spec, coords, np.longdouble)
 
     for k in range(n):
         lane = {name: float(values[k]) for name, values in coords.items()}
-        bi = {"independent": lane.get("bi"), "balanced": lane["bs"],
-              "unbalanced": 0.0}[noise_mode]
+        bi = lane["bs"] if noise == "balanced" else lane.get("bi", 0.0)
         state = states.twin_beam(lane["bp"], bs=lane["bs"], bi=bi)
         if with_t:
             state = states.beam_splitter(state, lane["t"], phi=lane["phi"])

@@ -29,11 +29,12 @@ def test_twin_beam_accepts_params_object():
     )
 
 
-def test_beam_splitter_accepts_params_object():
+def test_beam_splitter_errors_name_the_bad_argument():
     tb = states.twin_beam(1.0)
-    assert states.beam_splitter(tb, states.BeamSplitterParams(0.7, 0.3)) == (
-        states.beam_splitter(tb, 0.7, phi=0.3)
-    )
+    with pytest.raises(ParameterError, match=r"^t must be in \[0, 1\]"):
+        states.beam_splitter(tb, 1.2)
+    with pytest.raises(ParameterError, match=r"^phi must be finite, got inf"):
+        states.beam_splitter(tb, 0.5, phi=math.inf)
 
 
 @pytest.mark.parametrize(
@@ -48,7 +49,7 @@ def test_beam_splitter_accepts_params_object():
         lambda: states.attenuate(states.twin_beam(1.0), 0.5, -0.5),
         lambda: states.twin_beam(math.inf),
         lambda: states.attenuate(states.twin_beam(1.0), math.nan),
-        lambda: states.BeamSplitterParams(0.5, math.inf),
+        lambda: states.beam_splitter(states.twin_beam(1.0), 0.5, phi=math.inf),
         lambda: states.TwoModeGaussianState(math.nan, 1.0),
         lambda: states.twin_beam("abc"),
         lambda: states.twin_beam(1.0, bs=None),
@@ -58,8 +59,9 @@ def test_beam_splitter_accepts_params_object():
         # a params object carries every parameter of its map
         lambda: states.twin_beam(states.TwinBeamParams(1.0), bs=0.5),
         lambda: states.twin_beam(states.TwinBeamParams(1.0), bi=0.5),
+        # the beam splitter takes its transmissivity as a number
         lambda: states.beam_splitter(states.twin_beam(1.0),
-                                     states.BeamSplitterParams(0.5), phi=0.3),
+                                     states.TwinBeamParams(0.5)),
         # integers beyond the float range used to raise OverflowError
         lambda: states._checked("k1", 10**400),
         lambda: states.twin_beam(-10**400),
