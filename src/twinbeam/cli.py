@@ -35,16 +35,15 @@ import numpy as np
 
 from . import selftest as selftest_module
 from .criteria import FAMILIES, CriterionId, evaluate
-from .errors import (ConfigError, EvaluationError, OrderLimitError,
-                     ParameterError, TwinbeamError)
+from .errors import EvaluationError, ParameterError, TwinbeamError
 from .moments import (PhotonNumberDistribution, build_k_matrix,
                       photon_number_distribution, pnd_table)
 from .quantifiers import classify
 from .scan import (AXIS_NAMES, NOISE_MODES, AxisSpec, ScanSpec, TargetSpec,
                    _evaluate, _refine_edges, _write_rows, run_scan,
                    write_boundaries_json, write_csv)
-from .states import (TwinBeamParams, _checked, attenuate, beam_splitter,
-                     covariance_n, symplectic_eigenvalues, twin_beam)
+from .states import (_checked, attenuate, beam_splitter, covariance_n,
+                     symplectic_eigenvalues, twin_beam)
 from .svg import render_svg
 
 __all__ = ["main"]
@@ -66,7 +65,7 @@ class _Parser(argparse.ArgumentParser):
                                                    re.IGNORECASE)
 
     def error(self, message):
-        raise ConfigError(message)
+        raise ParameterError(message)
 
 
 def _json_default(value):
@@ -106,15 +105,15 @@ def _state_from_args(args):
     # an omitted --bs, --bi or --phi reads as 0
     bs, bi, phi = (0.0 if value is None else value
                    for value in (args.bs, args.bi, args.phi))
-    if _checked("phi", phi, ConfigError) and args.t is None:
-        raise ConfigError("--phi needs --t as well")
-    state = twin_beam(TwinBeamParams(args.bp, bs, bi))
+    if args.phi is not None and args.t is None:
+        raise ParameterError("--phi needs --t as well")
+    state = twin_beam(args.bp, bs, bi)
     if args.t is not None:
         state = beam_splitter(state, args.t, phi)
     if args.eta is not None:
         state = attenuate(state, args.eta, args.eta2)
     elif args.eta2 is not None:
-        raise ConfigError("--eta2 needs --eta as well")
+        raise ParameterError("--eta2 needs --eta as well")
     return state
 
 
@@ -174,7 +173,7 @@ def _cmd_crit(args) -> int:
 def _cmd_pnd(args) -> int:
     state = _state_from_args(args)
     if args.nmax is not None:
-        n_max = _checked("n_max", args.nmax, ConfigError)
+        n_max = _checked("n_max", args.nmax)
         dist = PhotonNumberDistribution.from_table(
             pnd_table(state, n_max, n_max))
     else:
@@ -194,17 +193,18 @@ def _boundary_target(args) -> TargetSpec:
     if kind is None:
         return TargetSpec("criterion", criterion=_criterion_from_args(args))
     if args.k1 or args.k2:
-        raise ConfigError(f"the {args.family} target takes no --k1 or --k2")
+        raise ParameterError(
+            f"the {args.family} target takes no --k1 or --k2")
     return TargetSpec(kind, mode=args.mode)
 
 
 def _cmd_boundary(args) -> int:
     if args.eta2 is not None:
-        raise ConfigError(
+        raise ParameterError(
             "boundary scans apply one detection efficiency to both modes; "
             "--eta2 is not supported")
     if not 0.0 <= args.tol < 1.0:
-        raise ConfigError(f"--tol must lie in [0, 1), got {args.tol}")
+        raise ParameterError(f"--tol must lie in [0, 1), got {args.tol}")
     target = _boundary_target(args)
     lo_default, hi_default = _BOUNDARY_DEFAULT_RANGES[args.axis]
     lo = lo_default if args.min is None else args.min
@@ -238,23 +238,31 @@ def _cmd_boundary(args) -> int:
 def _parse_axis_flag(text: str) -> AxisSpec:
     parts = text.split(":")
     if len(parts) not in (4, 5):
-        raise ConfigError(
+        raise ParameterError(
             f"axes are written name:min:max:count[:scale], got {text!r}")
     try:
         lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError:
-        raise ConfigError(f"malformed axis {text!r}") from None
+        raise ParameterError(f"malformed axis {text!r}") from None
     return AxisSpec(parts[0], lo, hi, count, *parts[4:])
 
 
 def _parse_fixed_flag(text: str):
     name, sep, value = text.partition("=")
     if not sep:
-        raise ConfigError(f"fixed values are written name=value, got {text!r}")
+        raise ParameterError(
+            f"fixed values are written name=value, got {text!r}")
     try:
         return name.strip(), float(value)
     except ValueError:
-        raise ConfigError(f"malformed fixed value {text!r}") from None
+        raise ParameterError(f"malformed fixed value {text!r}") from None
+
+
+def _only_keys(section, keys):
+    for key in section:
+        if key not in keys:
+            raise ParameterError(
+                f"unknown key {key!r} in config section {section.name!r}")
 
 
 def _load_config(path: str) -> list:
@@ -265,10 +273,11 @@ def _load_config(path: str) -> list:
     flags = []
     try:
         if not cp.read(path):
-            raise ConfigError(f"cannot read config file {path!r}")
+            raise ParameterError(f"cannot read config file {path!r}")
         for name in cp.sections():
             section = cp[name]
             if name == "scan":
+                _only_keys(section, ("targets", "noise_mode", "threads"))
                 flags += [f"--target={section.get('targets', '')}",
                           f"--noise-mode={section.get('noise_mode', '')}"]
                 if "threads" in section:
@@ -279,23 +288,18 @@ def _load_config(path: str) -> list:
             elif name.startswith("axis:"):
                 lo, hi = section.get("min"), section.get("max")
                 if lo is None or hi is None:
-                    raise ConfigError(
+                    raise ParameterError(
                         f"axis section {name!r} needs min and max")
+                _only_keys(section, ("min", "max", "count", "scale"))
                 flags.append(f"--axis={name.split(':', 1)[1]}:{lo}:{hi}:"
                              f"{section.get('count', '2')}:"
                              f"{section.get('scale', 'linear')}")
             else:
-                raise ConfigError(f"unknown config section {name!r}")
+                raise ParameterError(f"unknown config section {name!r}")
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"malformed config file {path!r}: {exc}") from None
+        raise ParameterError(
+            f"malformed config file {path!r}: {exc}") from None
     return flags
-
-
-def _open_output(path: str):
-    try:
-        return open(path, "w")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _cmd_scan(args) -> int:
@@ -320,13 +324,17 @@ def _cmd_scan(args) -> int:
     spec = ScanSpec(axes=axes, targets=targets, fixed=fixed,
                     noise_mode=noise_mode or "independent", threads=threads)
     if args.svg is not None and len(spec.axes) != 2:
-        raise ConfigError("SVG output needs a two-dimensional scan")
+        raise ParameterError("SVG output needs a two-dimensional scan")
 
     # every output is opened before the scan runs, so that a path that
     # cannot be written fails before any work is done
     with contextlib.ExitStack() as stack:
         def output(path):
-            return stack.enter_context(_open_output(path))
+            try:
+                return stack.enter_context(open(path, "w"))
+            except OSError as exc:
+                raise ParameterError(
+                    f"cannot write {path!r}: {exc.strerror}") from None
 
         csv_out = sys.stdout if args.csv == "-" else output(args.csv)
         json_out = None if args.json is None else output(args.json)
@@ -436,8 +444,7 @@ def main(argv=None) -> int:
         caught.clear()
         _print_json({"error": type(exc).__name__, "message": str(exc)},
                     sys.stderr)
-        usage = (ConfigError, OrderLimitError, ParameterError)
-        return 1 if isinstance(exc, usage) else 2
+        return 1 if isinstance(exc, ParameterError) else 2
     except BrokenPipeError:
         # the reader closed stdout: end quietly, with the status a shell
         # gives a tool that SIGPIPE ended, and keep the interpreter's final

@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import OrderLimitError, ParameterError
+from .errors import ParameterError
 from .moments import _held, _table
 from .states import TwoModeGaussianState, _checked
 
@@ -174,12 +174,12 @@ def _need(cid: CriterionId):
 
 def _check_order(total: int, max_order: int | None,
                  advice: str = "raise max_order explicitly if intended"):
-    """Raise OrderLimitError, ending in ``advice``, when a derivative order
+    """Raise ParameterError, ending in ``advice``, when a derivative order
     of ``total`` exceeds ``max_order``, DEFAULT_MAX_ORDER when it is None."""
     limit = (DEFAULT_MAX_ORDER if max_order is None
              else _checked("max_order", max_order))
     if total > limit:
-        raise OrderLimitError(
+        raise ParameterError(
             f"requested derivative order {total} exceeds the configured "
             f"maximum {limit}; {advice}")
 

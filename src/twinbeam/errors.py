@@ -1,13 +1,12 @@
-"""Exception hierarchy shared by all twinbeam modules."""
+"""Exceptions of all twinbeam modules: rejected input raises ParameterError,
+a numerical failure EvaluationError or TruncationError."""
 
 __all__ = [
     "TwinbeamError",
     "ParameterError",
     "PhysicalityError",
-    "OrderLimitError",
     "TruncationError",
     "EvaluationError",
-    "ConfigError",
 ]
 
 
@@ -16,15 +15,11 @@ class TwinbeamError(Exception):
 
 
 class ParameterError(TwinbeamError, ValueError):
-    """A parameter is out of its physical or syntactic domain."""
+    """An argument, flag, scan spec or input file is invalid."""
 
 
 class PhysicalityError(ParameterError):
     """A state parameter set violates the quantum uncertainty relation."""
-
-
-class OrderLimitError(TwinbeamError, ValueError):
-    """A requested derivative order exceeds the configured maximum."""
 
 
 class TruncationError(TwinbeamError, RuntimeError):
@@ -33,7 +28,3 @@ class TruncationError(TwinbeamError, RuntimeError):
 
 class EvaluationError(TwinbeamError, ArithmeticError):
     """A generating-function evaluation left its domain of validity."""
-
-
-class ConfigError(TwinbeamError, ValueError):
-    """A scan specification or CLI configuration is invalid."""

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .criteria import CriterionId, _check_order, _judge, _need
-from .errors import ConfigError
+from .errors import ParameterError
 from .moments import _q_coeff_array
 from .quantifiers import _local_lanes, _negativity_lane
 from .states import (_attenuate_arrays, _bs_transform_arrays, _checked,
@@ -73,23 +73,24 @@ class AxisSpec:
 
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
-            raise ConfigError(
+            raise ParameterError(
                 f"unknown axis {self.name!r}; expected one of "
                 f"{', '.join(AXIS_NAMES)}")
-        start = _checked(self.name, self.start, ConfigError)
-        stop = _checked(self.name, self.stop, ConfigError)
+        start = _checked(self.name, self.start)
+        stop = _checked(self.name, self.stop)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "stop", stop)
         object.__setattr__(self, "count",
-                           _checked("count", self.count, ConfigError))
+                           _checked("count", self.count))
         if self.scale not in ("linear", "log"):
-            raise ConfigError(f"scale must be linear or log, got {self.scale!r}")
+            raise ParameterError(
+                f"scale must be linear or log, got {self.scale!r}")
         if start > stop:
-            raise ConfigError(
+            raise ParameterError(
                 f"axis {self.name} bounds must be ordered, got "
                 f"[{start}, {stop}]")
         if self.scale == "log" and start <= 0.0:
-            raise ConfigError(
+            raise ParameterError(
                 f"axis {self.name} uses log spacing, so its start must be "
                 f"positive, got {start}")
 
@@ -112,17 +113,17 @@ class TargetSpec:
 
     def __post_init__(self):
         if self.kind not in ("criterion", "negativity", "local"):
-            raise ConfigError(f"unknown target kind {self.kind!r}")
+            raise ParameterError(f"unknown target kind {self.kind!r}")
         if (self.kind == "criterion") != (self.criterion is not None):
-            raise ConfigError("criterion targets, and only they, take a "
-                              f"criterion id, got kind {self.kind!r} with "
-                              f"criterion {self.criterion}")
+            raise ParameterError("criterion targets, and only they, take a "
+                                 f"criterion id, got kind {self.kind!r} with "
+                                 f"criterion {self.criterion}")
         if self.criterion is not None:
             _check_order(_need(self.criterion)[2], None,
                          "scan and boundary targets keep this limit")
-        mode = _checked("mode", self.mode, ConfigError)
+        mode = _checked("mode", self.mode)
         if self.kind != "local" and mode != 1:
-            raise ConfigError(
+            raise ParameterError(
                 f"the {self.kind} target takes no mode, got mode={mode}")
         object.__setattr__(self, "mode", mode)
 
@@ -141,15 +142,11 @@ class TargetSpec:
         if text.startswith("i_ncl"):
             parts = text.split(":")
             if len(parts) != 2 or parts[1] not in ("1", "2"):
-                raise ConfigError(
+                raise ParameterError(
                     f"local targets are written i_ncl:1 or i_ncl:2, "
                     f"got {text!r}")
             return cls("local", mode=int(parts[1]))
-        try:
-            criterion = CriterionId.parse(text)
-        except Exception as exc:
-            raise ConfigError(f"cannot parse target {text!r}: {exc}") from None
-        return cls("criterion", criterion=criterion)
+        return cls("criterion", criterion=CriterionId.parse(text))
 
 
 @dataclass(frozen=True)
@@ -170,39 +167,40 @@ class ScanSpec:
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "fixed", dict(self.fixed))
         if not 1 <= len(axes) <= 3:
-            raise ConfigError(
+            raise ParameterError(
                 f"a scan needs between one and three axes, got {len(axes)}")
         names = [a.name for a in axes]
         if len(set(names)) != len(names):
-            raise ConfigError(f"axis names must be unique, got {names}")
+            raise ParameterError(f"axis names must be unique, got {names}")
         if not targets:
-            raise ConfigError("a scan needs at least one target")
+            raise ParameterError("a scan needs at least one target")
         labels = [t.label() for t in targets]
         if len(set(labels)) != len(labels):
-            raise ConfigError(f"target labels must be unique, got {labels}")
+            raise ParameterError(f"target labels must be unique, got {labels}")
         if self.noise_mode not in NOISE_MODES:
-            raise ConfigError(
+            raise ParameterError(
                 f"unknown noise_mode {self.noise_mode!r}; expected one of "
                 f"{', '.join(NOISE_MODES)}")
         for key, value in self.fixed.items():
             if key not in AXIS_NAMES + ("phi",):
-                raise ConfigError(f"unknown fixed parameter {key!r}")
+                raise ParameterError(f"unknown fixed parameter {key!r}")
             if key in names:
-                raise ConfigError(
+                raise ParameterError(
                     f"{key!r} cannot be both an axis and a fixed parameter")
-            self.fixed[key] = _checked(key, value, ConfigError)
+            self.fixed[key] = _checked(key, value)
         if "phi" in self.fixed and "t" not in names and "t" not in self.fixed:
-            raise ConfigError("a fixed phi needs t as an axis or fixed value")
+            raise ParameterError(
+                "a fixed phi needs t as an axis or fixed value")
         if self.noise_mode == "balanced":
             if "bi" in names or "bi" in self.fixed:
-                raise ConfigError(
+                raise ParameterError(
                     "balanced noise derives bi, so it cannot be set "
                     "explicitly")
         if "bp" not in names and "bp" not in self.fixed:
-            raise ConfigError("bp must be given as an axis or fixed value")
+            raise ParameterError("bp must be given as an axis or fixed value")
         if self.threads is not None:
             object.__setattr__(self, "threads",
-                               _checked("threads", self.threads, ConfigError))
+                               _checked("threads", self.threads))
 
 
 # -- evaluation pipeline ----------------------------------------------------

@@ -75,28 +75,29 @@ _PARAM_RANGES = {
 }
 
 
-def _checked(name: str, value, error=ParameterError) -> float | int:
-    """``value`` as a float, or as an int for an integer argument, or
-    ``error`` when it is not finite, not integral where it must be, or
+def _checked(name: str, value) -> float | int:
+    """``value`` as a float, or as an int for an integer argument; raise
+    ParameterError when it is not finite, not integral where it must be, or
     outside the range of ``name``."""
     lo, hi = _PARAM_RANGES[name]
     try:
         number = float(value)
     except (TypeError, ValueError):
-        raise error(f"{name} must be a number, got {value!r}") from None
+        raise ParameterError(
+            f"{name} must be a number, got {value!r}") from None
     except OverflowError:
-        raise error(f"{name} must be finite, got a number beyond the "
-                    "float range") from None
+        raise ParameterError(f"{name} must be finite, got a number beyond "
+                             "the float range") from None
     if not math.isfinite(number):
-        raise error(f"{name} must be finite, got {number}")
+        raise ParameterError(f"{name} must be finite, got {number}")
     if isinstance(lo, int):
         if int(number) != value:
-            raise error(f"{name} must be an integer, got {value!r}")
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
         number = int(number)
     if not lo <= number <= hi:
         span = (f"in [{lo:g}, {hi:g}]" if hi != math.inf
                 else "non-negative" if lo == 0 else f">= {lo:g}")
-        raise error(f"{name} must be {span}, got {number}")
+        raise ParameterError(f"{name} must be {span}, got {number}")
     return number
 
 

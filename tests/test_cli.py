@@ -359,116 +359,144 @@ class _Ini(str):
 _AXIS_BP = "[axis:bp]\nmin = 0.1\nmax = 1\n"
 
 
-@pytest.mark.parametrize("argv,error", [
-    (["crit", "--bp", "1.0"], "ConfigError"),
+_FAILURES = [
+    (["crit", "--bp", "1.0"], "ParameterError"),
     (["crit", "--bp", "-1", "--family", "E_p", "--k1", "0", "--k2", "0"],
      "ParameterError"),
     (["crit", "--bp", "1", "--family", "E_W", "--k1", "2", "--k2", "2",
-      "--max-order", "5"], "OrderLimitError"),
+      "--max-order", "5"], "ParameterError"),
     (["state", "--bp", "1", "--eta", "1.5"], "ParameterError"),
-    (["nosuch"], "ConfigError"),
-    (["scan", "--axis", "bp:0:1:3", "--target", "Q_z:0:0"], "ConfigError"),
-    (["scan", "--config", "/nonexistent/scan.ini"], "ConfigError"),
+    (["nosuch"], "ParameterError"),
+    (["scan", "--axis", "bp:0:1:3", "--target", "Q_z:0:0"], "ParameterError"),
+    (["scan", "--config", "/nonexistent/scan.ini"], "ParameterError"),
     (["boundary", "--family", "negativity", "--axis", "bs", "--bp", "1",
-      "--eta", "0.5", "--eta2", "0.9"], "ConfigError"),
+      "--eta", "0.5", "--eta2", "0.9"], "ParameterError"),
     (["boundary", "--family", "E_p", "--axis", "bp", "--t", "0.5",
-      "--phi", "inf"], "ConfigError"),
-    (["crit", "--bp", "1", "--family", "E_p", "--phi", "inf"], "ConfigError"),
+      "--phi", "inf"], "ParameterError"),
+    (["crit", "--bp", "1", "--family", "E_p", "--phi", "inf"],
+     "ParameterError"),
     (["crit", "--bp", "1", "--family", "M_p", "--t", "0.5", "--phi", "nan"],
-     "ConfigError"),
-    (["state", "--bp", "1", "--phi", "nan"], "ConfigError"),
-    (["pnd", "--bp", "1", "--nmax", "2", "--phi=-inf"], "ConfigError"),
+     "ParameterError"),
+    (["state", "--bp", "1", "--phi", "nan"], "ParameterError"),
+    (["pnd", "--bp", "1", "--nmax", "2", "--phi=-inf"], "ParameterError"),
     (["crit", "--bp", "1", "--family", "M_p", "--t", "0.6", "--phi", "-inf"],
-     "ConfigError"),
+     "ParameterError"),
     (["boundary", "--family", "E_p", "--axis", "t", "--bp", "1",
-      "--tol=inf"], "ConfigError"),
+      "--tol=inf"], "ParameterError"),
     (["boundary", "--family", "E_p", "--axis", "t", "--bp", "1",
-      "--tol=nan"], "ConfigError"),
+      "--tol=nan"], "ParameterError"),
     (["boundary", "--family", "E_p", "--axis", "t", "--bp", "1",
-      "--tol", "-1"], "ConfigError"),
+      "--tol", "-1"], "ParameterError"),
     (["boundary", "--family", "E_p", "--axis", "t", "--bp", "1",
-      "--tol", "1"], "ConfigError"),
-    (["pnd", "--bp", "1", "--nmax", "-1"], "ConfigError"),
+      "--tol", "1"], "ParameterError"),
+    (["pnd", "--bp", "1", "--nmax", "-1"], "ParameterError"),
     (["scan", "--config", _Ini("[axis:bp]\nmin = abc\nmax = 1\n"),
-      "--target", "negativity"], "ConfigError"),
+      "--target", "negativity"], "ParameterError"),
     (["scan", "--config", _Ini(_AXIS_BP + "count = 2.5\n"),
-      "--target", "negativity"], "ConfigError"),
+      "--target", "negativity"], "ParameterError"),
     (["scan", "--config", _Ini(_AXIS_BP + "[scan]\nthreads = x\n"),
-      "--target", "negativity"], "ConfigError"),
+      "--target", "negativity"], "ParameterError"),
     (["scan", "--config", _Ini("min = 0\nmax = 1\n"),
-      "--target", "negativity"], "ConfigError"),
+      "--target", "negativity"], "ParameterError"),
     (["scan", "--config", _Ini(_AXIS_BP + _AXIS_BP),
-      "--target", "negativity"], "ConfigError"),
+      "--target", "negativity"], "ParameterError"),
     (["scan", "--config", _Ini(_AXIS_BP + "count = 3%\n"),
-      "--target", "negativity"], "ConfigError"),
+      "--target", "negativity"], "ParameterError"),
     # l > k certifies the thermal state: R_W:1:3:1 read -2.0 there
     (["crit", "--bp", "0", "--bs", "1", "--bi", "1", "--family", "R_W",
       "--k1", "1", "--k2", "3"], "ParameterError"),
     # a phase without a beam splitter would be dropped silently
-    (["crit", "--bp", "1", "--family", "E_p", "--phi", "0.5"], "ConfigError"),
+    (["crit", "--bp", "1", "--family", "E_p", "--phi", "0.5"],
+     "ParameterError"),
     (["scan", "--fixed", "phi=0.5", "--axis", "bp:0.1:1:2",
-      "--target", "E_p:0:0"], "ConfigError"),
+      "--target", "E_p:0:0"], "ParameterError"),
     (["boundary", "--family", "E_p", "--axis", "bp", "--phi", "0.5"],
-     "ConfigError"),
+     "ParameterError"),
     # flags the criterion's label leaves out would be dropped silently
     (["crit", "--bp", "1", "--family", "M_W", "--k1", "3", "--k2", "4"],
      "ParameterError"),
     (["crit", "--bp", "1", "--family", "E_W", "--mode", "2"],
      "ParameterError"),
     (["boundary", "--family", "negativity", "--axis", "bs", "--noise-mode",
-      "balanced", "--bp", "1", "--k1", "3", "--mode", "2"], "ConfigError"),
+      "balanced", "--bp", "1", "--k1", "3", "--mode", "2"], "ParameterError"),
     (["boundary", "--family", "i_ncl", "--axis", "t", "--bp", "1",
-      "--k1", "3", "--k2", "5"], "ConfigError"),
+      "--k1", "3", "--k2", "5"], "ParameterError"),
     # bp * (bp + 1) overflows: the message used to blame d12
     (["crit", "--bp", "1e300", "--family", "E_W", "--k1", "0", "--k2", "0"],
      "ParameterError"),
-    (["state", "--bp", "1", "--eta2", "0.5"], "ConfigError"),
-    (["boundary", "--family", "E_p", "--axis", "t"], "ConfigError"),
+    (["state", "--bp", "1", "--eta2", "0.5"], "ParameterError"),
+    (["boundary", "--family", "E_p", "--axis", "t"], "ParameterError"),
     # a fixed cutoff would drop the tail tolerance silently
-    (["pnd", "--bp", "1", "--nmax", "3", "--tail-tol", "0.5"], "ConfigError"),
+    (["pnd", "--bp", "1", "--nmax", "3", "--tail-tol", "0.5"],
+     "ParameterError"),
     # a flag of the swept axis, or bi under balanced noise, would be
     # dropped silently; scan rejects the same input
     (["boundary", "--family", "E_p", "--axis", "t", "--t", "0.3", "--bp",
-      "1"], "ConfigError"),
+      "1"], "ParameterError"),
     (["boundary", "--family", "E_p", "--axis", "bp", "--bp", "2"],
-     "ConfigError"),
+     "ParameterError"),
     (["boundary", "--family", "E_p", "--axis", "bs", "--bs", "0.5", "--bp",
-      "1"], "ConfigError"),
+      "1"], "ParameterError"),
     (["boundary", "--family", "negativity", "--axis", "bs", "--noise-mode",
-      "balanced", "--bp", "1", "--bi", "0"], "ConfigError"),
+      "balanced", "--bp", "1", "--bi", "0"], "ParameterError"),
     (["scan", "--config", _Ini("[axis:bp]\nmin = 0.1\n"),
-      "--target", "negativity"], "ConfigError"),
+      "--target", "negativity"], "ParameterError"),
     (["scan", "--config", _Ini(_AXIS_BP + "[plot]\n"),
-      "--target", "negativity"], "ConfigError"),
-    (["scan", "--axis", "bp:1:2", "--target", "negativity"], "ConfigError"),
+      "--target", "negativity"], "ParameterError"),
+    (["scan", "--axis", "bp:1:2", "--target", "negativity"], "ParameterError"),
     (["scan", "--axis", "bp:0.1:1:2", "--fixed", "bs", "--target",
-      "negativity"], "ConfigError"),
+      "negativity"], "ParameterError"),
     (["scan", "--axis", "bp:0.1:1:2", "--fixed", "bs=x", "--target",
-      "negativity"], "ConfigError"),
+      "negativity"], "ParameterError"),
     # scan and boundary targets obey crit's order limit; after the colon,
     # what the message must say
     (["scan", "--axis", "bp:0.1:1:2", "--target", "E_W:20:20", "--csv", "-"],
-     "OrderLimitError:order 42 exceeds"),
+     "ParameterError:order 42 exceeds"),
     (["boundary", "--axis", "bp", "--t", "0.7", "--family", "E_W", "--k1",
-      "20", "--k2", "20"], "OrderLimitError:order 42 exceeds"),
+      "20", "--k2", "20"], "ParameterError:order 42 exceeds"),
     (["scan", "--config", _Ini(_AXIS_BP + "[scan]\ntargets = E_W:20:20\n")],
-     "OrderLimitError:order 42 exceeds"),
+     "ParameterError:order 42 exceeds"),
     # an integer beyond the float range used to end in a traceback
     (["crit", "--bp", "1", "--family", "E_W", "--k1", "9" * 400],
      "ParameterError:k1 must be finite"),
     # each scan worker may be an OS thread, so the count is bounded; a
     # two-cell grid starts at most two threads either way
     (["scan", "--axis", "bp:0.1:1:2", "--target", "negativity", "--threads",
-      "100000", "--csv", "-"], "ConfigError:threads must be in [1, 64]"),
+      "100000", "--csv", "-"], "ParameterError:threads must be in [1, 64]"),
     (["scan", "--config", _Ini(_AXIS_BP + "[scan]\nthreads = 10000\n"),
-      "--target", "negativity"], "ConfigError:threads must be in [1, 64]"),
+      "--target", "negativity"], "ParameterError:threads must be in [1, 64]"),
     # an axis section spells its ends min and max only
     (["scan", "--config", _Ini("[axis:bp]\nstart = 0.1\nstop = 1\n"),
-      "--target", "negativity"], "ConfigError:needs min and max"),
+      "--target", "negativity"], "ParameterError:needs min and max"),
     (["scan", "--axis", "bp:0.1:1:2", "--target", "negativity",
       "--noise-mode", "unbalanced"],
-     "ConfigError:expected one of independent, balanced"),
-])
+     "ParameterError:expected one of independent, balanced"),
+    # so would a zero phase
+    (["crit", "--bp", "1", "--family", "M_p", "--phi", "0"],
+     "ParameterError:--phi needs --t"),
+    # a misspelt key would be dropped silently
+    (["scan", "--config", _Ini("[axis:bp]\nmin = 0.1\nmax = 1\ncont = 5\n"
+                               "[scan]\ntargets = negativity\n"
+                               "noise = balanced\n")],
+     "ParameterError:unknown key 'cont' in config section 'axis:bp'"),
+    (["scan", "--config", _Ini(_AXIS_BP + "[scan]\nnoise = balanced\n"),
+      "--target", "negativity"],
+     "ParameterError:unknown key 'noise' in config section 'scan'"),
+]
+# The first 54 rows keep the ids they had while usage errors came in three
+# classes: rows 2 and 46-48 then reported OrderLimitError, and the others
+# not listed here ConfigError.
+_FORMER_CLASS = {
+    **dict.fromkeys(range(54), "ConfigError"),
+    **dict.fromkeys((2, 46, 47, 48), "OrderLimitError"),
+    **dict.fromkeys((1, 3, 25, 29, 30, 33, 49), "ParameterError"),
+}
+
+
+@pytest.mark.parametrize("argv,error", _FAILURES, ids=[
+    f"argv{i}-" + error.replace("ParameterError",
+                                _FORMER_CLASS.get(i, "ParameterError"), 1)
+    for i, (_, error) in enumerate(_FAILURES)])
 def test_failures_report_json_and_exit_nonzero(capsys, tmp_path, argv,
                                                error):
     error, _, says = error.partition(":")
@@ -484,6 +512,24 @@ def test_failures_report_json_and_exit_nonzero(capsys, tmp_path, argv,
     assert payload["error"] == error
     assert payload["message"]
     assert says in payload["message"]
+
+
+@pytest.mark.parametrize("flags,commands", [
+    (["--bp", "-1"], [["crit", "--family", "M_p"], ["state"],
+                      ["pnd", "--nmax", "2"],
+                      ["boundary", "--axis", "t", "--family", "M_p"]]),
+    (["--bp", "1", "--t", "0.5", "--phi", "inf"],
+     [["crit", "--family", "M_p"], ["state"], ["pnd"]]),
+])
+def test_a_bad_state_flag_gives_one_record_in_every_command(capsys, flags,
+                                                            commands):
+    records = set()
+    for command in commands:
+        rc, _, err = run_cli(capsys, *command, *flags)
+        assert rc == 1
+        records.add(err)
+    assert len(records) == 1
+    assert json.loads(records.pop())["error"] == "ParameterError"
 
 
 @pytest.mark.parametrize("axis,section", [
@@ -542,7 +588,7 @@ def test_unwritable_output_paths_report_json(capsys, tmp_path, flag):
     assert rc == 1
     assert len(err.splitlines()) == 1
     payload = json.loads(err)
-    assert payload["error"] == "ConfigError"
+    assert payload["error"] == "ParameterError"
     assert "missing" in payload["message"]
     # every output is opened before the scan runs, so no rows are written
     csv = tmp_path / "grid.csv"
@@ -557,7 +603,7 @@ def test_svg_of_a_one_dimensional_scan_fails_before_the_scan(capsys,
                          "--svg", str(tmp_path / "plot-"))
     assert rc == 1
     assert json.loads(err) == {
-        "error": "ConfigError",
+        "error": "ParameterError",
         "message": "SVG output needs a two-dimensional scan"}
     assert not (tmp_path / "grid.csv").exists()
 

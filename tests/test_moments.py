@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_physical_state
 from twinbeam import criteria, moments, states
-from twinbeam.errors import (EvaluationError, OrderLimitError, ParameterError,
-                             TruncationError)
+from twinbeam.errors import EvaluationError, ParameterError, TruncationError
 from twinbeam.series import BivariateSeries
 
 
@@ -392,7 +391,7 @@ def test_order_limit_is_enforced():
     q = moments._q_coeff_array(*st.params())
     assert moments.moment_table(st, 7, 7).tobytes() == (
         moments._table(q, "W", 7, 7).tobytes())
-    with pytest.raises(OrderLimitError, match="order 13 exceeds"):
+    with pytest.raises(ParameterError, match="order 13 exceeds"):
         criteria.evaluate(st, "E_W:5:6")
 
 

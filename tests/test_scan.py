@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from twinbeam import cli, criteria, quantifiers, scan, states, svg
 from twinbeam.criteria import CriterionId
 from twinbeam.cli import main
-from twinbeam.errors import ConfigError, OrderLimitError, ParameterError
+from twinbeam.errors import ParameterError
 from twinbeam.scan import AxisSpec, ScanSpec, TargetSpec
 
 
@@ -215,8 +215,8 @@ def test_balanced_mode_copies_the_signal_noise():
 def test_an_unknown_noise_mode_names_the_two_modes():
     """An idler without noise is the independent mode with bi omitted; no
     third mode spells it."""
-    with pytest.raises(ConfigError, match=r"'unbalanced'; expected one of "
-                                          r"independent, balanced$"):
+    with pytest.raises(ParameterError, match=r"'unbalanced'; expected one "
+                                             r"of independent, balanced$"):
         ScanSpec(axes=[AxisSpec("bs", 0.3, 0.3, 1)],
                  targets=[TargetSpec.parse("negativity")],
                  fixed={"bp": 1.0}, noise_mode="unbalanced")
@@ -362,10 +362,10 @@ def test_a_criterion_target_obeys_the_default_order_limit():
     accepted; E_W:5:6 reads order 13 and raises crit's error, unwrapped,
     without advising a max_order that scans and boundaries do not take."""
     assert TargetSpec.parse("E_W:5:5").criterion == CriterionId("E_W", 5, 5)
-    with pytest.raises(OrderLimitError, match="order 13 exceeds") as raised:
+    with pytest.raises(ParameterError, match="order 13 exceeds") as raised:
         TargetSpec.parse("E_W:5:6")
     assert "max_order" not in str(raised.value)
-    with pytest.raises(OrderLimitError):
+    with pytest.raises(ParameterError):
         TargetSpec("criterion", criterion=CriterionId("R_p", 13, 13))
 
 
@@ -377,7 +377,7 @@ def test_every_target_equals_the_target_its_label_parses_to():
             for mode in (1, 2):
                 try:
                     target = TargetSpec(kind, criterion=cid, mode=mode)
-                except ConfigError:
+                except ParameterError:
                     continue
                 assert TargetSpec.parse(target.label()) == target
                 built.append(target.label())
@@ -469,7 +469,7 @@ def test_a_one_point_axis_leaves_a_2d_scan_without_boundaries():
                      targets=[TargetSpec.parse("negativity")], threads=65),
 ])
 def test_invalid_configurations_are_rejected(build):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ParameterError):
         spec = build()
         if isinstance(spec, ScanSpec):
             scan.run_scan(spec)
