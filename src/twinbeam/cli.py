@@ -44,7 +44,7 @@ from .scan import (AXIS_NAMES, NOISE_MODES, AxisSpec, ScanSpec, TargetSpec,
                    write_boundaries_json, write_csv)
 from .states import (_checked, attenuate, beam_splitter, covariance_n,
                      symplectic_eigenvalues, twin_beam)
-from .svg import render_svg
+from .svg import _check_axes, render_svg
 
 __all__ = ["main"]
 
@@ -323,8 +323,8 @@ def _cmd_scan(args) -> int:
             threads = flags.threads
     spec = ScanSpec(axes=axes, targets=targets, fixed=fixed,
                     noise_mode=noise_mode or "independent", threads=threads)
-    if args.svg is not None and len(spec.axes) != 2:
-        raise ParameterError("SVG output needs a two-dimensional scan")
+    if args.svg is not None:
+        _check_axes(len(spec.axes))
 
     # every output is opened before the scan runs, so that a path that
     # cannot be written fails before any work is done

@@ -16,18 +16,24 @@ grid) to every table, joint or marginal, for the public functions and the
 criteria alike.  It holds the one rule for negative probabilities: below
 -1e-12 it raises EvaluationError, above that it clamps to zero, so an
 element raises exactly when the table it is read from does.  Every table
-and element function reads a table of its own size, at any order: the
-derivative-order limit is a rule of the criteria module alone.  A state's
-memo is read and written only by _q (its Q) and _held, which holds each
-moment and scaled-probability kind, joint or marginal, for
-criteria.evaluate alone, at the largest orders asked so far, as the lane
-of a one-lane batch at any width; a kind's first table is built at least
-at the floor evaluate names, the default catalog's orders, unless that
-table would raise a floating-point error.
+and element function reads a table of its own size, at any order, through
+_read: the derivative-order limit is a rule of the criteria module alone.
+_read holds the one rule for K: where a state's stored c1, c2 and dbar12
+are exactly 0 (every twin beam, noisy or not, and every loss of one),
+Q = K**2 with K = 1 + b1 l1 + b2 l2 + kappa l1 l2, so its probabilities
+are the coefficients of 1/K(1 - z), a first-order stencil, read with the
+kappa the state carries and no Q built.  The moment and factorial-scaled
+tables, which the criteria and scans read, stay on Q, and so does every
+table of a scan lane.  A state's memo is read and written only by _q
+(its Q) and _held, which holds each moment and scaled-probability kind,
+joint or marginal, for criteria.evaluate alone, at the largest orders
+asked so far, as the lane of a one-lane batch at any width; a kind's
+first table is built at least at the floor evaluate names, the default
+catalog's orders, unless that table would raise a floating-point error.
 
-Marginal quantities use the exact single-mode reduction of Q rather than
-summing the joint distribution, so marginal tails can be bounded without
-ever forming a large two-dimensional table.
+Marginal quantities use the exact single-mode reduction of Q, or of K,
+rather than summing the joint distribution, so marginal tails can be
+bounded without ever forming a large two-dimensional table.
 """
 from __future__ import annotations
 
@@ -217,7 +223,8 @@ def _held(state: TwoModeGaussianState, kind: str, o1: int, o2: int = 0,
 
 # -- tables from Q coefficients --------------------------------------------
 
-def _table(q: np.ndarray, kind: str, o1: int, o2: int = 0) -> np.ndarray:
+def _table(q: np.ndarray, kind: str, o1: int, o2: int = 0,
+           k: tuple | None = None) -> np.ndarray:
     """One table read off the (3, 3, *batch) Q coefficients ``q``.
 
     ``kind`` is "W" for the normally ordered intensity moments
@@ -228,21 +235,26 @@ def _table(q: np.ndarray, kind: str, o1: int, o2: int = 0) -> np.ndarray:
 
     ``q`` holds Q(-l1, -l2), whose expansion carries every sign: moments
     expand its Q**(-1/2) about the origin, probabilities about (-1, -1),
-    since Q(1 - z) is Q(-l) at l = z - 1.  Probabilities below -1e-12 raise
-    EvaluationError, and rounding-level negatives above that are clamped
-    to zero.  The scaled probabilities keep their sign, because the
-    criteria read them with a tolerance of their own.
+    since Q(1 - z) is Q(-l) at l = z - 1.  Given ``k``, the (b1, b2,
+    kappa) of one state's K, probabilities are read off 1/K(1 - z)
+    instead (_inverse_k), and ``q`` is not read.  Probabilities below
+    -1e-12 raise EvaluationError, and rounding-level negatives above that
+    are clamped to zero.  The scaled probabilities keep their sign,
+    because the criteria read them with a tolerance of their own.
     """
     marginal = kind[1:]
-    if marginal == "1":
-        q = q[:, :1]
-    elif marginal == "2":
-        # setting the other variable to zero removes its mode exactly
-        q = q[:1].swapaxes(0, 1)
-    series = BivariateSeries(q)
-    if kind[0] != "W":
-        series = series.rebased(-1.0, -1.0)
-    s = series.rsqrt(order1=o1, order2=o2).coeffs
+    if kind[0] == "P" and k is not None:
+        s = _inverse_k(*k, marginal, o1, o2)
+    else:
+        if marginal == "1":
+            q = q[:, :1]
+        elif marginal == "2":
+            # setting the other variable to zero removes its mode exactly
+            q = q[:1].swapaxes(0, 1)
+        series = BivariateSeries(q)
+        if kind[0] != "W":
+            series = series.rebased(-1.0, -1.0)
+        s = series.rsqrt(order1=o1, order2=o2).coeffs
     # scaled in place, so no table-sized temporary is made
     if kind[0] == "p":
         s /= s[0, 0].copy()
@@ -258,9 +270,75 @@ def _table(q: np.ndarray, kind: str, o1: int, o2: int = 0) -> np.ndarray:
     return s[:, 0] if marginal else s
 
 
+def _read(state: TwoModeGaussianState, kind: str, o1: int,
+          o2: int = 0) -> np.ndarray:
+    """The state's ``kind`` table at orders (o1, o2), as every public table
+    and element function reads it: a probability kind of a state whose
+    stored c1, c2 and dbar12 are exactly 0 (every twin beam and every loss
+    of one) from 1/K, whose square is Q, without building Q; every other
+    table from Q."""
+    k = None
+    try:
+        if (kind[0] == "P" and state.c1 == 0 and state.c2 == 0
+                and state.dbar12 == 0):
+            k = state.b1, state.b2, state._kappa
+    except AttributeError:
+        raise _not_a_state(state) from None
+    return _table(_q(state) if k is None else None, kind, o1, o2, k)
+
+
+def _inverse_k(b1: float, b2: float, kappa: float, marginal: str, o1: int,
+               o2: int) -> np.ndarray:
+    """The coefficients of 1/K(1 - z1, 1 - z2), the probabilities of a
+    state whose Q is K**2: an (o1 + 1, o2 + 1) table, or for the marginal
+    of mode ``marginal`` an (o1 + 1, 1) one.
+
+    K(1 - z) = a - c1 z1 - c2 z2 + kappa z1 z2 with c1 = b1 + kappa,
+    c2 = b2 + kappa and a = 1 + b1 + c2.  Row i has the right-hand side
+    f[j] = c1 s[i - 1, j] - kappa s[i - 1, j - 1] (row 0 has f = 1 at
+    n2 = 0), and s[i, j] = (f[j] + c2 s[i, j - 1]) / a is the non-unit
+    one-tap banded solve dtbsv, imported where it is called, where c2 is
+    not 0, else f / a.  A noiseless twin beam, whose c1 and c2 are exactly
+    0, gives a diagonal table and solves nothing.  A marginal is thermal
+    with mean b, (b / (1 + b))**n / (1 + b), as a running product.  The
+    NumPy operations warn, or raise under np.errstate, as the Q**(-1/2)
+    rows do; dtbsv, as in rsqrt, reports nothing."""
+    if marginal:
+        # K(l, 0) = 1 + b1 l and K(0, l) = 1 + b2 l
+        b = b1 if marginal == "1" else b2
+        s = np.full((o1 + 1, 1), b / (1.0 + b))
+        s[0] = 1.0 / (1.0 + b)
+        return np.multiply.accumulate(s, out=s)
+    c1, c2 = b1 + kappa, b2 + kappa
+    a = 1.0 + b1 + c2
+    if not 0.0 < a < math.inf:
+        raise EvaluationError(
+            "generating polynomial is not positive at the expansion "
+            f"point (constant term {a})")
+    s = np.zeros((o1 + 1, o2 + 1))
+    s[0, 0] = 1.0
+    scratch = np.empty(o2 + 1)
+    if c2 != 0.0:
+        from scipy.linalg.blas import dtbsv
+        band = np.empty((2, o2 + 1), order="F")
+        band[0], band[1] = a, -c2
+    for i in range(o1 + 1):
+        row = s[i]
+        if i:
+            np.multiply(s[i - 1, :-1], -kappa, out=row[1:])
+            if c1 != 0.0:
+                row += np.multiply(s[i - 1], c1, out=scratch)
+        if c2 != 0.0:
+            # in place; were f2py to copy the row, this stores the copy
+            s[i] = dtbsv(1, band, row, lower=1, overwrite_x=1)
+        else:
+            row /= a
+    return s
+
+
 def _element(state: TwoModeGaussianState, kind: str, index: tuple) -> float:
     """Entry ``index`` of the smallest ``kind`` table that holds it."""
-    return float(_table(_q(state), kind, *index)[index])
+    return float(_read(state, kind, *index)[index])
 
 
 # -- intensity moments -----------------------------------------------------
@@ -269,8 +347,8 @@ def moment_table(state: TwoModeGaussianState, order1: int,
                  order2: int) -> np.ndarray:
     """Table of normally ordered intensity moments <W1**i W2**j> for all
     i <= order1, j <= order2."""
-    return _table(_q(state), "W",
-                  _checked("order1", order1), _checked("order2", order2))
+    return _read(state, "W",
+                 _checked("order1", order1), _checked("order2", order2))
 
 
 def intensity_moment(state: TwoModeGaussianState, k1: int, k2: int) -> float:
@@ -289,8 +367,8 @@ def marginal_intensity_moment(state: TwoModeGaussianState, mode: int,
 def pnd_table(state: TwoModeGaussianState, n_max1: int, n_max2: int) -> np.ndarray:
     """Joint photon-number probabilities p(n1, n2) for n1 <= n_max1,
     n2 <= n_max2.  Rounding-level negatives deep in the tail are clamped."""
-    return _table(_q(state), "P",
-                  _checked("n_max1", n_max1), _checked("n_max2", n_max2))
+    return _read(state, "P",
+                 _checked("n_max1", n_max1), _checked("n_max2", n_max2))
 
 
 def pnd_element(state: TwoModeGaussianState, n1: int, n2: int) -> float:
@@ -302,8 +380,8 @@ def pnd_element(state: TwoModeGaussianState, n1: int, n2: int) -> float:
 def modified_pnd_table(state: TwoModeGaussianState, n_max1: int,
                        n_max2: int) -> np.ndarray:
     """Table of factorial-scaled probabilities n1! n2! p(n1, n2) / p(0, 0)."""
-    return _table(_q(state), "p",
-                  _checked("n_max1", n_max1), _checked("n_max2", n_max2))
+    return _read(state, "p",
+                 _checked("n_max1", n_max1), _checked("n_max2", n_max2))
 
 
 def modified_pnd_element(state: TwoModeGaussianState, n1: int,
@@ -316,8 +394,8 @@ def marginal_pnd_table(state: TwoModeGaussianState, mode: int,
                        n_max: int) -> np.ndarray:
     """Marginal probabilities p_mode(n) for n <= n_max, from the exact
     single-mode reduction (no joint table is formed)."""
-    return _table(_q(state), f"P{_checked('mode', mode)}",
-                  _checked("n_max", n_max))
+    return _read(state, f"P{_checked('mode', mode)}",
+                 _checked("n_max", n_max))
 
 
 def marginal_pnd(state: TwoModeGaussianState, mode: int, n: int) -> float:
@@ -330,8 +408,8 @@ def marginal_modified_pnd_table(state: TwoModeGaussianState, mode: int,
                                 n_max: int) -> np.ndarray:
     """Factorial-scaled marginal probabilities n! p_mode(n) / p_mode(0) for
     n <= n_max, from the exact single-mode reduction."""
-    return _table(_q(state), f"p{_checked('mode', mode)}",
-                  _checked("n_max", n_max))
+    return _read(state, f"p{_checked('mode', mode)}",
+                 _checked("n_max", n_max))
 
 
 def marginal_modified_pnd(state: TwoModeGaussianState, mode: int,
@@ -391,7 +469,8 @@ def photon_number_distribution(state: TwoModeGaussianState,
     marginal table's sum, is at most tail_tol / 2; by the union bound the
     mass outside the joint table is then at most tail_tol, up to the
     rounding of those sums.  tail_mass holds one minus the joint table's
-    sum, which rounding can make negative (-7.4e-12 for twin_beam(28.0)).
+    sum, which rounding can make negative (-1.1e-15 for twin_beam(100.0),
+    -6.3e-12 for beam_splitter(twin_beam(10.0), 0.5)).
     Cutoffs start at min(16, n_cap) and double, the last step stopping
     at n_cap; a tail that still fails the tolerance at n_cap raises
     TruncationError.
@@ -420,7 +499,8 @@ def photon_number_distribution(state: TwoModeGaussianState,
 
 def twin_beam_pnd_closed_form(params, n1: int, n2: int) -> float:
     """Joint photon-number probability of a noisy twin beam via its finite
-    sum form; switches to log-domain accumulation for large indices."""
+    sum form; above index 50 each term is scaled by the largest, which
+    keeps its exponent apart, so no term underflows."""
     if isinstance(params, TwinBeamParams):
         p = params
     else:
@@ -428,13 +508,14 @@ def twin_beam_pnd_closed_form(params, n1: int, n2: int) -> float:
     n1 = _checked("n1", n1)
     n2 = _checked("n2", n2)
 
-    bt1 = 1.0 + p.bp + p.bs
-    bt2 = 1.0 + p.bp + p.bi
     pair = p.bp * (p.bp + 1.0)
-    kt = bt1 * bt2 - pair
-    # kt - bt1 and kt - bt2, written to be exactly 0 where bs = bi = 0
-    x1 = (bt1 * (p.bp + p.bi) - pair) / kt  # pairs with the exponent in n2
-    x2 = (bt2 * (p.bp + p.bs) - pair) / kt  # pairs with the exponent in n1
+    # (1 + bp + bs)(1 + bp + bi) - pair, kt - 1 - bp - bs and
+    # kt - 1 - bp - bi with the pair terms cancelled exactly, so that the
+    # bases keep their digits at large bp and are exactly 0 where
+    # bs = bi = 0
+    kt = (1.0 + p.bp) * (1.0 + p.bs + p.bi) + p.bs * p.bi
+    x1 = ((1.0 + p.bp) * p.bi + p.bs * (p.bp + p.bi)) / kt  # exponent n2
+    x2 = ((1.0 + p.bp) * p.bs + p.bi * (p.bp + p.bs)) / kt  # exponent n1
     xm = pair / (kt * kt)
     m_top = min(n1, n2)
 
@@ -445,26 +526,51 @@ def twin_beam_pnd_closed_form(params, n1: int, n2: int) -> float:
                       * x1 ** (n2 - m) * x2 ** (n1 - m) * xm ** m)
         return total / kt
 
-    # log-domain: all factors are non-negative, so terms add monotonically
-    terms = []
-    for m in range(m_top + 1):
-        lt = (_lcomb(n1, m) + _lcomb(n2, m))
-        ok = True
-        for base, expo in ((x1, n2 - m), (x2, n1 - m), (xm, m)):
-            if expo == 0:
-                continue
-            if base <= 0.0:
-                ok = False
-                break
-            lt += expo * math.log(base)
-        if ok:
-            terms.append(lt)
-    if not terms:
+    # Larger indices: each term as a multiple of the largest, by running
+    # products of the ratios of neighbouring terms, and the largest as a
+    # mantissa and a power of two, so that no term underflows and no digit
+    # is lost to logarithms.  A zero base leaves only the term in which
+    # its exponent is 0.
+    lo = max(n2 if x1 == 0.0 else 0, n1 if x2 == 0.0 else 0)
+    hi = 0 if xm == 0.0 else m_top
+    if lo > hi:
         return 0.0
-    peak = max(terms)
-    acc = sum(math.exp(lt - peak) for lt in terms)
-    return math.exp(peak - math.log(kt)) * acc
+    scale = 1.0
+    peak = lo
+    if lo < hi:  # then x1, x2 and xm are positive
+        with np.errstate(over="ignore", divide="ignore", under="ignore"):
+            m = np.arange(lo + 1, hi + 1, dtype=float)
+            ratio = ((n1 + 1.0 - m) * (n2 + 1.0 - m) / (m * m)
+                     * (np.float64(xm) / x1 / x2))
+            # the ratios fall with m, so the terms rise to one peak
+            rising = int(np.count_nonzero(ratio >= 1.0))
+            peak = lo + rising
+            scale += (np.cumprod(ratio[rising:]).sum()
+                      + np.cumprod(1.0 / ratio[:rising][::-1]).sum())
+    binomials = math.comb(n1, peak) * math.comb(n2, peak)
+    shift = max(binomials.bit_length() - 64, 0)
+    mantissa, exponent = math.frexp(float(binomials >> shift))
+    exponent += shift
+    for base, power in ((x1, n2 - peak), (x2, n1 - peak), (xm, peak)):
+        if power:
+            f, e = _power(base, power)
+            mantissa, d = math.frexp(mantissa * f)
+            exponent += e + d
+    return math.ldexp(mantissa * float(scale) / kt, exponent)
 
 
-def _lcomb(n: int, k: int) -> float:
-    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
+def _power(x: float, k: int) -> tuple:
+    """x**k of a positive x as (f, e), x**k = f * 2**e, by repeated
+    squaring with the powers of two kept apart: a rounding per product,
+    and no underflow."""
+    base, base_exp = math.frexp(x)
+    f, e = 1.0, 0
+    while k:
+        if k & 1:
+            f, d = math.frexp(f * base)
+            e += d + base_exp
+        k >>= 1
+        if k:
+            base, d = math.frexp(base * base)
+            base_exp = 2 * base_exp + d
+    return f, e

@@ -22,15 +22,10 @@ from its first row on, which warn, or raise under np.errstate; unbatched,
 its first row stays on floats where underflow is ignored, and its rows
 wider than _FLOAT_COLUMNS are solved in place with BLAS's banded triangular
 solve, scipy.linalg.blas.dtbsv, imported where it is called, so the
-catalog, classify, scans and boundaries never load scipy.  A wide row is
-solved over its taps up to the last nonzero one, and a row with no
-nonzero tap is its scaled cross-row sum, with no solve; every finite
-value and every nonzero bit is the full band's, while an exact zero may
-keep a sign that the full band would flip by adding (-x) * 0.0, and an
-overflowed entry stays inf where the full band's inf * 0.0 would spread
-NaN along its row.  Every table of at most _FLOAT_COLUMNS columns, and a
-one-lane batch at any width, has the bits of its lane of the batch loop;
-rebasing a table of one number per coefficient is the unbatched float sum.
+catalog, classify, scans and boundaries never load scipy.  Every table
+of at most _FLOAT_COLUMNS columns, and a one-lane batch at any width, has
+the bits of its lane of the batch loop; rebasing a table of one number
+per coefficient is the unbatched float sum.
 """
 from __future__ import annotations
 
@@ -219,14 +214,7 @@ class BivariateSeries:
 
         # remaining rows, each built in place: cross-row terms feed a
         # constant-coefficient within-row recurrence of depth dq2
-        wide = scalar and o2 >= _FLOAT_COLUMNS
-        if wide:
-            # exactly-zero trailing taps are skipped, as zero cross-row
-            # terms are below; with none left (noiseless twin beams at bp
-            # 36, 60 and 100) a row is its scaled cross-row sum
-            while taps and taps[-1] == 0.0:
-                taps.pop()
-        banded = wide and bool(taps)
+        banded = scalar and bool(taps) and o2 >= _FLOAT_COLUMNS
         if banded:
             # once per table, not per row; narrow tables and batches never
             # solve banded, so they load no scipy.  The recurrence is the

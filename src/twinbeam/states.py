@@ -25,6 +25,15 @@ float64 rounding of d12 = i sqrt(bp(bp+1)) to about 3e-10 relative at
 bp = 1e3; the extended copy keeps that rounding out of the negativity and
 the symplectic eigenvalues.  Everything else, the criteria and the
 physicality check included, reads the float64 fields.
+
+Where c1 = c2 = dbar12 = 0 (every twin beam, noisy or not, and every loss
+of one), Q is the square of K = 1 + b1 l1 + b2 l2 + kappa l1 l2 with
+kappa = b1 b2 - |d12|**2, and every state carries its kappa in float64.
+twin_beam computes it from its means, bp (bs + bi) + bs bi - bp, free of
+the cancellation of bp**2 that the fields' rounding of d12 leaves behind,
+and attenuate scales it by eta1 eta2; construction from numbers and the
+beam splitter read it off the fields.  Like the extended copy, kappa is
+seen by neither equality, params() nor repr.
 """
 from __future__ import annotations
 
@@ -229,12 +238,17 @@ class TwoModeGaussianState:
     # extended-precision copy of params(): their exact promotion, replaced
     # by the mapped copy in the physical maps
     _extended: tuple = field(init=False, compare=False, repr=False)
+    # kappa of K = 1 + b1 l1 + b2 l2 + kappa l1 l2, whose square is Q where
+    # c1 = c2 = dbar12 = 0: b1 b2 - |d12|**2 of the fields, carried from the
+    # parameters by twin_beam and attenuate
+    _kappa: float = field(init=False, compare=False, repr=False)
     # Q and criterion tables: built on use, read-only, not pickled or copied
     _memo: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self._normalize()
         object.__setattr__(self, "_extended", _promoted(*self.params()))
+        object.__setattr__(self, "_kappa", _fields_kappa(self))
         if not is_physical_params(*self.params()):
             nu_m = _spectrum(*self.params())[0]
             raise PhysicalityError(
@@ -277,6 +291,12 @@ def _fields(state: TwoModeGaussianState) -> tuple:
         return state.params(), state._extended
     except AttributeError:
         raise _not_a_state(state) from None
+
+
+def _fields_kappa(state: TwoModeGaussianState) -> float:
+    """K's kappa, b1 b2 - |d12|**2, from the stored fields."""
+    d = state.d12
+    return state.b1 * state.b2 - (d.real * d.real + d.imag * d.imag)
 
 
 def _promoted(b1, b2, c1, c2, d12, dbar12) -> tuple:
@@ -365,12 +385,18 @@ def twin_beam(params, bs: float = 0.0, bi: float = 0.0) -> TwoModeGaussianState:
     else:
         p = TwinBeamParams(params, bs, bi)
     means = (p.bp, p.bs, p.bi)
-    return _apply(_twin_beam_arrays, means, map(np.longdouble, means))
+    # b1 b2 - |d12|**2 with the bp**2 terms cancelled exactly: -bp on a
+    # noiseless beam, so that b1 + kappa = b2 + kappa = 0
+    kappa = p.bp * (p.bs + p.bi) + p.bs * p.bi - p.bp
+    return _apply(_twin_beam_arrays, means, map(np.longdouble, means),
+                  kappa=kappa)
 
 
-def _apply(fmap, params, extended, *args) -> TwoModeGaussianState:
+def _apply(fmap, params, extended, *args,
+           kappa=None) -> TwoModeGaussianState:
     """State built by ``fmap`` from float64 ``params``, carrying ``fmap`` of
-    their extended-precision copy ``extended`` as its own copy.
+    their extended-precision copy ``extended`` as its own copy, and
+    ``kappa`` as its K's kappa, by default that of its fields.
 
     The output is normalized but not checked for physicality: a twin beam
     with non-negative means is physical, a beam splitter is unitary and
@@ -383,6 +409,8 @@ def _apply(fmap, params, extended, *args) -> TwoModeGaussianState:
         object.__setattr__(state, name, value)
     state._normalize()
     object.__setattr__(state, "_extended", _promoted(*fmap(*extended, *args)))
+    object.__setattr__(state, "_kappa",
+                       _fields_kappa(state) if kappa is None else kappa)
     return state
 
 
@@ -499,4 +527,5 @@ def attenuate(state: TwoModeGaussianState, eta1: float,
     rescaling of the parameters."""
     e1 = _checked("eta1", eta1)
     e2 = e1 if eta2 is None else _checked("eta2", eta2)
-    return _apply(_attenuate_arrays, *_fields(state), e1, e2)
+    return _apply(_attenuate_arrays, *_fields(state), e1, e2,
+                  kappa=state._kappa * (e1 * e2))

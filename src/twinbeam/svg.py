@@ -59,10 +59,18 @@ class _AxisMap:
         return self._px(self.edges[k])
 
 
+def _check_axes(count: int) -> None:
+    """Raise ParameterError unless a scan of ``count`` axes can be drawn:
+    the one rule of render_svg and of ``twinbeam scan --svg``, which
+    checks it before the scan runs."""
+    if count != 2:
+        raise ParameterError(
+            f"SVG output needs a scan of two axes, got {count}")
+
+
 def render_svg(result, target_label: str) -> str:
     """SVG heatmap of one target's verdicts with boundary overlays."""
-    if len(result.shape) != 2:
-        raise ParameterError("SVG rendering needs a two-dimensional scan")
+    _check_axes(len(result.shape))
     if target_label not in result.verdicts:
         raise ParameterError(f"unknown target {target_label!r}")
     verdicts = result.verdicts[target_label]

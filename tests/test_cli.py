@@ -604,7 +604,7 @@ def test_svg_of_a_one_dimensional_scan_fails_before_the_scan(capsys,
     assert rc == 1
     assert json.loads(err) == {
         "error": "ParameterError",
-        "message": "SVG output needs a two-dimensional scan"}
+        "message": "SVG output needs a scan of two axes, got 1"}
     assert not (tmp_path / "grid.csv").exists()
 
 
@@ -662,9 +662,12 @@ def test_a_closed_stdout_ends_quietly_with_status_141(argv):
 
 @pytest.mark.parametrize("argv", [
     ["crit", "--bp", "1e150", "--family", "M_W"],
-    ["pnd", "--bp", "1e150", "--nmax", "2"]], ids=["crit", "pnd"])
+    ["pnd", "--bp", "1e150", "--t", "0.5", "--nmax", "2"]],
+    ids=["crit", "pnd"])
 def test_a_numerical_failure_writes_only_its_json_record(argv):
-    """The overflow's RuntimeWarnings do not precede the error record."""
+    """The overflow's RuntimeWarnings do not precede the error record.  The
+    pnd case is a splitter output, whose probabilities are read off Q; a
+    twin beam's are read off K, which does not overflow at bp 1e150."""
     proc = subprocess.run([sys.executable, "-m", "twinbeam", *argv],
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True)

@@ -1,6 +1,7 @@
 """scipy is imported only where it is called: a cold catalog, classify,
-state, crit, scan or boundary loads none of it, wide photon-number tables
-load scipy.linalg alone, without a warning, and detection loss loads
+state, crit, scan or boundary loads none of it, nor does a noiseless twin
+beam's photon-number distribution; photon-number tables that solve their
+rows load scipy.linalg alone, without a warning, and detection loss loads
 none."""
 
 import ast
@@ -67,13 +68,29 @@ def test_cold_paths_import_no_scipy(case, tmp_path):
 
 
 def test_photon_numbers_and_detection_loss_load_scipy_lazily():
-    """A 65-column table calls BLAS dtbsv, which imports scipy.linalg on
-    the spot without a warning; detection loss imports nothing, and
-    neither pulls in scipy.signal or scipy.stats."""
+    """The 65-column tables of a splitter output and of a noisy twin beam
+    solve their rows with BLAS dtbsv, which imports scipy.linalg on the
+    spot without a warning; detection loss imports nothing, and neither
+    pulls in scipy.signal or scipy.stats."""
     loaded = set(_scipy_after("""
 from twinbeam import moments, oracle, states
-pnd = moments.photon_number_distribution(states.twin_beam(1.0))
-oracle.bernoulli_downsample(pnd, 0.5)
+for state in (states.beam_splitter(states.twin_beam(1.0), 0.5),
+              states.twin_beam(1.0, bs=0.2, bi=0.1)):
+    pnd = moments.photon_number_distribution(state)
+    oracle.bernoulli_downsample(pnd, 0.5)
 """))
     assert "scipy.linalg" in loaded
     assert not loaded & {"scipy.signal", "scipy.stats"}
+
+
+def test_a_noiseless_twin_beam_distribution_loads_no_scipy():
+    """A noiseless twin beam's 1/K table is diagonal and solves no row, so
+    its distribution, as large as 4097^2, and its detection loss load no
+    scipy."""
+    assert _scipy_after("""
+from twinbeam import moments, oracle, states
+pnd = moments.photon_number_distribution(states.twin_beam(1.0))
+oracle.bernoulli_downsample(pnd, 0.5)
+pnd = moments.photon_number_distribution(states.twin_beam(100.0))
+assert pnd.p.shape == (4097, 4097)
+""") == []

@@ -187,7 +187,8 @@ def test_noiseless_diagonal_is_geometric():
 
 
 def test_deep_tail_uses_log_domain():
-    """Far-tail probabilities keep relative accuracy at 1e-27 scale."""
+    """Far-tail probabilities keep relative accuracy at 1e-27 scale, where
+    the closed form sums its terms as multiples of the largest."""
     params = states.TwinBeamParams(0.8, 0.4, 0.15)
     st = states.twin_beam(params)
     got = moments.pnd_element(st, 60, 3)
@@ -202,7 +203,7 @@ def test_deep_tail_uses_log_domain():
 @pytest.mark.parametrize("n1,n2", [(0, 1), (1, 2), (60, 61)])
 def test_the_closed_form_is_zero_off_a_noiseless_diagonal(n1, n2):
     """Off the diagonal a noiseless beam's bases cancel to exactly 0.0,
-    in the direct sum and in the log-domain one alike."""
+    in the direct sum and in the scaled one of indices above 50 alike."""
     assert moments.twin_beam_pnd_closed_form(0.3, n1, n2) == 0.0
 
 
@@ -218,14 +219,39 @@ def test_pnd_table_matches_elements():
             )
 
 
+@pytest.mark.parametrize("bp", [1e6, 1e12, 1e150])
+def test_a_bright_noiseless_beam_reads_its_closed_form(bp):
+    """Read off 1/K, a bright beam's table is (bp / (1 + bp))**n / (1 + bp)
+    on its diagonal and exactly 0 off it, and its marginals are the same
+    thermal sequence, where Q's expansion about (1, 1) has lost every digit
+    or overflowed."""
+    tb = states.twin_beam(bp)
+    want = (bp / (1.0 + bp)) ** np.arange(5) / (1.0 + bp)
+    table = moments.pnd_table(tb, 4, 4)
+    np.testing.assert_allclose(np.diagonal(table), want, rtol=1e-14)
+    assert np.count_nonzero(table) == 5
+    for mode in (1, 2):
+        np.testing.assert_allclose(moments.marginal_pnd_table(tb, mode, 4),
+                                   want, rtol=1e-14)
+
+
+def test_a_constant_term_beyond_the_float_range_raises():
+    """K(1) of a state built from numbers can overflow: its probabilities
+    raise EvaluationError, as those of Q do."""
+    state = states.TwoModeGaussianState(1e300, 1e300)
+    with pytest.raises(EvaluationError, match="constant term inf"):
+        moments.pnd_table(state, 2, 2)
+
+
 def test_pnd_element_raises_where_its_table_does():
-    """At bp = 60.6 the expansion about (1, 1) turns significantly negative
-    inside a 124 x 122 table; its element must not return that value."""
-    st = states.twin_beam(60.6)
+    """Through a t = 0.999 splitter at bp = 60.6 the expansion of Q about
+    (1, 1) turns significantly negative inside a 14 x 14 table; its
+    element must not return that value."""
+    st = states.beam_splitter(states.twin_beam(60.6), 0.999)
     with pytest.raises(EvaluationError):
-        moments.pnd_table(st, 123, 121)
+        moments.pnd_table(st, 13, 13)
     with pytest.raises(EvaluationError):
-        moments.pnd_element(st, 123, 121)
+        moments.pnd_element(st, 13, 13)
 
 
 def test_probability_elements_are_their_table_entries():
@@ -373,8 +399,12 @@ def test_adaptive_pnd_builds_q_once_per_state(monkeypatch):
 
     q_coeff_array = moments._q_coeff_array
     monkeypatch.setattr(moments, "_q_coeff_array", counted)
-    st = states.twin_beam(1.0)
+    st = states.beam_splitter(states.twin_beam(1.0), 0.5)
     pnd = moments.photon_number_distribution(st)
+    assert (pnd.n_max1, pnd.n_max2) == (64, 64)
+    assert len(calls) == 1
+    # a twin beam's probabilities are read off K, with no Q at all
+    pnd = moments.photon_number_distribution(states.twin_beam(1.0))
     assert (pnd.n_max1, pnd.n_max2) == (64, 64)
     assert len(calls) == 1
 
@@ -526,22 +556,27 @@ def _papers_pnd_table(state, mode, n1, n2=0):
     return s[:, 0] if mode else s
 
 
+def _noisy_split(rng, t=None):
+    """A noisy twin beam through a splitter, a state read off Q."""
+    tb = states.twin_beam(rng.uniform(1.0, 30.0), bs=rng.uniform(0.1, 1.0))
+    return states.beam_splitter(tb, rng.uniform(0.2, 0.8) if t is None else t)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_probability_tables_are_those_of_the_papers_q(seed):
-    """Joint and marginal probability tables, read off Q(-l) about (-1, -1)
-    with no sign code, are byte for byte those of the paper's Q about
-    (1, 1) with their odd rows and columns negated, wide tables included."""
+    """Joint and marginal probability tables of states read off Q, read off
+    Q(-l) about (-1, -1) with no sign code, are byte for byte those of the
+    paper's Q about (1, 1) with their odd rows and columns negated, wide
+    tables included."""
     rng = np.random.default_rng(seed)
-    for state in (random_physical_state(rng),
-                  states.twin_beam(rng.uniform(0.1, 30.0),
-                                   bs=rng.uniform(0.0, 1.0))):
+    for state in (random_physical_state(rng), _noisy_split(rng)):
         n1, n2 = rng.integers(8, 64, size=2)
         assert moments.pnd_table(state, n1, n2).tobytes() == (
             _papers_pnd_table(state, 0, n1, n2).tobytes())
         for mode in (1, 2):
             assert moments.marginal_pnd_table(state, mode, 300).tobytes() == (
                 _papers_pnd_table(state, mode, 300).tobytes())
-    wide = states.twin_beam(rng.uniform(1.0, 30.0))
+    wide = _noisy_split(rng, 0.5)
     assert moments.pnd_table(wide, 1024, 1030).tobytes() == (
         _papers_pnd_table(wide, 0, 1024, 1030).tobytes())
 

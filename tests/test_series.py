@@ -187,10 +187,12 @@ def test_scalar_float_recurrences_match_batched_lanes_bit_for_bit(seed):
 def test_catalog_tables_run_on_floats_and_ladder_tables_on_dtbsv(
         monkeypatch):
     """The catalog's tables are narrower than the cutoff and never call
-    dtbsv; a 17-column photon-number table calls it once per row, unless
-    its taps are all exactly zero, as they are for twin_beam(100.0), whose
-    rows are their scaled cross-row sums.  rsqrt imports dtbsv when it
-    calls it, so the patch on scipy.linalg.blas holds."""
+    dtbsv; a 17-column photon-number table of a splitter output calls it
+    once per row after the first.  A twin beam's probabilities are read
+    off 1/K: a noisy beam's solve every row, its first included, with
+    dtbsv's one-tap non-unit band, and a noiseless beam's, whose one-tap
+    coefficients are exactly 0, solve none.  rsqrt and the 1/K rows import
+    dtbsv when they call it, so the patch on scipy.linalg.blas holds."""
     calls = []
     dtbsv = scipy.linalg.blas.dtbsv
 
@@ -203,83 +205,24 @@ def test_catalog_tables_run_on_floats_and_ladder_tables_on_dtbsv(
     for cid in criteria.default_catalog():
         criteria.evaluate(state, cid)
     assert len(calls) == 0
-    moments.pnd_table(states.twin_beam(0.3), 16, 16)
+    split = states.beam_splitter(states.twin_beam(0.3), 0.5)
+    moments.pnd_table(split, 16, 16)
     assert len(calls) == 16
-    moments.pnd_table(states.twin_beam(100.0), 16, 16)
-    assert len(calls) == 16
-
-
-def _full_band_rsqrt(coeffs, o1, o2):
-    """rsqrt of an unbatched wide table with every row solved by dtbsv
-    over all dq2 taps, zero taps included: the reference for the trim."""
-    q = coeffs.tolist()
-    dq1, dq2 = min(len(q) - 1, o1), min(len(q[0]) - 1, o2)
-    inv_q00 = 1.0 / q[0][0]
-    row, taps = series._first_row(q, o2, dq2, inv_q00,
-                                  1.0 / math.sqrt(q[0][0]))
-    s = np.zeros((o1 + 1, o2 + 1))
-    s[0] = row
-    band = np.zeros((len(taps) + 1, o2 + 1), order="F")
-    band[1:] = np.reshape(taps, (-1, 1))
-    for i in range(1, o1 + 1):
-        si = s[i]
-        for a in range(1, min(i, dq1) + 1):
-            for b in range(dq2 + 1):
-                if q[a][b] != 0.0:
-                    si[b:] += ((2 * i - a) * q[a][b]) * s[i - a, : o2 + 1 - b]
-        si *= -inv_q00 / (2 * i)
-        s[i] = scipy.linalg.blas.dtbsv(len(taps), band, si, lower=1, diag=1,
-                                       overwrite_x=1)
-    return s
-
-
-def test_trimmed_taps_keep_every_value_and_nonzero_bits():
-    """Wide rows are solved over their taps up to the last nonzero one, and
-    with no tap left not solved at all.  Against the full-band dtbsv every
-    entry keeps its value, every nonzero entry its bits, and a clamped
-    probability table all its bits: on rebased noiseless twin beams at
-    pumps whose taps are all zero, and on a positive Q whose second tap
-    alone is zero.  Exact zeros may change sign, as a full-band solve adds
-    (-x) * 0.0 to each zero behind a row entry x and a trimmed one does
-    not.  A table with nonzero taps runs the full band and keeps every bit,
-    signs of zero included."""
-    tables = [BivariateSeries(moments._q(states.twin_beam(bp)))
-              .rebased(-1.0, -1.0) for bp in (36.0, 60.0, 100.0)]
-    rng = np.random.default_rng(7)
-    one_zero = rng.uniform(-0.1, 0.1, size=(3, 3))
-    one_zero[0, 0], one_zero[0, 1], one_zero[0, 2] = 1.0, 0.05, 0.0
-    tables.append(BivariateSeries(one_zero))
-    orders = [(series._FLOAT_COLUMNS, series._FLOAT_COLUMNS), (40, 64),
-              (300, 300), (5, 1000)]
-    for table in tables:
-        assert table.coeffs[0, 2] == 0.0
-        for o1, o2 in orders:
-            got = table.rsqrt(o1, o2).coeffs
-            want = _full_band_rsqrt(table.coeffs, o1, o2)
-            np.testing.assert_array_equal(got, want)
-            nonzero = want != 0.0
-            assert got[nonzero].tobytes() == want[nonzero].tobytes()
-            assert (np.maximum(got, 0.0).tobytes()
-                    == np.maximum(want, 0.0).tobytes())
-    twin = BivariateSeries(moments._q(states.twin_beam(0.3)))
-    twin = twin.rebased(-1.0, -1.0)
-    assert np.all(twin.coeffs[0, 1:] != 0.0)
-    for o1, o2 in orders:
-        _assert_same_bits(twin.rsqrt(o1, o2).coeffs,
-                          _full_band_rsqrt(twin.coeffs, o1, o2))
+    moments.pnd_table(states.twin_beam(0.3, bs=0.2), 16, 16)
+    assert len(calls) == 33
+    for bp in (0.3, 36.69, 100.0):
+        moments.pnd_table(states.twin_beam(bp), 16, 16)
+        moments.photon_number_distribution(states.twin_beam(bp))
+    assert len(calls) == 33
 
 
 def test_an_overflowing_wide_table_without_taps_warns_and_raises():
-    """A wide table whose taps are all zero calls no dtbsv, so its rows are
-    NumPy's alone: an overflow warns, and raises under np.errstate.  An
-    overflowed entry stays inf and spreads no NaN along its row, where a
-    full-band solve adds inf * 0.0 to every entry behind it."""
+    """A wide table whose taps are all zero overflows in its NumPy rows:
+    the overflow warns, and raises under np.errstate."""
     q = np.array([[1.0, 0.0, 0.0], [1e200, 1.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.warns(RuntimeWarning, match="overflow"):
         got = BivariateSeries(q).rsqrt(4, 40).coeffs
     assert got[2, 0] == np.inf
-    assert not np.isnan(got).any()
-    assert np.isfinite(got[2, 1:]).all()
     with np.errstate(all="raise"):
         with pytest.raises(FloatingPointError):
             BivariateSeries(q).rsqrt(4, 40)

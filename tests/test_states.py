@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import sys
 
 import mpmath
@@ -293,6 +294,49 @@ def test_attenuate_scales_parameters():
     assert out.b1 == pytest.approx(0.5 * tb.b1)
     assert out.b2 == pytest.approx(0.8 * tb.b2)
     assert out.d12 == pytest.approx(math.sqrt(0.5 * 0.8) * tb.d12)
+
+
+@pytest.mark.parametrize("bp", [0.5, 36.6919354124013, 80.0, 1e12])
+def test_a_noiseless_twin_beam_carries_kappa_minus_bp(bp):
+    """K's kappa comes from the parameters: exactly -bp on a noiseless
+    beam, so b1 + kappa and b2 + kappa are exactly 0, while the fields'
+    b1 b2 - |d12|**2 keeps the rounding of d12 (5.6e-5 relative at bp
+    1e12)."""
+    tb = states.twin_beam(bp)
+    assert tb._kappa == -bp
+    assert tb.b1 + tb._kappa == 0.0 and tb.b2 + tb._kappa == 0.0
+    assert states._fields_kappa(tb) != -bp
+
+
+def test_kappa_is_carried_by_twin_beam_and_attenuate_and_read_elsewhere():
+    """twin_beam sets bp (bs + bi) + bs bi - bp and attenuate scales it by
+    eta1 eta2; construction from numbers, dataclasses.replace and the
+    beam splitter read b1 b2 - |d12|**2 off the fields.  Every route agrees
+    with the fields to rounding."""
+    tb = states.twin_beam(2.0, bs=0.3, bi=0.1)
+    assert tb._kappa == 2.0 * (0.3 + 0.1) + 0.3 * 0.1 - 2.0
+    lossy = states.attenuate(tb, 0.7, 0.4)
+    assert lossy._kappa == tb._kappa * (0.7 * 0.4)
+    assert states.attenuate(tb, 0.7)._kappa == tb._kappa * (0.7 * 0.7)
+    for state in (tb, lossy):
+        assert state._kappa == pytest.approx(states._fields_kappa(state),
+                                             rel=1e-14)
+    built = states.TwoModeGaussianState(*lossy.params())
+    for state in (built, dataclasses.replace(lossy, b1=lossy.b1),
+                  states.beam_splitter(tb, 0.3, phi=0.2)):
+        assert state._kappa == states._fields_kappa(state)
+
+
+def test_kappa_is_not_part_of_a_states_identity():
+    """Two states with the same six fields are equal, have the same
+    params() and repr, whatever their kappa; a copy keeps its kappa."""
+    tb = states.twin_beam(80.0)
+    built = states.TwoModeGaussianState(*tb.params())
+    assert built._kappa != tb._kappa
+    assert built == tb and hash(built) == hash(tb)
+    assert built.params() == tb.params() and repr(built) == repr(tb)
+    assert "kappa" not in repr(tb)
+    assert pickle.loads(pickle.dumps(tb))._kappa == tb._kappa
 
 
 def test_covariance_layout():
